@@ -148,10 +148,9 @@ SweepRun run_sweep(std::size_t connections, std::uint64_t total_frames) {
   run.frames_per_sec = static_cast<double>(total_frames) / wall_s;
   run.p50_us = latency_us.percentile(50.0);
   run.p99_us = latency_us.percentile(99.0);
-  const auto batch = awareness_hub.metrics().histograms.find("hub.batch_frames");
-  if (batch != awareness_hub.metrics().histograms.end()) {
-    run.mean_batch = batch->second.mean();
-  }
+  const rt::MetricsSnapshot snap = awareness_hub.metrics();
+  const auto batch = snap.histograms.find("hub.batch_frames");
+  if (batch != snap.histograms.end()) run.mean_batch = batch->second.mean();
   for (auto& c : clients) c.close();
   while (awareness_hub.connection_count() > 0) awareness_hub.poll(10);
   awareness_hub.stop();

@@ -1,14 +1,15 @@
 // Seeded fault-injection campaign over the awareness runtime.
 //
-// Runs the same 50-scenario campaign twice — once on the
-// single-scheduler fleet, once on a 4-shard ShardedFleet — prints the
-// per-kind detection matrix, and diffs the two golden traces: the
-// determinism claim means the fingerprints must match exactly.
+// Runs the same 50-scenario campaign twice — once on a one-shard fleet
+// (a single scheduler, run on the calling thread), once on a 4-shard
+// ShardedFleet — prints the per-kind detection matrix, and diffs the
+// two golden traces: the determinism claim means the fingerprints must
+// match exactly.
 //
 //   build/examples/campaign_demo [seed]
 //
 // Pass a seed to explore different scenario draws; any seed must still
-// produce identical traces on both backends.
+// produce identical traces at both shard counts.
 #include <cstdio>
 #include <cstdlib>
 

@@ -1,7 +1,7 @@
 // Escalating recovery with per-aspect monitors (§3 + §5).
 //
-// Two aspect monitors (sound, screen) watch the TV through a
-// MonitorFleet; a flaky audio path keeps failing, and the
+// Two aspect monitors (sound, screen) watch the TV through a one-shard
+// ShardedFleet; a flaky audio path keeps failing, and the
 // RecoveryEscalator climbs the ladder: resync -> restart unit ->
 // restart dependents -> full restart -> give up.
 //
@@ -9,13 +9,11 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/fleet.hpp"
 #include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
+#include "core/sharded_fleet.hpp"
 #include "faults/injector.hpp"
 #include "recovery/escalation.hpp"
-#include "runtime/event_bus.hpp"
-#include "runtime/scheduler.hpp"
 #include "tv/spec_model.hpp"
 #include "tv/tv_system.hpp"
 
@@ -39,12 +37,13 @@ core::MonitorBuilder aspect_monitor(const char* observable) {
 }  // namespace
 
 int main() {
-  rt::Scheduler sched;
-  rt::EventBus bus;
+  // One shard: the TV lives on the shard's scheduler and bus, and the
+  // fleet runs it on this thread together with the monitors.
+  core::ShardedFleet fleet;
+  rt::Scheduler& sched = fleet.shard(0).sched();
   flt::FaultInjector injector{rt::Rng(5)};
-  tv::TvSystem set(sched, bus, injector);
+  tv::TvSystem set(sched, fleet.shard(0).bus(), injector);
 
-  core::MonitorFleet fleet(sched, bus);
   fleet.add_monitor("sound", aspect_monitor("sound_level"));
   fleet.add_monitor("screen", aspect_monitor("screen_state"));
 
@@ -79,7 +78,7 @@ int main() {
   set.start();
   fleet.start();
   set.press(tv::Key::kPower);
-  sched.run_for(rt::msec(400));
+  fleet.run_for(rt::msec(400));
 
   std::printf("a flaky audio command path drops every volume command for short windows;\n"
               "each detection escalates the recovery response:\n\n");
@@ -87,7 +86,7 @@ int main() {
     injector.schedule(flt::FaultSpec{flt::FaultKind::kMessageLoss, "cmd.audio", sched.now(),
                                      rt::msec(120), 1.0, {}});
     set.press(tv::Key::kVolumeUp);
-    sched.run_for(rt::sec(2));
+    fleet.run_for(rt::sec(2));
   }
 
   std::printf("\nsummary: %zu errors (sound: %zu, screen: %zu), give-ups: %llu\n",

@@ -56,6 +56,10 @@
 #  15. bench_fuzz fuzzing experiment, leaving BENCH_fuzz.json in the
 #      repo root (scenarios/sec + corpus growth and coverage curves)
 #
+# After the tier-1 stage and again after the last stage, the run fails
+# if `git status --porcelain` shows a path it did not show at start: a
+# leaked temp dir or an artifact missing from .gitignore.
+#
 # Each stage prints its wall time on completion. Stages 2-15 can be
 # skipped for a quick tier-1-only run:
 #   scripts/check.sh --tier1-only
@@ -83,10 +87,23 @@ stage() {
 }
 trap stage_end EXIT
 
+tree_status() { git status --porcelain | sort; }
+STATUS_AT_START="$(tree_status)"
+check_tree_clean() {
+  local leaked
+  leaked="$(comm -13 <(printf '%s\n' "$STATUS_AT_START") <(tree_status))"
+  if [[ -n "$leaked" ]]; then
+    echo "FAIL: the test stages left files in the tree:" >&2
+    printf '%s\n' "$leaked" >&2
+    exit 1
+  fi
+}
+
 stage "tier-1: configure + build + ctest"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
+check_tree_clean
 
 if [[ "$TIER1_ONLY" == "1" ]]; then
   echo "tier-1 green (skipped sanitizers + bench with --tier1-only)"
@@ -251,4 +268,5 @@ test -s BENCH_fuzz.json
 echo "BENCH_fuzz.json written:"
 head -12 BENCH_fuzz.json
 
+check_tree_clean
 stage "all checks passed"

@@ -11,8 +11,8 @@
 //                 instances of the same program sit in dense arrays.
 //
 // A ModelArena is the per-runtime-island home of that batched state:
-// MonitorFleet keeps one, every ShardedFleet shard keeps its own (the
-// batch stays single-threaded while the program is shared), and a
+// every ShardedFleet shard keeps its own (the batch stays
+// single-threaded while the program is shared), and a
 // standalone MonitorBuilder::build() without an arena makes a private
 // batch of size 1 — the legacy one-model-object-per-monitor path,
 // reimplemented on the same kernel.

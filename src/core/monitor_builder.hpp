@@ -14,9 +14,9 @@
 //                      .build();
 //
 // A builder constructed without a scheduler/bus describes a monitor
-// whose home is decided later — MonitorFleet and ShardedFleet call
-// build(sched, bus) against the owning (shard's) runtime, which is how
-// one description can land on any shard.
+// whose home is decided later — ShardedFleet calls build(sched, bus)
+// against the owning shard's runtime, which is how one description can
+// land on any shard.
 #pragma once
 
 #include <functional>

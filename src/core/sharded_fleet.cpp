@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 namespace trader::core {
 
@@ -58,7 +59,7 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
       epochs_metric_(fleet_metrics_.counter("fleet.epochs")),
       external_events_metric_(fleet_metrics_.counter("fleet.external_events")),
       unrouted_events_metric_(fleet_metrics_.counter("fleet.unrouted_events")) {
-  if (config_.shards == 0) config_.shards = 1;
+  config_.shards = std::max<std::size_t>(config_.shards, 1);
   if (config_.epoch <= 0) config_.epoch = runtime::msec(10);
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
@@ -69,18 +70,15 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
     shards_.push_back(std::unique_ptr<Shard>(new Shard(*this, i, shard_seed)));
   }
   fleet_metrics_.gauge("fleet.shards").set(static_cast<double>(config_.shards));
+  phase_barrier_ = std::make_unique<std::barrier<>>(static_cast<std::ptrdiff_t>(config_.shards));
 }
 
 ShardedFleet::~ShardedFleet() {
   stop();
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(run_mu_);
-      shutdown_ = true;
-    }
-    cv_work_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
+  if (workers_.empty()) return;  // one shard, or never started
+  shutdown_ = true;
+  phase_barrier_->arrive_and_wait();
+  for (auto& w : workers_) w.join();
 }
 
 std::size_t ShardedFleet::shard_of(const std::string& aspect) const {
@@ -142,7 +140,10 @@ void ShardedFleet::start() {
   for (auto& s : shards_) {
     for (auto& e : s->entries_) e.monitor->start();
   }
-  spawn_workers();
+  // The first start() spawns the workers for shards 1..N-1.
+  for (std::size_t i = workers_.size() + 1; i < shards_.size(); ++i) {
+    workers_.emplace_back([this, i] { worker_loop(*shards_[i]); });
+  }
 }
 
 void ShardedFleet::stop() {
@@ -193,51 +194,42 @@ void ShardedFleet::run_until(runtime::SimTime t) {
   }
 }
 
-void ShardedFleet::spawn_workers() {
-  if (!workers_.empty()) return;
-  phase_barrier_ = std::make_unique<std::barrier<>>(
-      static_cast<std::ptrdiff_t>(shards_.size()));
-  workers_.reserve(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
-}
-
 void ShardedFleet::run_epoch(runtime::SimTime target) {
-  {
-    std::lock_guard<std::mutex> lock(run_mu_);
-    target_ = target;
-    remaining_ = shards_.size();
-    ++generation_;
+  target_ = target;
+  phase_barrier_->arrive_and_wait();  // release the workers into this epoch
+  step_shard(*shards_[0]);
+  for (auto& s : shards_) {
+    if (s->failure_) std::rethrow_exception(std::exchange(s->failure_, nullptr));
   }
-  cv_work_.notify_all();
-  std::unique_lock<std::mutex> lock(run_mu_);
-  cv_done_.wait(lock, [this] { return remaining_ == 0; });
 }
 
-void ShardedFleet::worker_loop(std::size_t index) {
-  Shard& shard = *shards_[index];
-  std::uint64_t seen_generation = 0;
+void ShardedFleet::worker_loop(Shard& shard) {
   for (;;) {
-    runtime::SimTime target;
-    {
-      std::unique_lock<std::mutex> lock(run_mu_);
-      cv_work_.wait(lock, [&] { return shutdown_ || generation_ != seen_generation; });
-      if (shutdown_) return;
-      seen_generation = generation_;
-      target = target_;
-    }
-    // Phase 1: every shard drains before any shard runs, so events
-    // routed during the run phase can only land in the next epoch.
-    drain_mailbox(shard);
     phase_barrier_->arrive_and_wait();
-    // Phase 2: lock-free shard-local event processing.
-    shard.sched_.run_until(target);
-    {
-      std::lock_guard<std::mutex> lock(run_mu_);
-      if (--remaining_ == 0) cv_done_.notify_one();
-    }
+    if (shutdown_) return;
+    step_shard(shard);
   }
+}
+
+// A shard that throws still crosses every barrier, so no peer waits
+// forever; it sits out until run_epoch() has rethrown its exception on
+// the caller's thread.
+void ShardedFleet::step_shard(Shard& shard) {
+  const auto guarded = [&shard](auto&& phase) {
+    if (shard.failure_) return;
+    try {
+      phase();
+    } catch (...) {
+      shard.failure_ = std::current_exception();
+    }
+  };
+  // Phase 1: every shard drains before any shard runs, so events
+  // routed during the run phase can only land in the next epoch.
+  guarded([&] { drain_mailbox(shard); });
+  phase_barrier_->arrive_and_wait();
+  // Phase 2: lock-free shard-local event processing.
+  guarded([&] { shard.sched_.run_until(target_); });
+  phase_barrier_->arrive_and_wait();
 }
 
 void ShardedFleet::drain_mailbox(Shard& shard) {

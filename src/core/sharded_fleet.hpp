@@ -1,21 +1,26 @@
-// Sharded multi-threaded fleet runtime.
+// The fleet runtime: several awareness monitors per system (§3).
 //
-// The paper (§3) expects "several awareness monitors in a complex
-// system"; MonitorFleet runs them all on one scheduler thread, which
-// caps throughput at a single core. ShardedFleet partitions monitors
-// across N worker threads. Each shard owns a private Scheduler +
-// EventBus + Rng + MetricsRegistry, so the hot tick path is entirely
-// shard-local and lock-free; the only synchronized structure is the
-// MPSC mailbox carrying events that cross a shard boundary.
+// "Typically, there will be several awareness monitors in a complex
+// system, for different components, different aspects, and different
+// kinds of faults." ShardedFleet owns a set of named monitors, fans a
+// single recovery handler out with the originating aspect attached, and
+// aggregates error/metrics views. Monitors are partitioned across N
+// shards. Each shard owns a private Scheduler + EventBus + Rng +
+// MetricsRegistry, so the hot tick path is entirely shard-local and
+// lock-free; the only synchronized structure is the MPSC mailbox
+// carrying events that cross a shard boundary.
 //
+// The thread that calls run_until() runs shard 0 itself; shards 1..N-1
+// each have a worker thread, so a one-shard fleet spawns no thread.
 // Execution is epoch-based lockstep: virtual time advances in fixed
-// quanta. At every epoch boundary all shards (a) drain their mailboxes
-// in deterministic (send-time, source, sequence) order, then — behind a
-// barrier — (b) run their schedulers in parallel to the epoch end.
-// Cross-shard events published during an epoch are therefore always
-// delivered at the next boundary, making delivery order a function of
-// the virtual timeline rather than thread interleaving: a fixed seed
-// produces identical error reports for 1, 2 or 8 shards.
+// quanta, and each epoch is three crossings of one barrier — (a) the
+// caller releases the workers, (b) every shard has drained its mailbox
+// in deterministic (send-time, source, sequence) order, (c) every shard
+// has run its scheduler to the epoch end. Cross-shard events published
+// during an epoch are therefore always delivered at the next boundary,
+// making delivery order a function of the virtual timeline rather than
+// thread interleaving: a fixed seed produces identical error reports
+// for 1, 2 or 8 shards.
 //
 // Monitor placement is a stable hash of the aspect name, so placement
 // (and thus results on the deterministic publish paths) does not change
@@ -24,12 +29,14 @@
 // Shard::publish(); both routes go through the mailbox. Publishing
 // straight onto a shard's local bus also works (a wildcard router
 // forwards to remote owner shards) but then same-shard subscribers see
-// the event one epoch earlier than remote ones.
+// the event one epoch earlier than remote ones — with one shard that is
+// simply a system under observation living on shard(0).sched()/bus().
 #pragma once
 
 #include <barrier>
-#include <condition_variable>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -37,13 +44,19 @@
 #include <thread>
 #include <vector>
 
-#include "core/fleet.hpp"
+#include "core/monitor.hpp"
 #include "core/monitor_builder.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/rng.hpp"
 
 namespace trader::core {
+
+/// An error annotated with the monitor (aspect) that raised it.
+struct AspectError {
+  std::string aspect;
+  ErrorReport report;
+};
 
 struct ShardedFleetConfig {
   std::size_t shards = 1;
@@ -55,9 +68,9 @@ struct ShardedFleetConfig {
 
 class ShardedFleet {
  public:
-  using AspectRecoveryHandler = MonitorFleet::AspectRecoveryHandler;
+  using AspectRecoveryHandler = std::function<void(const AspectError&)>;
 
-  /// One worker's private runtime island.
+  /// One shard's private runtime island.
   class Shard {
    public:
     runtime::Scheduler& sched() { return sched_; }
@@ -66,7 +79,7 @@ class ShardedFleet {
     runtime::MetricsRegistry& metrics() { return metrics_; }
     /// This shard's batched model state. Monitors placed here share
     /// per-program BatchExecutors; the arena (like the scheduler) is
-    /// only ever touched from this shard's worker thread, while the
+    /// only ever touched by the thread running this shard, while the
     /// ModelPrograms inside it are immutable and fleet-wide.
     ModelArena& arena() { return *arena_; }
     std::size_t index() const { return index_; }
@@ -99,6 +112,7 @@ class ShardedFleet {
     bool routing_suppressed_ = false;
     std::vector<Entry> entries_;
     std::vector<AspectError> errors_;
+    std::exception_ptr failure_;  ///< Thrown this epoch; rethrown by run_epoch().
   };
 
   explicit ShardedFleet(ShardedFleetConfig config = {});
@@ -109,16 +123,18 @@ class ShardedFleet {
 
   /// Add a monitor for `aspect`; placement is hash(aspect) % shards.
   /// Only legal while the fleet is stopped (routing stays immutable
-  /// while workers run). Returns the monitor for pre-start tuning.
+  /// while shards run). Returns the monitor for pre-start tuning.
   AwarenessMonitor& add_monitor(const std::string& aspect, MonitorBuilder builder);
 
   /// Route `topic` to a shard that has no monitor subscribed to it
   /// (tests or custom subscribers on shard(i).bus()).
   void add_route(const std::string& topic, std::size_t shard_index);
 
-  /// Fleet-wide recovery hook. Called synchronously on worker threads
-  /// (serialized by an internal mutex); cross-shard invocation order is
-  /// unspecified — use errors() for the deterministic view.
+  /// Fleet-wide recovery hook. Called synchronously on the thread
+  /// running the reporting monitor's shard — the run_until() caller for
+  /// shard 0, a worker for the others — and serialized by an internal
+  /// mutex; cross-shard invocation order is unspecified — use errors()
+  /// for the deterministic view.
   void set_recovery_handler(AspectRecoveryHandler handler) { handler_ = std::move(handler); }
 
   /// Start / stop every monitor. Idempotent, like the IControl
@@ -128,6 +144,9 @@ class ShardedFleet {
   bool running() const { return running_; }
 
   /// Advance all shards in lockstep to virtual time `t` (auto-starts).
+  /// An exception thrown inside a shard — by a monitor, the recovery
+  /// handler or a scheduled task — is rethrown here once its epoch has
+  /// completed on every shard.
   void run_until(runtime::SimTime t);
   void run_for(runtime::SimDuration d) { run_until(now_ + d); }
   runtime::SimTime now() const { return now_; }
@@ -152,9 +171,9 @@ class ShardedFleet {
   runtime::MetricsSnapshot metrics() const;
 
  private:
-  void spawn_workers();
-  void worker_loop(std::size_t index);
+  void worker_loop(Shard& shard);
   void run_epoch(runtime::SimTime target);
+  void step_shard(Shard& shard);
   void drain_mailbox(Shard& shard);
   void route_from_bus(Shard& source, const runtime::Event& ev);
 
@@ -172,18 +191,13 @@ class ShardedFleet {
   std::uint64_t external_seq_ = 0;
   bool running_ = false;
 
-  // Worker pool: main thread publishes (generation, target) and waits
-  // for `remaining_` to hit zero; a std::barrier separates the drain
-  // phase from the run phase inside each epoch.
-  std::vector<std::thread> workers_;
+  // The caller writes target_ / shutdown_ before the release crossing
+  // of phase_barrier_, which publishes them to every worker.
   std::unique_ptr<std::barrier<>> phase_barrier_;
-  std::mutex run_mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t generation_ = 0;
   runtime::SimTime target_ = 0;
-  std::size_t remaining_ = 0;
   bool shutdown_ = false;
+  /// Shards 1..N-1, spawned by the first start(); shard 0 is the caller.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace trader::core

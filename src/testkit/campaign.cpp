@@ -7,9 +7,7 @@
 #include <cstdio>
 #include <memory>
 #include <set>
-#include <tuple>
 
-#include "core/fleet.hpp"
 #include "core/model_impl.hpp"
 #include "core/model_program.hpp"
 #include "core/monitor_builder.hpp"
@@ -69,9 +67,8 @@ core::MonitorBuilder counter_monitor(std::size_t k, const ExecutorConfig& config
 }
 
 // Backend-neutral view of "an awareness runtime the driver feeds from
-// outside": the single-scheduler MonitorFleet and the ShardedFleet
-// behave identically as long as events are published at epoch-grid
-// instants, which is exactly what the executor guarantees.
+// outside". Every backend feeds a ShardedFleet; they differ in the
+// transport between the scripted SUO and the fleet.
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -86,7 +83,7 @@ class Backend {
   /// Comparison gate shared with the models (IPC backends only).
   virtual std::shared_ptr<const std::atomic<bool>> gate() const { return nullptr; }
   /// Per-aspect comparison gate; the hub backend gates each slot
-  /// independently, the single-link IPC backend shares one gate.
+  /// independently, the single-link backends share one gate.
   virtual std::shared_ptr<const std::atomic<bool>> gate_for(const std::string& aspect) {
     (void)aspect;
     return gate();
@@ -95,60 +92,13 @@ class Backend {
   virtual void set_link(bool up) { (void)up; }
 };
 
-void sort_errors(std::vector<core::AspectError>& errs) {
-  std::stable_sort(errs.begin(), errs.end(),
-                   [](const core::AspectError& a, const core::AspectError& b) {
-                     return std::tie(a.report.detected_at, a.aspect) <
-                            std::tie(b.report.detected_at, b.aspect);
-                   });
-}
-
-// The in-process backends carry a *virtual* SUO link: the same shared
+// The in-process backend carries a *virtual* SUO link: the same shared
 // gate the IPC backends flip on a real socket teardown, minus the
 // socket. set_link(false) drops every publish and quiesces comparators
 // through LinkGatedModel, so a kill-restart scenario fingerprints
 // identically whether the SUO is a struct in this process or a peer
 // behind a kernel stream — which is what lets the fuzzer's outage
 // mutations run on the fast backend and still replay differentially.
-class SingleBackend : public Backend {
- public:
-  SingleBackend() : fleet_(sched_, bus_) {
-    fleet_.set_metrics(&metrics_);
-    gate_ = std::make_shared<std::atomic<bool>>(true);
-  }
-
-  void add_monitor(const std::string& aspect, core::MonitorBuilder builder) override {
-    fleet_.add_monitor(aspect, std::move(builder));
-  }
-  void start() override { fleet_.start(); }
-  void stop() override { fleet_.stop(); }
-  void run_until(runtime::SimTime t) override { sched_.run_until(t); }
-  void publish(const runtime::Event& ev) override {
-    if (!gate_->load(std::memory_order_relaxed)) return;  // SUO unreachable
-    runtime::Event stamped = ev;
-    stamped.timestamp = sched_.now();
-    bus_.publish(stamped);
-  }
-  std::vector<core::AspectError> errors() const override {
-    auto errs = fleet_.errors();
-    sort_errors(errs);
-    return errs;
-  }
-  const core::ComparatorStats& stats(const std::string& aspect) override {
-    return fleet_.monitor(aspect).stats();
-  }
-  runtime::MetricsSnapshot metrics() const override { return metrics_.snapshot(); }
-  std::shared_ptr<const std::atomic<bool>> gate() const override { return gate_; }
-  void set_link(bool up) override { gate_->store(up, std::memory_order_relaxed); }
-
- private:
-  runtime::Scheduler sched_;
-  runtime::EventBus bus_;
-  runtime::MetricsRegistry metrics_;
-  core::MonitorFleet fleet_;
-  std::shared_ptr<std::atomic<bool>> gate_;
-};
-
 class ShardedBackend : public Backend {
  public:
   explicit ShardedBackend(const ExecutorConfig& config)
@@ -176,7 +126,7 @@ class ShardedBackend : public Backend {
   // relaxed store is ordered against shard threads by the epoch barrier.
   void set_link(bool up) override { gate_->store(up, std::memory_order_relaxed); }
 
- private:
+ protected:
   core::ShardedFleet fleet_;
   std::shared_ptr<std::atomic<bool>> gate_;
 };
@@ -184,11 +134,11 @@ class ShardedBackend : public Backend {
 // The IPC backend puts the real wire in the campaign's SUO-to-monitor
 // path: every scripted event is encoded, sent through a kernel stream
 // socket (socketpair or a genuine AF_UNIX listener), received, decoded,
-// and only then republished onto the monitor fleet's bus. Events carry
-// virtual timestamps and each publish pumps its frame synchronously, so
+// and only then published into the fleet. Events carry virtual
+// timestamps and each publish pumps its frame synchronously, so
 // verdicts and golden traces are identical to the in-process backend —
 // which is exactly the equivalence the tier-1 suite asserts.
-class IpcBackend : public Backend {
+class IpcBackend : public ShardedBackend {
  public:
   /// Strategy producing a connected (SUO side, monitor side) stream
   /// pair — the ONLY transport-specific piece. Each registered IPC mode
@@ -198,20 +148,11 @@ class IpcBackend : public Backend {
   using PairFactory = std::function<StreamPair()>;
 
   IpcBackend(const ExecutorConfig& config, PairFactory make_pair)
-      : make_pair_(std::move(make_pair)), fleet_(sched_, bus_) {
-    (void)config;
-    fleet_.set_metrics(&metrics_);
+      : ShardedBackend(config), make_pair_(std::move(make_pair)) {
     supervisor_.set_metrics(&metrics_);
-    gate_ = std::make_shared<std::atomic<bool>>(false);
+    gate_->store(false, std::memory_order_relaxed);
     set_link(true);
   }
-
-  void add_monitor(const std::string& aspect, core::MonitorBuilder builder) override {
-    fleet_.add_monitor(aspect, std::move(builder));
-  }
-  void start() override { fleet_.start(); }
-  void stop() override { fleet_.stop(); }
-  void run_until(runtime::SimTime t) override { sched_.run_until(t); }
 
   void publish(const runtime::Event& ev) override {
     if (!gate_->load(std::memory_order_relaxed)) return;  // SUO unreachable
@@ -219,35 +160,28 @@ class IpcBackend : public Backend {
     f.type = ev.topic.rfind("in.", 0) == 0 ? ipc::FrameType::kInputEvent
                                            : ipc::FrameType::kOutputEvent;
     f.seq = ++seq_;
-    f.time = sched_.now();
+    f.time = fleet_.now();
     f.event = ev;
     if (!suo_side_.send(f)) {
       set_link(false);
       return;
     }
     // Synchronous pump: the frame we just sent comes back out of the
-    // kernel before the driver moves on, preserving SingleBackend's
-    // publish-then-deliver ordering exactly.
+    // kernel before the driver moves on, preserving the in-process
+    // backend's publish-then-deliver ordering exactly.
     ipc::Frame in;
     if (monitor_side_.recv(in, /*timeout_ms=*/2000) != ipc::FramedSocket::RecvStatus::kFrame) {
       set_link(false);
       return;
     }
-    runtime::Event stamped = in.event;
-    stamped.timestamp = sched_.now();
-    bus_.publish(stamped);
+    fleet_.publish(in.event);
   }
 
-  std::vector<core::AspectError> errors() const override {
-    auto errs = fleet_.errors();
-    sort_errors(errs);
-    return errs;
+  runtime::MetricsSnapshot metrics() const override {
+    runtime::MetricsSnapshot snap = ShardedBackend::metrics();
+    snap.merge(metrics_.snapshot());
+    return snap;
   }
-  const core::ComparatorStats& stats(const std::string& aspect) override {
-    return fleet_.monitor(aspect).stats();
-  }
-  runtime::MetricsSnapshot metrics() const override { return metrics_.snapshot(); }
-  std::shared_ptr<const std::atomic<bool>> gate() const override { return gate_; }
 
   void set_link(bool up) override {
     if (up == gate_->load(std::memory_order_relaxed)) return;
@@ -272,14 +206,10 @@ class IpcBackend : public Backend {
 
  private:
   PairFactory make_pair_;
-  runtime::Scheduler sched_;
-  runtime::EventBus bus_;
-  runtime::MetricsRegistry metrics_;
-  core::MonitorFleet fleet_;
+  runtime::MetricsRegistry metrics_;  ///< Transport + supervisor instruments.
   ipc::ProcessSupervisor supervisor_;
   ipc::FramedSocket suo_side_;      ///< Scripted SUO writes here.
   ipc::FramedSocket monitor_side_;  ///< Fleet-facing end; pumped per publish.
-  std::shared_ptr<std::atomic<bool>> gate_;
   std::uint32_t seq_ = 0;
 };
 
@@ -320,7 +250,7 @@ class HubBackend : public Backend {
  public:
   explicit HubBackend(const ExecutorConfig& config) {
     hub::HubConfig hc;
-    hc.shards = config.shards == 0 ? 1 : config.shards;
+    hc.shards = config.shards;
     hc.epoch = config.epoch;
     hc.seed = config.seed;
     hc.probe_liveness = false;  // the driver pumps; wall-clock probes would misfire
@@ -451,7 +381,6 @@ const std::map<IpcMode, BackendEntry>& backend_registry() {
       {IpcMode::kOff,
        {"off",
         [](const ExecutorConfig& config) -> std::unique_ptr<Backend> {
-          if (config.shards == 0) return std::make_unique<SingleBackend>();
           return std::make_unique<ShardedBackend>(config);
         }}},
       {IpcMode::kSocketpair,
@@ -502,9 +431,8 @@ const char* to_string(ExecutorConfig::ModelEngine e) {
 }
 
 std::string backend_label(const ExecutorConfig& config) {
-  std::string label = config.shards == 0
-                          ? std::string("single")
-                          : "sharded(" + std::to_string(config.shards) + ")";
+  std::string label =
+      "sharded(" + std::to_string(std::max<std::size_t>(config.shards, 1)) + ")";
   if (config.ipc != IpcMode::kOff) label += std::string("+ipc-") + to_string(config.ipc);
   if (config.engine != ExecutorConfig::ModelEngine::kBatched) {
     label += std::string("+") + to_string(config.engine);

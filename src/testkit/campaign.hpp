@@ -4,8 +4,8 @@
 // and recovers from injected faults; a campaign makes that claim
 // measurable end to end. A CampaignRunner sweeps seeded scenarios
 // (fault kind x target x timing x intensity drawn from runtime::Rng),
-// executes each through a real awareness backend — a single-scheduler
-// monitor fleet or a ShardedFleet at any shard count — and
+// executes each through a real awareness backend — a ShardedFleet at
+// any shard count, optionally behind a real IPC transport — and
 // cross-references FaultInjector ground truth against comparator error
 // reports to score per-scenario verdicts, detection latency and
 // recovery success, plus an aggregate JSON report.
@@ -72,20 +72,20 @@ struct ExecutorConfig {
     kBatched,      ///< Shared ModelProgram, arena-batched executor (production).
     kInterpreted,  ///< Legacy per-monitor interpreting executor.
   };
-  /// 0 = single-scheduler MonitorFleet backend; N >= 1 = ShardedFleet.
-  std::size_t shards = 0;
-  /// Epoch grid (both backends deliver external events on it).
+  /// ShardedFleet shard count (0 clamps to 1, as in ShardedFleetConfig).
+  std::size_t shards = 1;
+  /// Epoch grid (every backend delivers external events on it).
   runtime::SimDuration epoch = runtime::msec(10);
-  /// Master seed for the sharded backend's per-shard Rngs.
+  /// Master seed for the fleet's per-shard Rngs.
   std::uint64_t seed = 0x5eed;
   runtime::SimDuration comparison_period = runtime::msec(10);
   runtime::SimDuration startup_grace = runtime::msec(5);
   int max_consecutive = 2;
   recovery::EscalationConfig escalation;
   /// Push every SUO event through the wire protocol over a real socket.
-  /// kSocketpair/kUnix wrap the single-scheduler fleet (shards == 0);
-  /// kHub multiplexes one connection per aspect through the epoll hub
-  /// into a ShardedFleet (`shards` counts, 0 = 1). Verdicts and golden
+  /// kSocketpair/kUnix carry one link into the fleet; kHub multiplexes
+  /// one connection per aspect through the epoll hub into the hub's
+  /// fleet. `shards` applies to every mode. Verdicts and golden
   /// traces stay identical to IpcMode::kOff because events carry
   /// virtual timestamps and each one is pumped through the socket
   /// synchronously.
@@ -108,7 +108,7 @@ struct ExecutorConfig {
 const char* to_string(ExecutorConfig::ModelEngine e);
 
 /// One-line config echo shared by campaign JSON reports and bench
-/// emitters: "single" / "sharded(N)", "+ipc-<mode>" when a wire is in
+/// emitters: "sharded(N)", "+ipc-<mode>" when a wire is in
 /// the path, "+interpreted" when the legacy interpreter is selected.
 std::string backend_label(const ExecutorConfig& config);
 

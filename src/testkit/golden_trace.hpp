@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "core/fleet.hpp"
+#include "core/sharded_fleet.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/sim_time.hpp"
 #include "runtime/trace_log.hpp"

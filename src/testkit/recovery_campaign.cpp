@@ -63,7 +63,7 @@ ScenarioScript extend_for_recovery(const ScenarioScript& script, runtime::SimTim
 RecoveryCampaign::RecoveryCampaign(RecoveryCampaignConfig config) : config_(std::move(config)) {
   if (config_.top_k == 0) config_.top_k = 1;
   if (config_.flush_steps == 0) config_.flush_steps = 1;
-  if (config_.shards == 0) config_.shards = 1;
+  config_.shards = std::max<std::size_t>(config_.shards, 1);
 }
 
 RecoveryScore RecoveryCampaign::run_scenario(const ScenarioScript& script) {

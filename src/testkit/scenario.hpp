@@ -6,11 +6,11 @@
 // command sequence while a FaultInjector plan perturbs the chosen
 // target aspect. Tests, campaigns and the campaign_demo example all
 // build scenarios through this one builder, so "the same scenario" is
-// a value that can be replayed on any backend (a single
-// AwarenessMonitor fleet or a ShardedFleet at any shard count).
+// a value that can be replayed on any backend (a ShardedFleet at any
+// shard count, in process or behind a transport).
 //
-// Command times must sit on the executor's epoch grid: both backends
-// deliver externally published events at epoch boundaries, and grid
+// Command times must sit on the executor's epoch grid: every backend
+// delivers externally published events at epoch boundaries, and grid
 // alignment is what makes their golden traces byte-identical.
 #pragma once
 

@@ -5,9 +5,9 @@
 
 #include <memory>
 
-#include "core/fleet.hpp"
 #include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
+#include "core/sharded_fleet.hpp"
 #include "faults/injector.hpp"
 #include "runtime/event_bus.hpp"
 #include "runtime/scheduler.hpp"
@@ -504,11 +504,10 @@ TEST(Monitor, BuildWithoutModelOrProgramThrows) {
 }
 
 // N monitors built from one ModelProgramPtr inside a fleet pack their
-// state into one dense batch in the fleet's arena.
+// state into one dense batch in their shard's arena.
 TEST(Monitor, FleetBatchesMonitorsSharingOneProgram) {
-  rt::Scheduler sched;
-  rt::EventBus bus;
-  core::MonitorFleet fleet(sched, bus);
+  core::ShardedFleet fleet;  // one shard: every monitor shares its arena
+  core::ModelArena& arena = fleet.shard(0).arena();
   auto program = core::compile_model(counter_model());
   for (int k = 0; k < 5; ++k) {
     core::MonitorBuilder builder;
@@ -519,16 +518,16 @@ TEST(Monitor, FleetBatchesMonitorsSharingOneProgram) {
         .comparison_period(rt::msec(10));
     fleet.add_monitor("aspect" + std::to_string(k), std::move(builder));
   }
-  EXPECT_EQ(fleet.arena().batch_count(), 1u);
-  EXPECT_EQ(fleet.arena().live_instances(), 5u);
-  const auto* batch = fleet.arena().batch(program);
+  EXPECT_EQ(arena.batch_count(), 1u);
+  EXPECT_EQ(arena.live_instances(), 5u);
+  const auto* batch = arena.batch(program);
   ASSERT_NE(batch, nullptr);
   EXPECT_EQ(batch->slot_count(), 5u);
   fleet.start();
-  EchoSuo suo(sched, bus);
+  EchoSuo suo(fleet.shard(0).sched(), fleet.shard(0).bus());
   suo.input("inc");
   suo.output("count", std::int64_t{9});
-  sched.run_for(rt::msec(100));
+  fleet.run_for(rt::msec(100));
   // Every monitor watches the same topics, so each one reports.
   for (int k = 0; k < 5; ++k) {
     EXPECT_EQ(fleet.error_count("aspect" + std::to_string(k)), 1u);

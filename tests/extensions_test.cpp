@@ -6,8 +6,8 @@
 
 #include <memory>
 
-#include "core/fleet.hpp"
 #include "core/model_impl.hpp"
+#include "core/sharded_fleet.hpp"
 #include "detection/response_time.hpp"
 #include "diagnosis/component_ranker.hpp"
 #include "diagnosis/synthetic_program.hpp"
@@ -113,7 +113,7 @@ TEST(ResponseTime, UnknownRuleStatsThrow) {
   EXPECT_THROW(monitor.stats("ghost"), std::out_of_range);
 }
 
-// -------------------------------------------------------------- MonitorFleet
+// ------------------------------------------------------ one-shard fleet
 
 namespace {
 
@@ -137,15 +137,14 @@ core::MonitorBuilder aspect_monitor(const std::vector<const char*>& observables)
 }  // namespace
 
 TEST(Fleet, AspectsDetectTheirOwnFaults) {
-  rt::Scheduler sched;
-  rt::EventBus bus;
+  core::ShardedFleet fleet;  // one shard: the TV shares its scheduler and bus
+  rt::Scheduler& sched = fleet.shard(0).sched();
   flt::FaultInjector injector(rt::Rng(3));
-  tv::TvSystem set(sched, bus, injector);
+  tv::TvSystem set(sched, fleet.shard(0).bus(), injector);
 
-  core::MonitorFleet fleet(sched, bus);
   fleet.add_monitor("sound", aspect_monitor({"sound_level"}));
   fleet.add_monitor("screen", aspect_monitor({"screen_state"}));
-  EXPECT_EQ(fleet.size(), 2u);
+  EXPECT_EQ(fleet.monitor_count(), 2u);
 
   std::vector<std::string> recovered_aspects;
   fleet.set_recovery_handler([&](const core::AspectError& err) {
@@ -155,13 +154,13 @@ TEST(Fleet, AspectsDetectTheirOwnFaults) {
   set.start();
   fleet.start();
   set.press(tv::Key::kPower);
-  sched.run_for(rt::msec(300));
+  fleet.run_for(rt::msec(300));
 
   // Sound fault -> only the sound monitor fires.
   injector.schedule(flt::FaultSpec{flt::FaultKind::kMessageLoss, "cmd.audio", sched.now(),
                                    rt::msec(50), 1.0, {}});
   set.press(tv::Key::kVolumeUp);
-  sched.run_for(rt::sec(1));
+  fleet.run_for(rt::sec(1));
   EXPECT_EQ(fleet.error_count("sound"), 1u);
   EXPECT_EQ(fleet.error_count("screen"), 0u);
 
@@ -169,7 +168,7 @@ TEST(Fleet, AspectsDetectTheirOwnFaults) {
   injector.schedule(flt::FaultSpec{flt::FaultKind::kMessageLoss, "cmd.teletext", sched.now(),
                                    rt::msec(50), 1.0, {}});
   set.press(tv::Key::kTeletext);  // show lost: screen stays video
-  sched.run_for(rt::sec(1));
+  fleet.run_for(rt::sec(1));
   EXPECT_EQ(fleet.error_count("screen"), 1u);
   EXPECT_EQ(fleet.error_count("sound"), 1u);
 
@@ -179,9 +178,7 @@ TEST(Fleet, AspectsDetectTheirOwnFaults) {
 }
 
 TEST(Fleet, MonitorLookup) {
-  rt::Scheduler sched;
-  rt::EventBus bus;
-  core::MonitorFleet fleet(sched, bus);
+  core::ShardedFleet fleet;
   fleet.add_monitor("a", aspect_monitor({"sound_level"}));
   EXPECT_NO_THROW(fleet.monitor("a"));
   EXPECT_THROW(fleet.monitor("zzz"), std::out_of_range);

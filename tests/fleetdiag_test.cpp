@@ -7,13 +7,11 @@
 // the publisher-side streaming gated on the negotiated version, the
 // 4-thread concurrent ingest-vs-query harness (FleetDiagConcurrency.*,
 // run under TSan by scripts/check.sh), and the diagnosis-accuracy
-// campaign replaying the shipped fuzz findings corpus.
-#include <sys/stat.h>
+// campaign replaying the fuzz campaign's minimized findings.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +21,7 @@
 #include "diagnosis/synthetic_program.hpp"
 #include "fleetdiag/aggregator.hpp"
 #include "fleetdiag/reporter.hpp"
+#include "fuzz_findings.hpp"
 #include "gtest/gtest.h"
 #include "hub/agent.hpp"
 #include "hub/hub.hpp"
@@ -80,21 +79,6 @@ void expect_reports_equal(const diag::DiagnosisReport& a, const diag::DiagnosisR
     ASSERT_EQ(a.ranking[i].block, b.ranking[i].block) << what << " rank " << i;
     ASSERT_EQ(a.ranking[i].score, b.ranking[i].score) << what << " rank " << i;  // bit-identical
   }
-}
-
-/// The shipped findings corpus at the repo root, resolved relative to
-/// this source file so tests work from any build directory.
-std::string corpus_path() {
-  std::string dir(__FILE__);
-  const auto slash = dir.find_last_of('/');
-  dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-  for (const std::string& candidate :
-       {dir + "/../FUZZ_corpus.json", std::string("FUZZ_corpus.json"),
-        std::string("../FUZZ_corpus.json"), std::string("../../FUZZ_corpus.json")}) {
-    struct stat st{};
-    if (::stat(candidate.c_str(), &st) == 0 && st.st_size > 0) return candidate;
-  }
-  return "";
 }
 
 }  // namespace
@@ -593,12 +577,10 @@ TEST(FleetDiagCampaign, UniformDrawLocalizesManifestedFaults) {
 
 TEST(FleetDiagCampaign, ShippedFuzzFindingsLocalizeTrueTargetInTopK) {
   // Close the loop with the fuzzer: every minimized missed-detection
-  // finding in the shipped corpus becomes a labeled diagnosis scenario;
-  // whenever its fault manifests spectrally, the true target must land
-  // in the top-k suspects.
-  const std::string path = corpus_path();
-  ASSERT_FALSE(path.empty()) << "FUZZ_corpus.json must ship at the repo root";
-  const auto findings = tk::load_findings(path);
+  // finding of the check.sh fuzz campaign becomes a labeled diagnosis
+  // scenario; whenever its fault manifests spectrally, the true target
+  // must land in the top-k suspects.
+  const auto findings = tk::findings_from_json(tk::fuzz_corpus_json());
   ASSERT_FALSE(findings.empty()) << "corpus must contain replayable findings";
   for (const auto& f : findings) {
     EXPECT_FALSE(f.script.fault_plan().empty()) << f.script.name();
@@ -619,14 +601,11 @@ TEST(FleetDiagCampaign, ShippedFuzzFindingsLocalizeTrueTargetInTopK) {
 }
 
 TEST(FleetDiagCampaign, FindingsParserRoundTripsScripts) {
-  const std::string path = corpus_path();
-  ASSERT_FALSE(path.empty());
-  const auto findings = tk::load_findings(path);
+  const std::string& corpus = tk::fuzz_corpus_json();
+  const auto findings = tk::findings_from_json(corpus);
   ASSERT_FALSE(findings.empty());
   // Re-serializing a parsed script must reproduce the canonical JSON it
   // was parsed from (modulo being embedded in the findings wrapper).
-  std::ifstream in(path);
-  std::string corpus((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   for (const auto& f : findings) {
     std::string json = tk::script_to_json(f.script);
     // The corpus pretty-prints; strip whitespace from both before

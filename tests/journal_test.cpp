@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -48,19 +49,20 @@ namespace tk = trader::testkit;
 
 namespace {
 
-/// Scratch journal directory, purged and removed on scope exit.
+/// Scratch journal directory under $TMPDIR (default /tmp), removed
+/// with everything in it — shard subdirectories included — on scope
+/// exit.
 struct TempDir {
   std::string path;
   TempDir() {
-    char tmpl[] = "journal_test_XXXXXX";
-    char* p = ::mkdtemp(tmpl);
+    std::string tmpl = (std::filesystem::temp_directory_path() / "journal_test_XXXXXX").string();
+    char* p = ::mkdtemp(tmpl.data());
     EXPECT_NE(p, nullptr);
     if (p != nullptr) path = p;
   }
   ~TempDir() {
-    if (path.empty()) return;
-    jn::purge_journal_dir(path);
-    ::rmdir(path.c_str());
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
   }
 };
 

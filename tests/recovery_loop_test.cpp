@@ -5,12 +5,11 @@
 // online SFL suspects, and the RecoveryCampaign scoring the whole loop
 // over real AF_UNIX sockets: MTTR vs a supervision-only baseline,
 // recovery precision against injector ground truth (uniform draws and
-// the shipped fuzz findings), byte-reproducibility at 1/2/4 shards, the
+// the fuzz campaign's findings), byte-reproducibility at 1/2/4 shards, the
 // ≥8-slot correlated-fault storm guard with a v2 peer that must never
 // see a kRecover frame, and golden-trace hygiene for hub.recovery.*
 // metrics. RecoveryConcurrency.* is the TSan target scripts/check.sh
 // runs (ingest vs actuate vs ack vs query).
-#include <sys/stat.h>
 
 #include <atomic>
 #include <chrono>
@@ -22,6 +21,7 @@
 #include <vector>
 
 #include "fleetdiag/aggregator.hpp"
+#include "fuzz_findings.hpp"
 #include "gtest/gtest.h"
 #include "hub/hub.hpp"
 #include "hub/recovery.hpp"
@@ -147,19 +147,6 @@ ipc::Frame spectrum_frame(std::uint32_t& seq, std::uint32_t block) {
   f.spectra.push_back({true, {block}});
   f.spectra.push_back({false, {block + 1}});
   return f;
-}
-
-std::string corpus_path() {
-  std::string dir(__FILE__);
-  const auto slash = dir.find_last_of('/');
-  dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-  for (const std::string& candidate :
-       {dir + "/../FUZZ_corpus.json", std::string("FUZZ_corpus.json"),
-        std::string("../FUZZ_corpus.json"), std::string("../../FUZZ_corpus.json")}) {
-    struct stat st{};
-    if (::stat(candidate.c_str(), &st) == 0 && st.st_size > 0) return candidate;
-  }
-  return "";
 }
 
 }  // namespace
@@ -553,9 +540,7 @@ TEST(RecoveryLoop, CampaignReportIsShardInvariant) {
 }
 
 TEST(RecoveryLoop, FuzzFindingsAreRepairedWithPrecision) {
-  const std::string path = corpus_path();
-  ASSERT_FALSE(path.empty()) << "shipped FUZZ_corpus.json not found";
-  const auto findings = tk::load_findings(path);
+  const auto findings = tk::findings_from_json(tk::fuzz_corpus_json());
   ASSERT_GE(findings.size(), 6u);
 
   // Minimized findings carry ~one command — just enough to trip

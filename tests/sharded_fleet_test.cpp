@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/monitor_builder.hpp"
@@ -297,6 +299,55 @@ TEST(ShardedFleet, PlacementIsStableAndAddWhileRunningThrows) {
   fleet.start();
   EXPECT_THROW(fleet.add_monitor("late", counter_monitor("in.l", "out.l")), std::logic_error);
   fleet.stop();
+}
+
+// The caller runs shard 0 itself: a one-shard fleet spawns no worker,
+// so its recovery handler fires on the thread that called run_until().
+TEST(ShardedFleet, OneShardRunsHandlerOnTheCallingThread) {
+  core::ShardedFleet fleet;
+  ASSERT_EQ(fleet.shard_count(), 1u);
+  fleet.add_monitor("a", counter_monitor("in.a", "out.a"));
+  std::vector<std::thread::id> handler_threads;
+  fleet.set_recovery_handler([&](const core::AspectError&) {
+    handler_threads.push_back(std::this_thread::get_id());
+  });
+  rt::Event in;
+  in.topic = "in.a";
+  in.name = "key";
+  in.fields["key"] = std::string("inc");
+  fleet.publish(in);
+  rt::Event out;
+  out.topic = "out.a";
+  out.name = "count";
+  out.fields["value"] = std::int64_t{0};  // the model expects 1
+  fleet.publish(out);
+  fleet.run_for(rt::msec(100));
+  ASSERT_EQ(handler_threads.size(), 1u);
+  EXPECT_EQ(handler_threads[0], std::this_thread::get_id());
+}
+
+// An exception inside any shard reaches the run_until() caller after
+// its epoch completes, without stranding the workers at the barrier:
+// the fleet keeps running and shuts down cleanly.
+TEST(ShardedFleet, ShardExceptionReachesTheCaller) {
+  core::ShardedFleet fleet({2, rt::msec(10), 1});
+  for (std::size_t s = 0; s < 2; ++s) {
+    fleet.shard(s).sched().schedule_at(rt::msec(s == 0 ? 12 : 22), [s] {
+      throw std::runtime_error("shard " + std::to_string(s));
+    });
+  }
+  const auto failure = [&fleet] {
+    try {
+      fleet.run_for(rt::msec(20));
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(failure(), "shard 0");  // the caller's own shard
+  EXPECT_EQ(failure(), "shard 1");  // forwarded from the worker
+  EXPECT_EQ(failure(), "");
+  EXPECT_EQ(fleet.now(), rt::msec(40));  // a failed epoch does not advance now()
 }
 
 // -------------------------------------------- IControl lifecycle idempotency

@@ -1,10 +1,10 @@
 // Tests for the fault-injection campaign harness (src/testkit):
 // verdict classification, golden-trace recording/diffing, the
-// ScenarioScript DSL, single-scenario execution on both backends, the
-// fuzzed 200-scenario detection floor (40 uniform seeds + 160
-// coverage-guided mutants), byte-identical report reproducibility, and
-// the single-vs-sharded differential — the same campaign must
-// fingerprint identically at 1, 2 and 4 shards.
+// ScenarioScript DSL, single-scenario execution, the fuzzed
+// 200-scenario detection floor (40 uniform seeds + 160 coverage-guided
+// mutants), byte-identical report reproducibility, and the shard-count
+// differential — the same campaign must fingerprint identically at 1,
+// 2 and 4 shards.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -341,7 +341,7 @@ TEST(Executor, SameScenarioSameTrace) {
 
 namespace {
 
-tk::CampaignConfig mini_campaign(std::size_t shards = 0) {
+tk::CampaignConfig mini_campaign(std::size_t shards = 1) {
   tk::CampaignConfig cfg;
   cfg.seed = 2026;
   cfg.scenarios = 50;
@@ -464,7 +464,9 @@ TEST(Campaign, DifferentialLegacyVsBatchedExecutorFingerprints) {
 
 TEST(Campaign, BackendLabelSharedHelper) {
   tk::ExecutorConfig cfg;
-  EXPECT_EQ(tk::backend_label(cfg), "single");
+  EXPECT_EQ(tk::backend_label(cfg), "sharded(1)");
+  cfg.shards = 0;  // clamps to one shard, like ShardedFleetConfig
+  EXPECT_EQ(tk::backend_label(cfg), "sharded(1)");
   cfg.shards = 4;
   EXPECT_EQ(tk::backend_label(cfg), "sharded(4)");
   cfg.ipc = tk::IpcMode::kHub;
