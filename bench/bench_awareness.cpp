@@ -13,11 +13,12 @@
 
 #include <memory>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "faults/injector.hpp"
 #include "runtime/event_bus.hpp"
 #include "runtime/scheduler.hpp"
+#include "statemachine/batch.hpp"
+#include "statemachine/machine.hpp"
 #include "tv/spec_model.hpp"
 #include "tv/tv_system.hpp"
 
@@ -34,15 +35,11 @@ using trader::bench::fmt_int;
 namespace {
 
 struct Harness {
-  Harness(bool compiled_model, std::uint64_t seed)
+  explicit Harness(std::uint64_t seed)
       : injector(rt::Rng(seed)), set(sched, bus, injector, make_tv_config(seed)) {
     core::MonitorBuilder builder(sched, bus);
-    if (compiled_model) {
-      builder.compiled_model(tv::build_tv_spec_model());
-    } else {
-      builder.model(tv::build_tv_spec_model());
-    }
-    builder.comparison_period(rt::msec(20))
+    builder.model(tv::build_tv_spec_model())
+        .comparison_period(rt::msec(20))
         .startup_grace(rt::msec(100))
         .channel_latency(rt::usec(300));
     for (const char* name : {"sound_level", "screen_state", "channel", "powered", "source"}) {
@@ -92,7 +89,7 @@ void report() {
 
   Table t({"injected fault", "detected", "observable", "detection latency ms"});
   for (const auto& fc : cases) {
-    Harness h(false, 77);
+    Harness h(77);
     h.injector.schedule(flt::FaultSpec{fc.kind, fc.target, h.sched.now(), 0, 1.0, {}});
     h.sched.run_for(rt::msec(50));  // let crash-class faults latch
     h.set.press(fc.trigger);
@@ -108,9 +105,9 @@ void report() {
   t.print();
 
   // Fault-free soak: extensive zapping with no injected faults.
-  Table soak({"model executor", "soak key presses", "false errors", "comparisons"});
-  for (bool compiled : {false, true}) {
-    Harness h(compiled, 99);
+  Table soak({"soak key presses", "false errors", "comparisons"});
+  {
+    Harness h(99);
     rt::Rng rng(4242);
     const std::vector<tv::Key> keys = {
         tv::Key::kVolumeUp,  tv::Key::kVolumeDown, tv::Key::kMute,      tv::Key::kChannelUp,
@@ -122,7 +119,7 @@ void report() {
       h.set.press(keys[static_cast<std::size_t>(rng.uniform_int(0, 11))]);
       h.sched.run_for(rt::msec(1700));  // let digit timeouts settle
     }
-    soak.row({compiled ? "compiled (flat tables)" : "interpreted", fmt_int(presses),
+    soak.row({fmt_int(presses),
               fmt_int(static_cast<std::int64_t>(h.monitor->errors().size())),
               fmt_int(static_cast<std::int64_t>(h.monitor->stats().comparisons))});
   }
@@ -150,7 +147,7 @@ void report() {
     std::unique_ptr<core::AwarenessMonitor> monitor;
     if (with_awareness) {
       monitor = core::MonitorBuilder(sched, bus)
-                    .model(std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()))
+                    .model(tv::build_tv_spec_model())
                     .comparison_period(rt::msec(20))
                     .startup_grace(rt::msec(100))
                     .threshold("sound_level", 0.0, /*max_consecutive=*/3)
@@ -218,7 +215,7 @@ void report() {
       flt::FaultInjector injector{rt::Rng(77)};
       tv::TvSystem set(sched, bus, injector, Harness::make_tv_config(77));
       core::MonitorBuilder builder(sched, bus);
-      builder.model(std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()))
+      builder.model(tv::build_tv_spec_model())
           .comparison_period(rt::msec(20))
           .startup_grace(rt::msec(100));
       for (const char* name : observables) {
@@ -248,7 +245,7 @@ void report() {
 // ------------------------------------------------------- microbenchmarks
 
 void BM_AwarenessEventPath(benchmark::State& state) {
-  Harness h(state.range(0) != 0, 7);
+  Harness h(7);
   bool up = true;
   for (auto _ : state) {
     h.set.press(up ? tv::Key::kVolumeUp : tv::Key::kVolumeDown);
@@ -256,9 +253,8 @@ void BM_AwarenessEventPath(benchmark::State& state) {
     h.sched.run_for(rt::msec(40));
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(state.range(0) ? "compiled" : "interpreted");
 }
-BENCHMARK(BM_AwarenessEventPath)->Arg(0)->Arg(1);
+BENCHMARK(BM_AwarenessEventPath);
 
 void BM_SpecModelDispatch(benchmark::State& state) {
   auto def = tv::build_tv_spec_model();
@@ -278,17 +274,17 @@ void BM_SpecModelDispatch(benchmark::State& state) {
 BENCHMARK(BM_SpecModelDispatch);
 
 void BM_SpecModelDispatchCompiled(benchmark::State& state) {
-  auto def = tv::build_tv_spec_model();
-  sm::CompiledMachine m(def);
-  m.start(0);
-  m.dispatch(sm::SmEvent::named("power"), 0);
+  sm::BatchExecutor batch(sm::ModelProgram::compile(tv::build_tv_spec_model()));
+  const auto id = batch.add_instance();
+  batch.start(id, 0);
+  batch.dispatch(id, sm::SmEvent::named("power"), 0);
   rt::SimTime t = 0;
   bool up = true;
   for (auto _ : state) {
     t += 1000;
-    m.dispatch(sm::SmEvent::named(up ? "volume_up" : "volume_down"), t);
+    batch.dispatch(id, sm::SmEvent::named(up ? "volume_up" : "volume_down"), t);
     up = !up;
-    benchmark::DoNotOptimize(m.drain_outputs().size());
+    benchmark::DoNotOptimize(batch.drain_outputs(id).size());
   }
   state.SetItemsProcessed(state.iterations());
 }

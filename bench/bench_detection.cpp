@@ -13,7 +13,6 @@
 
 #include <memory>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "detection/detectors.hpp"
 #include "detection/response_time.hpp"
@@ -61,7 +60,7 @@ RunResult run_awareness(int max_consecutive, rt::SimDuration compare_period,
   rt::ChannelConfig out_ch;
   out_ch.base_latency = rt::usec(200);
   core::MonitorBuilder builder(sched, bus);
-  builder.model(std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()))
+  builder.model(tv::build_tv_spec_model())
       .comparison_period(compare_period)
       .startup_grace(rt::msec(100))
       .input_channel(in_ch)
@@ -170,7 +169,7 @@ void report() {
         env.emit("level", {{"value", 50.0}});
       });
       auto monitor = core::MonitorBuilder(sched, bus)
-                         .model(std::make_unique<core::InterpretedModel>(std::move(def)))
+                         .model(std::move(def))
                          .input_topic("lab.in")
                          .output_topic("lab.out")
                          .threshold("level", threshold, /*max_consecutive=*/3)
@@ -254,7 +253,7 @@ void report() {
     tv::TvSystem set(sched, bus, injector);
 
     auto monitor = core::MonitorBuilder(sched, bus)
-                       .model(std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()))
+                       .model(tv::build_tv_spec_model())
                        .comparison_period(rt::msec(20))
                        .startup_grace(rt::msec(100))
                        .threshold("sound_level", 0.0, /*max_consecutive=*/3)
@@ -305,7 +304,7 @@ void BM_ComparatorCompareAll(benchmark::State& state) {
   flt::FaultInjector injector{rt::Rng(1)};
   tv::TvSystem set(sched, bus, injector);
   core::MonitorBuilder builder(sched, bus);
-  builder.model(std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()));
+  builder.model(tv::build_tv_spec_model());
   for (const char* name : {"sound_level", "screen_state", "channel", "powered"}) {
     builder.threshold(name, 0.0);
   }

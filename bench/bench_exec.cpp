@@ -6,10 +6,10 @@
 // monitor state into structure-of-arrays batches buys both throughput
 // (>= 1M model steps/sec/core) and footprint (tens of bytes of dense
 // state per monitor instead of a full table set). This bench measures
-// both, for all three kernels:
-//   interpreted   legacy per-monitor interpreting StateMachine
-//   compiled(1)   batch-of-1 CompiledMachine (v1 compiled path)
-//   batched(N)    one BatchExecutor stepping N instances per sweep
+// both, for the reference interpreter and the engine monitors run:
+//   interpreted   per-monitor reference interpreter (StateMachine)
+//   batched(N)    one BatchExecutor stepping N instances per sweep;
+//                 batched(1) is the standalone monitor path
 // Results land in BENCH_exec.json (with hardware_concurrency, so
 // steps/sec/core is reproducible accounting) for scripts/check.sh.
 #include "bench_common.hpp"
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "statemachine/batch.hpp"
-#include "statemachine/compiled.hpp"
 #include "statemachine/definition.hpp"
 #include "statemachine/machine.hpp"
 #include "statemachine/program.hpp"
@@ -89,20 +88,6 @@ KernelRun run_interpreted(const sm::StateMachineDef& def) {
   return r;
 }
 
-KernelRun run_compiled1(const sm::ModelProgramPtr& program) {
-  sm::CompiledMachine m(program);
-  m.start(0);
-  const sm::SmEvent ev = sm::SmEvent::named("tick");
-  const double start = now_ms();
-  for (int i = 0; i < kSteps; ++i) m.dispatch(ev, i);
-  const double wall = now_ms() - start;
-  KernelRun r;
-  r.kernel = "compiled(1)";
-  r.steps_per_sec = kSteps / (wall / 1000.0);
-  r.bytes_per_monitor = sizeof(sm::CompiledMachine);
-  return r;
-}
-
 KernelRun run_batched(const sm::ModelProgramPtr& program, int batch_size) {
   sm::BatchExecutor batch(program);
   std::vector<sm::BatchExecutor::InstanceId> ids;
@@ -136,7 +121,6 @@ void report() {
 
   std::vector<KernelRun> runs;
   runs.push_back(run_interpreted(def));
-  runs.push_back(run_compiled1(program));
   for (const int n : {1, 64, 1024, 16384}) runs.push_back(run_batched(program, n));
 
   Table t({"kernel", "steps/sec (1 core)", "vs interpreted", "bytes/monitor", "dense bytes"});

@@ -22,7 +22,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "hub/event_loop.hpp"
 #include "hub/hub.hpp"
@@ -81,7 +80,7 @@ SweepRun run_sweep(std::size_t connections, std::uint64_t total_frames) {
 
   for (std::size_t k = 0; k < connections; ++k) {
     trader::core::MonitorBuilder builder;
-    builder.model(std::make_unique<trader::core::InterpretedModel>(sink_model()))
+    builder.model(sink_model())
         .input_topic("in." + slot_name(k))
         .output_topic("out." + slot_name(k))
         .threshold("n", 0.0, 1000)

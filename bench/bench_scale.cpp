@@ -23,8 +23,8 @@
 
 #include "core/monitor_builder.hpp"
 #include "core/sharded_fleet.hpp"
+#include "statemachine/batch.hpp"
 #include "statemachine/checker.hpp"
-#include "statemachine/compiled.hpp"
 #include "statemachine/machine.hpp"
 
 namespace sm = trader::statemachine;
@@ -87,22 +87,32 @@ void report() {
     auto def = feature_model(features);
     const double configs = std::pow(2.0, features);
 
-    auto time_events = [&](auto& machine) {
-      machine.start(0);
+    // `step(event, now)` dispatches one event and drains its outputs.
+    auto time_events = [&](auto&& step) {
       const int rounds = 20000;
       const auto t0 = std::chrono::steady_clock::now();
       for (int i = 0; i < rounds; ++i) {
-        machine.dispatch(sm::SmEvent::named("toggle" + std::to_string(i % features)), i);
-        machine.drain_outputs();
+        step(sm::SmEvent::named("toggle" + std::to_string(i % features)), i);
       }
       const auto t1 = std::chrono::steady_clock::now();
       return std::chrono::duration<double, std::nano>(t1 - t0).count() / rounds;
     };
     sm::StateMachine interp(def);
-    sm::CompiledMachine compiled(def);
+    interp.start(0);
+    sm::BatchExecutor compiled(sm::ModelProgram::compile(def));
+    const auto id = compiled.add_instance();
+    compiled.start(id, 0);
+    const double interp_ns = time_events([&](const sm::SmEvent& ev, rt::SimTime now) {
+      interp.dispatch(ev, now);
+      interp.drain_outputs();
+    });
+    const double compiled_ns = time_events([&](const sm::SmEvent& ev, rt::SimTime now) {
+      compiled.dispatch(id, ev, now);
+      compiled.drain_outputs(id);
+    });
     t.row({fmt_int(features), fmt(configs, 0),
-           fmt_int(static_cast<std::int64_t>(def.transitions().size())),
-           fmt(time_events(interp), 0), fmt(time_events(compiled), 0)});
+           fmt_int(static_cast<std::int64_t>(def.transitions().size())), fmt(interp_ns, 0),
+           fmt(compiled_ns, 0)});
   }
   t.print();
   std::printf("paper claim: the input/configuration space explodes exponentially (exhaustive\n"
@@ -290,8 +300,7 @@ BENCHMARK(BM_DeepHierarchyDispatch)->Arg(2)->Arg(4)->Arg(6);
 void BM_CompileModel(benchmark::State& state) {
   auto def = feature_model(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    sm::CompiledMachine m(def);
-    benchmark::DoNotOptimize(m.leaf_count());
+    benchmark::DoNotOptimize(sm::ModelProgram::compile(def)->leaf_count());
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "core/sharded_fleet.hpp"
 #include "faults/injector.hpp"
@@ -27,7 +26,7 @@ namespace {
 
 core::MonitorBuilder aspect_monitor(const char* observable) {
   core::MonitorBuilder builder;
-  builder.model(std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()))
+  builder.model(tv::build_tv_spec_model())
       .comparison_period(rt::msec(20))
       .startup_grace(rt::msec(100))
       .threshold(observable, 0.0, /*max_consecutive=*/3);

@@ -14,7 +14,6 @@
 #include <memory>
 #include <string>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "ipc/link_gate.hpp"
 #include "ipc/remote_suo.hpp"
@@ -45,8 +44,8 @@ int main(int argc, char** argv) {
   int errors = 0;
   core::MonitorBuilder builder(sched, bus);
   builder
-      .model(std::make_unique<ipc::LinkGatedModel>(
-          std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()), client.gate()))
+      .model(tv::build_tv_spec_model())
+      .wrap_model(ipc::link_gated(client.gate()))
       .comparison_period(rt::msec(20))
       .startup_grace(rt::msec(100))
       .on_error([&](const core::ErrorReport& err) {

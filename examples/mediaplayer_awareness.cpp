@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "detection/detectors.hpp"
 #include "faults/injector.hpp"
@@ -31,7 +30,7 @@ int main() {
 
   auto monitor =
       core::MonitorBuilder(sched, bus)
-          .model(std::make_unique<core::InterpretedModel>(mp::build_player_spec_model()))
+          .model(mp::build_player_spec_model())
           .input_topic("mp.input")
           .output_topic("mp.output")
           .input_mapper([](const rt::Event& ev) -> std::optional<sm::SmEvent> {

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "detection/detectors.hpp"
 #include "detection/response_time.hpp"
@@ -33,7 +32,7 @@ int main() {
   // Spec-model monitor over commands + page milestones.
   auto monitor =
       core::MonitorBuilder(sched, bus)
-          .model(std::make_unique<core::InterpretedModel>(pr::build_printer_spec_model()))
+          .model(pr::build_printer_spec_model())
           .input_topic("pr.input")
           .output_topic("pr.output")
           .input_mapper([](const rt::Event& ev) -> std::optional<sm::SmEvent> {

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "runtime/event_bus.hpp"
 #include "runtime/scheduler.hpp"

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "detection/detectors.hpp"
 #include "faults/injector.hpp"
@@ -44,7 +43,7 @@ int main() {
   // policy that re-syncs the offending component from control beliefs.
   int recoveries = 0;
   core::MonitorBuilder builder(sched, bus);
-  builder.model(std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()))
+  builder.model(tv::build_tv_spec_model())
       .comparison_period(rt::msec(20))
       .startup_grace(rt::msec(100))
       .channel_latency(rt::usec(300))

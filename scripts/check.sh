@@ -42,11 +42,13 @@
 #      bench_journal leaving BENCH_journal.json in the repo root
 #      (append throughput per fsync policy + recovery time vs WAL
 #      length + checkpoint cost)
-#  11. exec: executor-v2 equivalence — the three-kernel property suite
-#      (interpreter vs compiled vs batched) plus arena growth/reuse
-#      under ASan, and the shared-program multi-thread test under TSan;
-#      then bench_exec leaves BENCH_exec.json in the repo root
-#      (steps/sec/core + bytes/monitor per kernel)
+#  11. exec: executor-v2 equivalence — the interpreter-vs-program
+#      property suite (random machines and the TV/printer/media-player
+#      spec models against the reference interpreter) plus arena
+#      growth/reuse under ASan, and the shared-program multi-thread test
+#      under TSan; the report() of bench_exec, bench_awareness and
+#      bench_scale under ASan; then bench_exec leaves BENCH_exec.json in
+#      the repo root (steps/sec/core + bytes/monitor per kernel)
 #  12. bench_scale scaling experiment, leaving BENCH_scale.json in the
 #      repo root (per-shard-count throughput + merged metrics snapshot)
 #  13. bench_ipc transport experiment, leaving BENCH_ipc.json in the
@@ -224,14 +226,22 @@ head -12 BENCH_journal.json
 
 stage "exec: executor-v2 equivalence under ASan + TSan -> BENCH_exec.json"
 cmake --build build-asan -j "$JOBS" --target exec_test
-# Three-kernel step-for-step equivalence on random machines, plus the
-# arena slot-recycling churn loop with leak checking on.
+# Interpreter-vs-program step-for-step equivalence on random machines
+# and the spec models, plus the arena slot-recycling churn loop with
+# leak checking on.
 ./build-asan/tests/exec_test
 # One immutable ModelProgram shared by four threads of batches — the
 # ShardedFleet sharing pattern must be race-free.
 cmake --build build-tsan -j "$JOBS" --target exec_test
 ./build-tsan/tests/exec_test \
   --gtest_filter='BatchExecutor.SharedProgramAcrossThreadsIsRaceFree'
+# The report() of every bench that drives the model engine, under ASan
+# (the empty filter skips the microbenchmarks). They run inside
+# build-asan so their BENCH_*.json stay out of the repo root.
+cmake --build build-asan -j "$JOBS" --target bench_exec bench_awareness bench_scale
+for bench in bench_exec bench_awareness bench_scale; do
+  (cd build-asan && "./bench/$bench" --benchmark_filter='^$' >/dev/null)
+done
 cmake --build build -j "$JOBS" --target bench_exec
 ./build/bench/bench_exec --benchmark_filter='BM_BatchedDispatch' \
   --benchmark_min_time=0.05

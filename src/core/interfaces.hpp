@@ -19,7 +19,7 @@
 
 #include "runtime/event.hpp"
 #include "runtime/sim_time.hpp"
-#include "statemachine/machine.hpp"
+#include "statemachine/types.hpp"
 
 namespace trader::core {
 

@@ -1,85 +1,15 @@
-// IModelImpl adapters for the two state machine executors.
-//
-// §4.3: "An executable specification model of the SUO in Stateflow can be
-// included by using the code generation possibilities of Stateflow. The
-// generated C-code can be included easily, allowing quick experiments
-// with different models." CompiledModel plays the generated-code role;
-// InterpretedModel the direct-execution role. Both honour the
-// IEnableCompare convention: a model disables comparison of observable X
-// by setting its variable "nocompare:X" (or "nocompare" for all) to true
-// while in an unstable state.
+// IModelImpl adapter for Stateflow AND states (MachineSet), which only
+// the reference interpreter runs; single-region models run through
+// ModelInstance (core/model_program.hpp). Any region's "nocompare[:X]"
+// variable disables comparison of X (the IEnableCompare convention).
 #pragma once
 
 #include <memory>
 
 #include "core/interfaces.hpp"
-#include "statemachine/compiled.hpp"
-#include "statemachine/machine.hpp"
 #include "statemachine/machine_set.hpp"
 
 namespace trader::core {
-
-/// Runs a StateMachineDef through the interpreting executor.
-///
-/// Owns a copy of the definition: model implementations routinely
-/// outlive the builder scope that produced the definition (the executor
-/// classes themselves hold the definition by reference for cheap
-/// short-lived instances).
-class InterpretedModel : public IModelImpl {
- public:
-  explicit InterpretedModel(statemachine::StateMachineDef def)
-      : def_(std::move(def)), machine_(def_) {}
-
-  void start(runtime::SimTime now) override { machine_.start(now); }
-  bool dispatch(const statemachine::SmEvent& ev, runtime::SimTime now) override {
-    return machine_.dispatch(ev, now);
-  }
-  void advance_time(runtime::SimTime now) override { machine_.advance_time(now); }
-  std::vector<statemachine::ModelOutput> drain_outputs() override {
-    return machine_.drain_outputs();
-  }
-  bool comparison_enabled(const std::string& observable) const override {
-    if (machine_.vars().get_bool("nocompare", false)) return false;
-    return !machine_.vars().get_bool("nocompare:" + observable, false);
-  }
-  std::string state_name() const override { return machine_.active_leaf(); }
-
-  statemachine::StateMachine& machine() { return machine_; }
-
- private:
-  statemachine::StateMachineDef def_;
-  statemachine::StateMachine machine_;
-};
-
-/// Runs a StateMachineDef through the flat-table compiled executor
-/// (a batch of size 1 since executor v2 — the machine's program owns
-/// the definition copy, so no def_ member is needed here).
-class CompiledModel : public IModelImpl {
- public:
-  explicit CompiledModel(const statemachine::StateMachineDef& def) : machine_(def) {}
-  /// Share an already compiled program across models.
-  explicit CompiledModel(statemachine::ModelProgramPtr program)
-      : machine_(std::move(program)) {}
-
-  void start(runtime::SimTime now) override { machine_.start(now); }
-  bool dispatch(const statemachine::SmEvent& ev, runtime::SimTime now) override {
-    return machine_.dispatch(ev, now);
-  }
-  void advance_time(runtime::SimTime now) override { machine_.advance_time(now); }
-  std::vector<statemachine::ModelOutput> drain_outputs() override {
-    return machine_.drain_outputs();
-  }
-  bool comparison_enabled(const std::string& observable) const override {
-    if (machine_.vars().get_bool("nocompare", false)) return false;
-    return !machine_.vars().get_bool("nocompare:" + observable, false);
-  }
-  std::string state_name() const override { return machine_.active_leaf(); }
-
-  statemachine::CompiledMachine& machine() { return machine_; }
-
- private:
-  statemachine::CompiledMachine machine_;
-};
 
 /// Runs a parallel composition of per-aspect machines (Stateflow AND
 /// states): events fan out to every region, outputs merge, and the

@@ -12,10 +12,9 @@
 //
 // A ModelArena is the per-runtime-island home of that batched state:
 // every ShardedFleet shard keeps its own (the batch stays
-// single-threaded while the program is shared), and a
-// standalone MonitorBuilder::build() without an arena makes a private
-// batch of size 1 — the legacy one-model-object-per-monitor path,
-// reimplemented on the same kernel.
+// single-threaded while the program is shared), and a standalone
+// ModelInstance without an arena makes a private batch of size 1 on
+// the same kernel.
 #pragma once
 
 #include <map>
@@ -45,6 +44,9 @@ class ModelInstance : public IModelImpl {
  public:
   explicit ModelInstance(std::shared_ptr<statemachine::BatchExecutor> batch)
       : batch_(std::move(batch)), id_(batch_->add_instance()) {}
+  /// A standalone model: a private batch of one running `program`.
+  explicit ModelInstance(ModelProgramPtr program)
+      : ModelInstance(std::make_shared<statemachine::BatchExecutor>(std::move(program))) {}
   ~ModelInstance() override { batch_->release(id_); }
 
   ModelInstance(const ModelInstance&) = delete;
@@ -64,10 +66,6 @@ class ModelInstance : public IModelImpl {
     return !vars.get_bool("nocompare:" + observable, false);
   }
   std::string state_name() const override { return batch_->active_leaf(id_); }
-
-  statemachine::BatchExecutor& batch() { return *batch_; }
-  const statemachine::BatchExecutor& batch() const { return *batch_; }
-  statemachine::BatchExecutor::InstanceId id() const { return id_; }
 
  private:
   std::shared_ptr<statemachine::BatchExecutor> batch_;

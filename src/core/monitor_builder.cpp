@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/model_impl.hpp"
-
 namespace trader::core {
 
 MonitorBuilder& MonitorBuilder::model(std::unique_ptr<IModelImpl> model) {
@@ -13,11 +11,6 @@ MonitorBuilder& MonitorBuilder::model(std::unique_ptr<IModelImpl> model) {
 }
 
 MonitorBuilder& MonitorBuilder::model(statemachine::StateMachineDef def) {
-  model_ = std::make_unique<InterpretedModel>(std::move(def));
-  return *this;
-}
-
-MonitorBuilder& MonitorBuilder::compiled_model(statemachine::StateMachineDef def) {
   return with_program(compile_model(std::move(def)));
 }
 
@@ -140,14 +133,7 @@ std::unique_ptr<AwarenessMonitor> MonitorBuilder::build(runtime::Scheduler& sche
                                                         runtime::EventBus& bus) {
   std::unique_ptr<IModelImpl> model = std::move(model_);
   if (!model && program_) {
-    if (arena_) {
-      model = arena_->make_instance(program_);
-    } else {
-      // No arena in sight: a private batch of size 1 — the legacy
-      // one-model-object-per-monitor path on the batched kernel.
-      model = std::make_unique<ModelInstance>(
-          std::make_shared<statemachine::BatchExecutor>(program_));
-    }
+    model = arena_ ? arena_->make_instance(program_) : std::make_unique<ModelInstance>(program_);
   }
   if (!model) {
     throw std::logic_error(

@@ -13,6 +13,9 @@
 //                      .on_error([](const ErrorReport& e) { ... })
 //                      .build();
 //
+// model(def) compiles to a ModelProgram: every monitor runs that one
+// engine, batched in the shard's ModelArena when a fleet places it.
+//
 // A builder constructed without a scheduler/bus describes a monitor
 // whose home is decided later — ShardedFleet calls build(sched, bus)
 // against the owning shard's runtime, which is how one description can
@@ -41,11 +44,8 @@ class MonitorBuilder {
   /// The executable specification model (one of model/with_program is
   /// required).
   MonitorBuilder& model(std::unique_ptr<IModelImpl> model);
-  /// Convenience: run `def` through the interpreting executor.
+  /// with_program(compile_model(def)); throws CompileError on history.
   MonitorBuilder& model(statemachine::StateMachineDef def);
-  /// Convenience: compile `def` into a private program (batched
-  /// executor, batch of size 1 unless an arena groups it).
-  MonitorBuilder& compiled_model(statemachine::StateMachineDef def);
 
   /// Share an already compiled program: N monitors built from the same
   /// ModelProgramPtr store one table set, and when they land in the

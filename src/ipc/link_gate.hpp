@@ -49,4 +49,13 @@ class LinkGatedModel : public core::IModelImpl {
   std::shared_ptr<const std::atomic<bool>> link_up_;
 };
 
+/// MonitorBuilder::wrap_model decorator that gates the built model on
+/// `link_up`: builder.model(def).wrap_model(link_gated(client.gate())).
+inline auto link_gated(std::shared_ptr<const std::atomic<bool>> link_up) {
+  return [link_up = std::move(link_up)](std::unique_ptr<core::IModelImpl> model)
+             -> std::unique_ptr<core::IModelImpl> {
+    return std::make_unique<LinkGatedModel>(std::move(model), link_up);
+  };
+}
+
 }  // namespace trader::ipc

@@ -1,10 +1,9 @@
 // Structure-of-arrays batch executor over one shared ModelProgram.
 //
 // A fleet of awareness monitors watching identical SUOs runs thousands
-// of copies of the SAME spec model. CompiledMachine stored the full
-// table set per copy; BatchExecutor stores the tables once (in the
-// immutable ModelProgram) and keeps only the per-instance state in
-// dense parallel arrays:
+// of copies of the SAME spec model. BatchExecutor stores the tables
+// once (in the immutable ModelProgram) and keeps only the per-instance
+// state in dense parallel arrays:
 //
 //   leaf_[i]                      current leaf row (-1 = not started)
 //   entered_[i*max_depth + d]     entry time of the state at depth d
@@ -16,8 +15,8 @@
 //
 // Slots are recycled through a free list so monitor churn (recovery
 // restarts, SUO reconnects) does not grow the arena. Dispatch semantics
-// are bit-for-bit those of CompiledMachine — the batch-of-1 wrapper in
-// compiled.hpp and the golden-trace differential tests hold it to that.
+// are those of the reference interpreter (machine.hpp) minus history
+// states; exec_test holds every slot to it step for step.
 //
 // Thread-safety: a BatchExecutor is single-threaded (one per shard);
 // the ModelProgram it shares with other shards is immutable, so guards
@@ -30,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "statemachine/machine.hpp"
 #include "statemachine/program.hpp"
 
 namespace trader::statemachine {
@@ -42,7 +40,6 @@ class BatchExecutor {
   explicit BatchExecutor(ModelProgramPtr program);
 
   const ModelProgram& program() const { return *program_; }
-  const ModelProgramPtr& program_ptr() const { return program_; }
 
   /// Claim a slot (recycled from the free list when possible; recycled
   /// slots come back with clean vars/outputs/counters, never started).
@@ -54,7 +51,7 @@ class BatchExecutor {
   std::size_t slot_count() const { return leaf_.size(); }
   std::size_t free_count() const { return free_.size(); }
 
-  // --- Per-instance stepping (CompiledMachine semantics) --------------
+  // --- Per-instance stepping --------------------------------------------
   void start(InstanceId i, runtime::SimTime now);
   bool dispatch(InstanceId i, const SmEvent& ev, runtime::SimTime now);
   int advance_time(InstanceId i, runtime::SimTime now);

@@ -1,4 +1,9 @@
-// Run-to-completion executor for timed hierarchical state machines.
+// Reference interpreter for timed hierarchical state machines. Monitors
+// run the compiled ModelProgram (program.hpp) instead; this class stays
+// as the reference semantics for exec_test's equivalence oracle, the
+// §4.2 validation tools (TestScript, RandomWalkExplorer, MachineSet,
+// and history states, which the compiler rejects) and perfbench's
+// ledger replay.
 #pragma once
 
 #include <cstdint>
@@ -10,13 +15,6 @@
 #include "statemachine/definition.hpp"
 
 namespace trader::statemachine {
-
-/// A model output produced by an action's `emit`.
-struct ModelOutput {
-  std::string name;
-  std::map<std::string, runtime::Value> fields;
-  runtime::SimTime time = 0;
-};
 
 /// Executable instance of a StateMachineDef.
 ///
@@ -64,8 +62,6 @@ class StateMachine {
 
   /// Reset to the never-started state (vars cleared, history cleared).
   void reset();
-
-  const StateMachineDef& def() const { return def_; }
 
   /// Total transitions fired (for overhead accounting, E11).
   std::uint64_t transitions_fired() const { return fired_; }

@@ -53,8 +53,7 @@ std::shared_ptr<const ModelProgram> ModelProgram::compile(StateMachineDef def) {
 
   // Pass 2: per-leaf tables. Candidate order is the interpreter's
   // priority order — innermost source first, then definition order among
-  // transitions sharing a source — exactly as CompiledMachine built its
-  // per-event vectors.
+  // transitions sharing a source.
   const std::size_t event_count = p->event_ids_.size();
   for (auto& row : p->leaves_) {
     std::vector<const TransitionDef*> candidates;

@@ -1,9 +1,9 @@
 // ModelProgram: the immutable compiled form of a state machine.
 //
-// The flat-table CompiledMachine (compiled.hpp) played the role of
-// Stateflow's generated C code for ONE machine; a fleet of thousands of
-// identical spec models would compile — and store — the same tables
-// thousands of times. ModelProgram splits the executor in two:
+// ModelProgram plays the role of Stateflow's generated C code (§4.3):
+// the one engine every monitor runs. A fleet of thousands of identical
+// spec models compiles — and stores — the tables once, because the
+// executor is split in two:
 //
 //   ModelProgram   — everything that depends only on the *definition*:
 //                    interned event ids, per-leaf dispatch spans,
@@ -15,8 +15,8 @@
 //                    Stored as dense structure-of-arrays (batch.hpp) so
 //                    thousands of instances step in one tight loop.
 //
-// Compilation rejects the same feature set CompiledMachine rejected
-// (history states need dynamic resolution) and preserves its dispatch
+// Compilation rejects history states (they need dynamic resolution)
+// and otherwise preserves the reference interpreter's dispatch
 // semantics exactly: innermost source first, definition order among
 // peers, earliest-due-first timed firing, bounded completion chains.
 #pragma once
@@ -63,22 +63,20 @@ class ModelProgram {
     StateId state = kNoState;
     std::uint32_t path_begin = 0;  ///< Span into state_pool(): root..leaf.
     std::uint32_t path_len = 0;
-    std::uint32_t dispatch_begin = 0;  ///< event_count() Spans in dispatch().
+    std::uint32_t dispatch_begin = 0;  ///< One Span per interned event in dispatch().
     Span completions;
     Span timed;
   };
 
   /// Compile `def` (copied into the program). Throws CompileError on
-  /// history states, mirroring CompiledMachine's feature set.
+  /// history states.
   static std::shared_ptr<const ModelProgram> compile(StateMachineDef def);
 
   const StateMachineDef& def() const { return def_; }
   std::size_t leaf_count() const { return leaves_.size(); }
-  std::size_t event_count() const { return event_ids_.size(); }
   /// Deepest root..leaf path in the machine (the per-instance entry-time
   /// array is this many SimTime slots wide).
   std::size_t max_depth() const { return max_depth_; }
-  std::size_t transition_count() const { return trans_.size(); }
 
   /// Interned id of an event name, or -1 when no transition consumes it.
   int event_id(const std::string& name) const {
@@ -88,11 +86,6 @@ class ModelProgram {
 
   /// Row index of the initial configuration's leaf (-1 for an empty def).
   int initial_leaf() const { return initial_leaf_; }
-  /// Row index of a leaf state id (-1 when `s` is not a leaf).
-  int leaf_index(StateId s) const {
-    auto it = leaf_index_.find(s);
-    return it == leaf_index_.end() ? -1 : it->second;
-  }
 
   const Leaf& leaf(int row) const { return leaves_[static_cast<std::size_t>(row)]; }
   const std::vector<StateId>& state_pool() const { return state_pool_; }
@@ -118,7 +111,7 @@ class ModelProgram {
   std::map<StateId, int> leaf_index_;
   std::vector<StateId> state_pool_;  ///< Flat paths/exits/entries storage.
   std::vector<Trans> trans_;
-  std::vector<Span> dispatch_;  ///< leaf_count() x event_count() spans.
+  std::vector<Span> dispatch_;  ///< leaf_count() x interned-event spans.
   std::size_t max_depth_ = 0;
   int initial_leaf_ = -1;
 };

@@ -4,8 +4,7 @@
 
 namespace trader::statemachine {
 
-template <typename M>
-ScriptResult TestScript::run_impl(M& m, runtime::SimTime start_time) const {
+ScriptResult TestScript::run(StateMachine& m, runtime::SimTime start_time) const {
   ScriptResult result;
   runtime::SimTime now = start_time;
   m.start(now);
@@ -67,14 +66,6 @@ ScriptResult TestScript::run_impl(M& m, runtime::SimTime start_time) const {
   }
   result.end_time = now;
   return result;
-}
-
-ScriptResult TestScript::run(StateMachine& m, runtime::SimTime start_time) const {
-  return run_impl(m, start_time);
-}
-
-ScriptResult TestScript::run(CompiledMachine& m, runtime::SimTime start_time) const {
-  return run_impl(m, start_time);
 }
 
 }  // namespace trader::statemachine

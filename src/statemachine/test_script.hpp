@@ -2,15 +2,14 @@
 //
 // §4.2 mentions "test scripts to improve model quality". A TestScript is
 // a linear scenario — inject events, let virtual time pass, assert on
-// states / variables / emitted outputs — runnable against either
-// executor. Model validation suites in tests/ are built from these.
+// states / variables / emitted outputs — run against the reference
+// interpreter. Model validation suites in tests/ are built from these.
 #pragma once
 
 #include <string>
 #include <variant>
 #include <vector>
 
-#include "statemachine/compiled.hpp"
 #include "statemachine/machine.hpp"
 
 namespace trader::statemachine {
@@ -90,15 +89,10 @@ class TestScript {
   const std::string& name() const { return name_; }
   const std::vector<ScriptStep>& steps() const { return steps_; }
 
-  /// Run against the interpreting executor (machine is started fresh).
+  /// Run against the interpreter (machine is started fresh).
   ScriptResult run(StateMachine& m, runtime::SimTime start_time = 0) const;
-  /// Run against the compiled executor.
-  ScriptResult run(CompiledMachine& m, runtime::SimTime start_time = 0) const;
 
  private:
-  template <typename M>
-  ScriptResult run_impl(M& m, runtime::SimTime start_time) const;
-
   std::string name_;
   std::vector<ScriptStep> steps_;
 };

@@ -66,4 +66,11 @@ struct ActionEnv {
 using Guard = std::function<bool(const Context&, const SmEvent&)>;
 using Action = std::function<void(ActionEnv&)>;
 
+/// A model output produced by an action's `emit`.
+struct ModelOutput {
+  std::string name;
+  std::map<std::string, runtime::Value> fields;
+  runtime::SimTime time = 0;
+};
+
 }  // namespace trader::statemachine

@@ -8,7 +8,6 @@
 #include <memory>
 #include <set>
 
-#include "core/model_impl.hpp"
 #include "core/model_program.hpp"
 #include "core/monitor_builder.hpp"
 #include "core/sharded_fleet.hpp"
@@ -43,21 +42,11 @@ core::MonitorBuilder counter_monitor(std::size_t k, const ExecutorConfig& config
                                      const core::ModelProgramPtr& program,
                                      std::shared_ptr<const std::atomic<bool>> gate) {
   core::MonitorBuilder builder;
-  if (config.engine == ExecutorConfig::ModelEngine::kBatched) {
-    builder.with_program(program);  // one table set across aspects AND scenarios
-  } else {
-    builder.model(std::make_unique<core::InterpretedModel>(counter_model()));
-  }
+  builder.with_program(program);  // one table set across aspects AND scenarios
   // With an IPC link in the path the model is wrapped in a LinkGatedModel
   // so comparisons quiesce while the SUO is unreachable (the §4.3
   // graceful-degradation policy); a null gate means in-process wiring.
-  if (gate != nullptr) {
-    builder.wrap_model(
-        [gate = std::move(gate)](std::unique_ptr<core::IModelImpl> model)
-            -> std::unique_ptr<core::IModelImpl> {
-          return std::make_unique<ipc::LinkGatedModel>(std::move(model), gate);
-        });
-  }
+  if (gate != nullptr) builder.wrap_model(ipc::link_gated(std::move(gate)));
   builder.input_topic("in." + std::to_string(k))
       .output_topic("out." + std::to_string(k))
       .threshold("count", 0.0, config.max_consecutive)
@@ -420,23 +409,10 @@ const char* to_string(IpcMode m) {
   return it == registry.end() ? "?" : it->second.name;
 }
 
-const char* to_string(ExecutorConfig::ModelEngine e) {
-  switch (e) {
-    case ExecutorConfig::ModelEngine::kBatched:
-      return "batched";
-    case ExecutorConfig::ModelEngine::kInterpreted:
-      return "interpreted";
-  }
-  return "?";
-}
-
 std::string backend_label(const ExecutorConfig& config) {
   std::string label =
       "sharded(" + std::to_string(std::max<std::size_t>(config.shards, 1)) + ")";
   if (config.ipc != IpcMode::kOff) label += std::string("+ipc-") + to_string(config.ipc);
-  if (config.engine != ExecutorConfig::ModelEngine::kBatched) {
-    label += std::string("+") + to_string(config.engine);
-  }
   return label;
 }
 

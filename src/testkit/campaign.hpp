@@ -67,11 +67,6 @@ const char* to_string(IpcMode m);
 
 /// How one scenario is executed.
 struct ExecutorConfig {
-  /// Which model-stepping kernel backs the scripted monitors.
-  enum class ModelEngine : std::uint8_t {
-    kBatched,      ///< Shared ModelProgram, arena-batched executor (production).
-    kInterpreted,  ///< Legacy per-monitor interpreting executor.
-  };
   /// ShardedFleet shard count (0 clamps to 1, as in ShardedFleetConfig).
   std::size_t shards = 1;
   /// Epoch grid (every backend delivers external events on it).
@@ -90,10 +85,6 @@ struct ExecutorConfig {
   /// virtual timestamps and each one is pumped through the socket
   /// synchronously.
   IpcMode ipc = IpcMode::kOff;
-  /// Model kernel. The batched executor is the default; the legacy
-  /// interpreter remains selectable so the differential tests can pin
-  /// both kernels to one golden trace.
-  ModelEngine engine = ModelEngine::kBatched;
   /// Kill-and-restart window: the SUO link drops at suo_down_at and a
   /// restarted SUO is reconnected at suo_up_at (virtual time; both -1 =
   /// no outage). Commands inside the window reach nobody; comparators
@@ -105,11 +96,9 @@ struct ExecutorConfig {
   runtime::SimTime suo_up_at = -1;
 };
 
-const char* to_string(ExecutorConfig::ModelEngine e);
-
 /// One-line config echo shared by campaign JSON reports and bench
-/// emitters: "sharded(N)", "+ipc-<mode>" when a wire is in
-/// the path, "+interpreted" when the legacy interpreter is selected.
+/// emitters: "sharded(N)", plus "+ipc-<mode>" when a wire is in the
+/// path.
 std::string backend_label(const ExecutorConfig& config);
 
 /// Outcome of one scenario run. Scripts may plan several (possibly

@@ -5,7 +5,6 @@
 
 #include <memory>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "core/sharded_fleet.hpp"
 #include "faults/injector.hpp"
@@ -180,7 +179,7 @@ TEST(Observers, OutputObserverKeepsLatestAndNotifies) {
 
 TEST(ModelExecutor, MaintainsExpectationTable) {
   auto def = counter_model();
-  core::ModelExecutor exec(std::make_unique<core::InterpretedModel>(def));
+  core::ModelExecutor exec(std::make_unique<core::ModelInstance>(core::compile_model(def)));
   exec.start(0);
   EXPECT_FALSE(exec.expected("count").has_value());
   exec.on_input(sm::SmEvent::named("inc"), 10);
@@ -195,7 +194,7 @@ TEST(ModelExecutor, MaintainsExpectationTable) {
 
 TEST(ModelExecutor, ComparisonEnableFollowsModelVars) {
   auto def = counter_model();
-  core::ModelExecutor exec(std::make_unique<core::InterpretedModel>(def));
+  core::ModelExecutor exec(std::make_unique<core::ModelInstance>(core::compile_model(def)));
   exec.start(0);
   EXPECT_TRUE(exec.comparison_enabled("count"));
   exec.on_input(sm::SmEvent::named("hush"), 5);
@@ -204,12 +203,19 @@ TEST(ModelExecutor, ComparisonEnableFollowsModelVars) {
   EXPECT_TRUE(exec.comparison_enabled("count"));
 }
 
-TEST(ModelExecutor, CompiledModelWorksToo) {
-  auto def = counter_model();
-  core::ModelExecutor exec(std::make_unique<core::CompiledModel>(def));
-  exec.start(0);
-  exec.on_input(sm::SmEvent::named("inc"), 1);
-  EXPECT_EQ(std::get<std::int64_t>(exec.expected("count")->value), 1);
+// Standalone instances of one shared program each get a private batch:
+// stepping one leaves the other's expectation table alone.
+TEST(ModelExecutor, StandaloneInstancesOfOneProgramAreIndependent) {
+  const auto program = core::compile_model(counter_model());
+  core::ModelExecutor a(std::make_unique<core::ModelInstance>(program));
+  core::ModelExecutor b(std::make_unique<core::ModelInstance>(program));
+  a.start(0);
+  b.start(0);
+  a.on_input(sm::SmEvent::named("inc"), 1);
+  a.on_input(sm::SmEvent::named("inc"), 2);
+  b.on_input(sm::SmEvent::named("inc"), 3);
+  EXPECT_EQ(std::get<std::int64_t>(a.expected("count")->value), 2);
+  EXPECT_EQ(std::get<std::int64_t>(b.expected("count")->value), 1);
 }
 
 // -------------------------------------------------- Monitor with a scripted SUO
@@ -375,7 +381,7 @@ struct TvMonitorFixture {
         set(sched, bus, injector),
         spec_def(tv::build_tv_spec_model()) {
     core::MonitorBuilder builder(sched, bus);
-    builder.model(std::make_unique<core::InterpretedModel>(spec_def))
+    builder.model(spec_def)
         .input_topic("tv.input")
         .output_topic("tv.output")
         .comparison_period(rt::msec(20))

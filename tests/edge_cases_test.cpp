@@ -4,13 +4,13 @@
 
 #include <memory>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "faults/injector.hpp"
 #include "recovery/managers.hpp"
 #include "runtime/event_bus.hpp"
 #include "runtime/scheduler.hpp"
-#include "statemachine/compiled.hpp"
+#include "statemachine/batch.hpp"
+#include "statemachine/machine.hpp"
 #include "tv/spec_model.hpp"
 #include "tv/tv_system.hpp"
 
@@ -84,10 +84,11 @@ TEST(EdgeMachine, CompiledNextDeadlineBeforeStart) {
   const auto a = def.add_state("A");
   const auto b = def.add_state("B");
   def.add_timed(a, b, 100);
-  sm::CompiledMachine cm(def);
-  EXPECT_EQ(cm.next_deadline(), -1);
-  cm.start(50);
-  EXPECT_EQ(cm.next_deadline(), 150);
+  sm::BatchExecutor batch(sm::ModelProgram::compile(def));
+  const auto id = batch.add_instance();
+  EXPECT_EQ(batch.next_deadline(id), -1);
+  batch.start(id, 50);
+  EXPECT_EQ(batch.next_deadline(id), 150);
 }
 
 TEST(EdgeMachine, TransitionFromCompositeExitsAllDescendants) {
@@ -203,7 +204,7 @@ TEST(EdgeMonitor, ObservableConfigChangesTakeEffectLive) {
   oc.name = "sound_level";
   oc.max_consecutive = 3;
   auto monitor = core::MonitorBuilder(sched, bus)
-                     .model(std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()))
+                     .model(tv::build_tv_spec_model())
                      .comparison_period(rt::msec(20))
                      .startup_grace(rt::msec(100))
                      .observe(oc)

@@ -1,7 +1,8 @@
-// Executor-v2 property tests: the arena-batched BatchExecutor against
-// the two legacy kernels (interpreting StateMachine, batch-of-1
-// CompiledMachine) over seeded random machines and event streams, plus
-// arena growth/reuse and cross-thread program sharing.
+// Executor-v2 property tests: the compiled ModelProgram on a
+// BatchExecutor — the one engine every monitor runs — against the
+// reference interpreter (StateMachine) over seeded random machines, the
+// TV, printer and media-player spec models and seeded event streams,
+// plus arena growth/reuse and cross-thread program sharing.
 //
 // The batched executor is only allowed to exist because it is
 // indistinguishable from the interpreter: every test here drives twins
@@ -21,10 +22,13 @@
 #include "runtime/event_bus.hpp"
 #include "runtime/rng.hpp"
 #include "runtime/scheduler.hpp"
+#include "mediaplayer/player.hpp"
+#include "printer/printer.hpp"
 #include "statemachine/batch.hpp"
-#include "statemachine/compiled.hpp"
+#include "statemachine/explorer.hpp"
 #include "statemachine/machine.hpp"
 #include "statemachine/program.hpp"
+#include "tv/spec_model.hpp"
 
 namespace sm = trader::statemachine;
 namespace rt = trader::runtime;
@@ -98,20 +102,22 @@ void expect_same_outputs(const std::vector<sm::ModelOutput>& a,
 
 }  // namespace
 
-// ----------------------------------------------- three-kernel property
+// ------------------------------------- interpreter-vs-program property
 
 class BatchedEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
-// Interpreter, batch-of-1 CompiledMachine and a multi-tenant
-// BatchExecutor slot must agree step for step on a random machine and
-// stream — state, dispatch result, fired counter, deadline, outputs.
+// Interpreter, a private one-slot batch (the standalone monitor path)
+// and a multi-tenant BatchExecutor slot must agree step for step on a
+// random machine and stream — state, dispatch result, fired counter,
+// deadline, outputs.
 TEST_P(BatchedEquivalence, InterpreterCompiledAndBatchSlotAgree) {
   const std::uint64_t seed = GetParam();
   RandomMachine rm = make_random_machine(seed);
   const auto program = sm::ModelProgram::compile(*rm.def);
 
   sm::StateMachine interp(*rm.def);
-  sm::CompiledMachine compiled(program);
+  sm::BatchExecutor solo(program);
+  const auto si = solo.add_instance();
   // The batch slot under test lives AMONG other instances: two
   // bystanders stepped on a different stream guard against cross-slot
   // state bleed in the dense arrays.
@@ -121,7 +127,7 @@ TEST_P(BatchedEquivalence, InterpreterCompiledAndBatchSlotAgree) {
   const auto by1 = batch.add_instance();
 
   interp.start(0);
-  compiled.start(0);
+  solo.start(si, 0);
   batch.start(bi, 0);
   batch.start(by0, 0);
   batch.start(by1, 0);
@@ -134,14 +140,14 @@ TEST_P(BatchedEquivalence, InterpreterCompiledAndBatchSlotAgree) {
     if (rng.bernoulli(0.3)) {
       now += rng.uniform_int(10, 300);
       const int fi = interp.advance_time(now);
-      const int fc = compiled.advance_time(now);
+      const int fc = solo.advance_time(si, now);
       const int fb = batch.advance_time(bi, now);
       ASSERT_EQ(fi, fc) << "step " << step;
       ASSERT_EQ(fi, fb) << "step " << step;
     } else {
       const auto& name = rm.alphabet[static_cast<std::size_t>(rng.uniform_int(0, 3))];
       const bool ri = interp.dispatch(sm::SmEvent::named(name), now);
-      const bool rc = compiled.dispatch(sm::SmEvent::named(name), now);
+      const bool rc = solo.dispatch(si, sm::SmEvent::named(name), now);
       const bool rb = batch.dispatch(bi, sm::SmEvent::named(name), now);
       ASSERT_EQ(ri, rc) << "step " << step << " event " << name;
       ASSERT_EQ(ri, rb) << "step " << step << " event " << name;
@@ -152,15 +158,15 @@ TEST_P(BatchedEquivalence, InterpreterCompiledAndBatchSlotAgree) {
                    now);
     batch.advance_time(by1, now);
 
-    ASSERT_EQ(interp.active_leaf(), compiled.active_leaf()) << "step " << step;
+    ASSERT_EQ(interp.active_leaf(), solo.active_leaf(si)) << "step " << step;
     ASSERT_EQ(interp.active_leaf(), batch.active_leaf(bi)) << "step " << step;
-    ASSERT_EQ(interp.next_deadline(), compiled.next_deadline()) << "step " << step;
+    ASSERT_EQ(interp.next_deadline(), solo.next_deadline(si)) << "step " << step;
     ASSERT_EQ(interp.next_deadline(), batch.next_deadline(bi)) << "step " << step;
     ASSERT_EQ(interp.transitions_fired(), batch.transitions_fired(bi)) << "step " << step;
     ASSERT_EQ(interp.livelock_detected(), batch.livelock_detected(bi)) << "step " << step;
     ASSERT_EQ(interp.vars().get_int("ctr"), batch.vars(bi).get_int("ctr")) << "step " << step;
     const auto oi = interp.drain_outputs();
-    const auto oc = compiled.drain_outputs();
+    const auto oc = solo.drain_outputs(si);
     const auto ob = batch.drain_outputs(bi);
     expect_same_outputs(oi, oc, step);
     expect_same_outputs(oi, ob, step);
@@ -170,6 +176,77 @@ TEST_P(BatchedEquivalence, InterpreterCompiledAndBatchSlotAgree) {
 INSTANTIATE_TEST_SUITE_P(RandomMachines, BatchedEquivalence,
                          ::testing::Values(101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111,
                                            112, 113, 114, 115, 116, 117, 118, 119, 120));
+
+// The spec models the examples and monitors run, driven by seeded
+// streams over their own event alphabets plus time advances long enough
+// to fire their timeouts. Everything a monitor can see must agree after
+// every step: leaf, every variable, every output field, fired count,
+// deadline and the livelock flag.
+namespace {
+
+void expect_program_matches_interpreter(const sm::StateMachineDef& def) {
+  const auto alphabet = sm::event_alphabet(def);
+  ASSERT_FALSE(alphabet.empty());
+  const auto program = sm::ModelProgram::compile(def);
+  const auto last = static_cast<std::int64_t>(alphabet.size() - 1);
+
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    sm::StateMachine interp(def);
+    sm::BatchExecutor batch(program);
+    const auto id = batch.add_instance();
+    auto expect_same = [&](int step) {
+      ASSERT_EQ(interp.active_leaf(), batch.active_leaf(id)) << "seed " << seed << " step " << step;
+      ASSERT_EQ(interp.vars().all(), batch.vars(id).all()) << "seed " << seed << " step " << step;
+      ASSERT_EQ(interp.transitions_fired(), batch.transitions_fired(id))
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(interp.next_deadline(), batch.next_deadline(id))
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(interp.livelock_detected(), batch.livelock_detected(id))
+          << "seed " << seed << " step " << step;
+      const auto oi = interp.drain_outputs();
+      const auto ob = batch.drain_outputs(id);
+      ASSERT_EQ(oi.size(), ob.size()) << "seed " << seed << " step " << step;
+      for (std::size_t k = 0; k < oi.size(); ++k) {
+        EXPECT_EQ(oi[k].name, ob[k].name) << "seed " << seed << " step " << step;
+        EXPECT_EQ(oi[k].time, ob[k].time) << "seed " << seed << " step " << step;
+        EXPECT_EQ(oi[k].fields, ob[k].fields) << "seed " << seed << " step " << step;
+      }
+    };
+
+    interp.start(0);
+    batch.start(id, 0);
+    ASSERT_NO_FATAL_FAILURE(expect_same(-1));
+    rt::Rng rng(seed);
+    rt::SimTime now = 0;
+    for (int step = 0; step < 400; ++step) {
+      if (rng.bernoulli(0.25)) {
+        now += rng.uniform_int(1, rt::sec(3));
+        ASSERT_EQ(interp.advance_time(now), batch.advance_time(id, now))
+            << "seed " << seed << " step " << step;
+      } else {
+        const auto ev = sm::SmEvent::named(alphabet[static_cast<std::size_t>(
+            rng.uniform_int(0, last))]);
+        ASSERT_EQ(interp.dispatch(ev, now), batch.dispatch(id, ev, now))
+            << "seed " << seed << " step " << step << " event " << ev.name;
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_same(step));
+    }
+  }
+}
+
+}  // namespace
+
+TEST(SpecModelEquivalence, TvInterpreterAndProgramAgree) {
+  expect_program_matches_interpreter(trader::tv::build_tv_spec_model());
+}
+
+TEST(SpecModelEquivalence, PrinterInterpreterAndProgramAgree) {
+  expect_program_matches_interpreter(trader::printer::build_printer_spec_model());
+}
+
+TEST(SpecModelEquivalence, MediaPlayerInterpreterAndProgramAgree) {
+  expect_program_matches_interpreter(trader::mediaplayer::build_player_spec_model());
+}
 
 // A whole population in ONE batch, each instance twinned with its own
 // interpreter on its own stream: the strongest cross-instance isolation
@@ -357,8 +434,7 @@ TEST(BatchExecutor, SharedProgramAcrossThreadsIsRaceFree) {
 
 // The batch-of-1 path behind MonitorBuilder::with_program and an
 // arena-backed instance must be the same model as far as a monitor can
-// tell. (Campaign-level equivalence incl. golden traces lives in
-// testkit_test's DifferentialLegacyVsBatchedExecutorFingerprints.)
+// tell.
 TEST(MonitorBuilder, PrivateBatchOfOneMatchesArenaInstance) {
   RandomMachine rm = make_random_machine(12);
   const auto program = core::compile_model(*rm.def);

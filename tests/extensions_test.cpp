@@ -6,7 +6,6 @@
 
 #include <memory>
 
-#include "core/model_impl.hpp"
 #include "core/sharded_fleet.hpp"
 #include "detection/response_time.hpp"
 #include "diagnosis/component_ranker.hpp"
@@ -125,7 +124,7 @@ sm::StateMachineDef sound_aspect_model() {
 
 core::MonitorBuilder aspect_monitor(const std::vector<const char*>& observables) {
   core::MonitorBuilder builder;
-  builder.model(std::make_unique<core::InterpretedModel>(sound_aspect_model()))
+  builder.model(sound_aspect_model())
       .comparison_period(rt::msec(20))
       .startup_grace(rt::msec(100));
   for (const char* name : observables) {
@@ -395,7 +394,7 @@ TEST(ClosedLoop, DetectRecordReplayDiagnoseRecover) {
   tv::TvSystem set(sched, bus, injector);
 
   core::MonitorBuilder builder(sched, bus);
-  builder.model(std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()))
+  builder.model(tv::build_tv_spec_model())
       .comparison_period(rt::msec(20))
       .startup_grace(rt::msec(100));
   for (const char* name : {"sound_level", "screen_state"}) {

@@ -4,7 +4,6 @@
 
 #include <memory>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "diagnosis/spectrum.hpp"
 #include "diagnosis/synthetic_program.hpp"
@@ -113,7 +112,7 @@ TEST(Impact, DrivesRecoveryDecisionsOnRealErrors) {
   tv::TvSystem set(sched, bus, injector);
 
   auto monitor = core::MonitorBuilder(sched, bus)
-                     .model(std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()))
+                     .model(tv::build_tv_spec_model())
                      .comparison_period(rt::msec(20))
                      .startup_grace(rt::msec(100))
                      .threshold("sound_level", 0.0, /*max_consecutive=*/3)

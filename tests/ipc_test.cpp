@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "gtest/gtest.h"
 #include "ipc/link_gate.hpp"
@@ -751,8 +750,8 @@ TEST(IpcLoop, SocketpairEndToEndDrivesRemoteTv) {
   std::vector<core::ErrorReport> monitor_errors;
   core::MonitorBuilder builder(sched, bus);
   builder
-      .model(std::make_unique<ipc::LinkGatedModel>(
-          std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()), client.gate()))
+      .model(tv::build_tv_spec_model())
+      .wrap_model(ipc::link_gated(client.gate()))
       .comparison_period(rt::msec(20))
       .startup_grace(rt::msec(100))
       .on_error([&](const core::ErrorReport& e) { monitor_errors.push_back(e); });

@@ -4,7 +4,6 @@
 
 #include <memory>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "detection/detectors.hpp"
 #include "faults/injector.hpp"
@@ -188,7 +187,7 @@ namespace {
 
 core::MonitorBuilder player_monitor() {
   core::MonitorBuilder builder;
-  builder.model(std::make_unique<core::InterpretedModel>(mp::build_player_spec_model()))
+  builder.model(mp::build_player_spec_model())
       .input_topic("mp.input")
       .output_topic("mp.output")
       .input_mapper([](const rt::Event& ev) -> std::optional<sm::SmEvent> {

@@ -5,7 +5,6 @@
 
 #include <memory>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "detection/detectors.hpp"
 #include "detection/response_time.hpp"
@@ -196,7 +195,7 @@ namespace {
 
 core::MonitorBuilder printer_monitor() {
   core::MonitorBuilder builder;
-  builder.model(std::make_unique<core::InterpretedModel>(pr::build_printer_spec_model()))
+  builder.model(pr::build_printer_spec_model())
       .input_topic("pr.input")
       .output_topic("pr.output")
       .input_mapper([](const rt::Event& ev) -> std::optional<sm::SmEvent> {

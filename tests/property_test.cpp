@@ -5,7 +5,6 @@
 
 #include <memory>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "detection/detectors.hpp"
 #include "faults/injector.hpp"
@@ -13,6 +12,7 @@
 #include "runtime/event_bus.hpp"
 #include "runtime/scheduler.hpp"
 #include "statemachine/explorer.hpp"
+#include "statemachine/machine.hpp"
 #include "tv/spec_model.hpp"
 #include "tv/tv_system.hpp"
 
@@ -227,7 +227,7 @@ TEST(MemoryCorruption, CaughtByRangeProbeAndComparator) {
   flt::FaultInjector injector(rt::Rng(5));
   tv::TvSystem set(sched, bus, injector);
   auto monitor = core::MonitorBuilder(sched, bus)
-                     .model(std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()))
+                     .model(tv::build_tv_spec_model())
                      .comparison_period(rt::msec(20))
                      .startup_grace(rt::msec(100))
                      .threshold("sound_level", 0.0, /*max_consecutive=*/3)

@@ -5,7 +5,6 @@
 
 #include <memory>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "detection/detectors.hpp"
 #include "faults/injector.hpp"
@@ -168,7 +167,7 @@ TEST(AvSource, LostSelectCommandDetectedByAwarenessMonitor) {
   tv::TvSystem set(sched, bus, injector);
 
   auto monitor = core::MonitorBuilder(sched, bus)
-                     .model(std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()))
+                     .model(tv::build_tv_spec_model())
                      .comparison_period(rt::msec(20))
                      .startup_grace(rt::msec(100))
                      .threshold("source", 0.0, /*max_consecutive=*/3)

@@ -12,7 +12,7 @@
 #include "runtime/rng.hpp"
 #include "runtime/scheduler.hpp"
 #include "statemachine/checker.hpp"
-#include "statemachine/compiled.hpp"
+#include "statemachine/program.hpp"
 #include "statemachine/machine.hpp"
 #include "statemachine/test_script.hpp"
 #include "tv/spec_model.hpp"
@@ -58,8 +58,7 @@ TEST(TvSpecModel, PassesStaticChecks) {
 
 TEST(TvSpecModel, CompilesToFlatTables) {
   auto def = tv::build_tv_spec_model();
-  sm::CompiledMachine cm(def);
-  EXPECT_EQ(cm.leaf_count(), 5u);  // Off, Video, Dual, Teletext, Menu
+  EXPECT_EQ(sm::ModelProgram::compile(def)->leaf_count(), 5u);  // Off, Video, Dual, Teletext, Menu
 }
 
 TEST(TvSpecModel, PowerCycleScript) {

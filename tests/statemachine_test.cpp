@@ -9,7 +9,7 @@
 
 #include "runtime/rng.hpp"
 #include "statemachine/checker.hpp"
-#include "statemachine/compiled.hpp"
+#include "statemachine/batch.hpp"
 #include "statemachine/definition.hpp"
 #include "statemachine/machine.hpp"
 #include "statemachine/test_script.hpp"
@@ -485,7 +485,7 @@ TEST(Compiled, RejectsHistory) {
   const auto on = def.add_state("On");
   def.add_state("A", on);
   def.set_history(on, true);
-  EXPECT_THROW(sm::CompiledMachine{def}, sm::CompileError);
+  EXPECT_THROW(sm::ModelProgram::compile(def), sm::CompileError);
 }
 
 TEST(Compiled, LeafCountMatchesDefinition) {
@@ -494,21 +494,21 @@ TEST(Compiled, LeafCountMatchesDefinition) {
   def.add_state("A", on);
   def.add_state("B", on);
   def.add_state("Off");
-  sm::CompiledMachine cm(def);
-  EXPECT_EQ(cm.leaf_count(), 3u);  // A, B, Off
+  EXPECT_EQ(sm::ModelProgram::compile(def)->leaf_count(), 3u);  // A, B, Off
 }
 
 TEST(Compiled, BasicDispatchMatchesInterpreter) {
-  auto def = simple_machine();
-  sm::CompiledMachine cm(def);
-  cm.start(0);
-  EXPECT_TRUE(cm.in("Red"));
-  EXPECT_TRUE(cm.dispatch(sm::SmEvent::named("go"), 1));
-  EXPECT_TRUE(cm.in("Green"));
+  sm::BatchExecutor batch(sm::ModelProgram::compile(simple_machine()));
+  const auto id = batch.add_instance();
+  batch.start(id, 0);
+  EXPECT_TRUE(batch.in(id, "Red"));
+  EXPECT_TRUE(batch.dispatch(id, sm::SmEvent::named("go"), 1));
+  EXPECT_TRUE(batch.in(id, "Green"));
 }
 
 // Equivalence property: random hierarchical machines (no history) driven
-// by random event sequences behave identically under both executors.
+// by random event sequences behave identically under the interpreter and
+// a one-slot batch of the compiled program.
 namespace {
 
 struct RandomMachine {
@@ -568,10 +568,11 @@ TEST_P(ExecutorEquivalence, InterpreterAndCompiledAgree) {
   const std::uint64_t seed = GetParam();
   RandomMachine rm = make_random_machine(seed);
   sm::StateMachine interp(*rm.def);
-  sm::CompiledMachine compiled(*rm.def);
+  sm::BatchExecutor compiled(sm::ModelProgram::compile(*rm.def));
+  const auto id = compiled.add_instance();
   interp.start(0);
-  compiled.start(0);
-  ASSERT_EQ(interp.active_leaf(), compiled.active_leaf());
+  compiled.start(id, 0);
+  ASSERT_EQ(interp.active_leaf(), compiled.active_leaf(id));
 
   rt::Rng rng(seed ^ 0xABCD);
   rt::SimTime now = 0;
@@ -579,18 +580,18 @@ TEST_P(ExecutorEquivalence, InterpreterAndCompiledAgree) {
     if (rng.bernoulli(0.3)) {
       now += rng.uniform_int(10, 300);
       interp.advance_time(now);
-      compiled.advance_time(now);
+      compiled.advance_time(id, now);
     } else {
       const auto& name =
           rm.alphabet[static_cast<std::size_t>(rng.uniform_int(0, 3))];
       const bool ri = interp.dispatch(sm::SmEvent::named(name), now);
-      const bool rc = compiled.dispatch(sm::SmEvent::named(name), now);
+      const bool rc = compiled.dispatch(id, sm::SmEvent::named(name), now);
       ASSERT_EQ(ri, rc) << "step " << step << " event " << name;
     }
-    ASSERT_EQ(interp.active_leaf(), compiled.active_leaf()) << "step " << step;
-    ASSERT_EQ(interp.vars().get_int("ctr"), compiled.vars().get_int("ctr")) << "step " << step;
+    ASSERT_EQ(interp.active_leaf(), compiled.active_leaf(id)) << "step " << step;
+    ASSERT_EQ(interp.vars().get_int("ctr"), compiled.vars(id).get_int("ctr")) << "step " << step;
     const auto oi = interp.drain_outputs();
-    const auto oc = compiled.drain_outputs();
+    const auto oc = compiled.drain_outputs(id);
     ASSERT_EQ(oi.size(), oc.size()) << "step " << step;
     for (std::size_t k = 0; k < oi.size(); ++k) {
       EXPECT_EQ(oi[k].name, oc[k].name);
@@ -760,14 +761,6 @@ TEST(TestScript, ExpectNotState) {
   sm::TestScript script("not");
   script.expect_not_state("Green").inject("go").expect_not_state("Red");
   EXPECT_TRUE(script.run(m).passed());
-}
-
-TEST(TestScript, RunsAgainstCompiledExecutorToo) {
-  auto def = simple_machine();
-  sm::CompiledMachine cm(def);
-  sm::TestScript script("compiled");
-  script.inject("go").expect_state("Green");
-  EXPECT_TRUE(script.run(cm).passed());
 }
 
 TEST(TestScript, MissingVarFails) {

@@ -7,7 +7,6 @@
 
 #include <memory>
 
-#include "core/model_impl.hpp"
 #include "core/monitor_builder.hpp"
 #include "core/sharded_fleet.hpp"
 #include "detection/detectors.hpp"
@@ -29,7 +28,7 @@ namespace {
 struct SoakRig {
   explicit SoakRig(std::uint64_t seed) : injector(rt::Rng(seed)), set(sched, bus, injector) {
     core::MonitorBuilder builder(sched, bus);
-    builder.model(std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()))
+    builder.model(tv::build_tv_spec_model())
         .comparison_period(rt::msec(20))
         .startup_grace(rt::msec(100));
     for (const char* name : {"sound_level", "screen_state", "channel", "powered", "source"}) {
@@ -162,7 +161,7 @@ TEST(SystemSoak, ShardedFleetSoakIsRaceFreeAndDeterministic) {
     const int kMonitors = 12;
     for (int m = 0; m < kMonitors; ++m) {
       core::MonitorBuilder builder;
-      builder.model(std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()))
+      builder.model(tv::build_tv_spec_model())
           .input_topic("tv.input." + std::to_string(m))
           .output_topic("tv.output." + std::to_string(m))
           .comparison_period(rt::msec(10))

@@ -434,34 +434,6 @@ TEST(Campaign, DifferentialSingleVsShardedFingerprints) {
   }
 }
 
-// ------------------------------------------------ legacy-vs-batched differential
-
-// The executor-v2 crown jewel: swapping the model kernel under every
-// monitor — legacy per-instance interpreter vs arena-batched shared
-// program — must not move a single golden-trace byte, at any shard
-// count. Detection times, verdicts, metrics and recovery actions are
-// all inside the fingerprint.
-TEST(Campaign, DifferentialLegacyVsBatchedExecutorFingerprints) {
-  for (const std::size_t shards : {0u, 1u, 2u, 4u, 8u}) {
-    auto legacy_cfg = mini_campaign(shards);
-    legacy_cfg.scenarios = 8;  // 5 shard counts x 2 engines: keep legs small
-    legacy_cfg.executor.engine = tk::ExecutorConfig::ModelEngine::kInterpreted;
-    auto batched_cfg = legacy_cfg;
-    batched_cfg.executor.engine = tk::ExecutorConfig::ModelEngine::kBatched;
-
-    const auto legacy = tk::CampaignRunner(legacy_cfg).run();
-    const auto batched = tk::CampaignRunner(batched_cfg).run();
-
-    EXPECT_EQ(batched.golden_trace().fingerprint(), legacy.golden_trace().fingerprint())
-        << shards << " shards";
-    const auto d = tk::GoldenTrace::diff(legacy.golden_trace(), batched.golden_trace());
-    EXPECT_TRUE(d.identical) << shards << " shards: " << d.describe();
-    // The reports differ ONLY in the echoed backend label.
-    EXPECT_NE(legacy.to_json().find("+interpreted"), std::string::npos);
-    EXPECT_EQ(batched.to_json().find("+interpreted"), std::string::npos);
-  }
-}
-
 TEST(Campaign, BackendLabelSharedHelper) {
   tk::ExecutorConfig cfg;
   EXPECT_EQ(tk::backend_label(cfg), "sharded(1)");
@@ -471,8 +443,6 @@ TEST(Campaign, BackendLabelSharedHelper) {
   EXPECT_EQ(tk::backend_label(cfg), "sharded(4)");
   cfg.ipc = tk::IpcMode::kHub;
   EXPECT_EQ(tk::backend_label(cfg), "sharded(4)+ipc-hub");
-  cfg.engine = tk::ExecutorConfig::ModelEngine::kInterpreted;
-  EXPECT_EQ(tk::backend_label(cfg), "sharded(4)+ipc-hub+interpreted");
   // to_string names come from the backend registry — one source.
   EXPECT_STREQ(tk::to_string(tk::IpcMode::kOff), "off");
   EXPECT_STREQ(tk::to_string(tk::IpcMode::kSocketpair), "socketpair");
