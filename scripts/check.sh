@@ -46,9 +46,10 @@
 #      property suite (random machines and the TV/printer/media-player
 #      spec models against the reference interpreter) plus arena
 #      growth/reuse under ASan, and the shared-program multi-thread test
-#      under TSan; the report() of bench_exec, bench_awareness and
-#      bench_scale under ASan; then bench_exec leaves BENCH_exec.json in
-#      the repo root (steps/sec/core + bytes/monitor per kernel)
+#      under TSan; the report() of bench_exec, bench_awareness,
+#      bench_scale, bench_printer, bench_mediaplayer and bench_detection
+#      under ASan; then bench_exec leaves BENCH_exec.json in the repo
+#      root (steps/sec/core + bytes/monitor per kernel)
 #  12. bench_scale scaling experiment, leaving BENCH_scale.json in the
 #      repo root (per-shard-count throughput + merged metrics snapshot)
 #  13. bench_ipc transport experiment, leaving BENCH_ipc.json in the
@@ -66,7 +67,8 @@
 # skipped for a quick tier-1-only run:
 #   scripts/check.sh --tier1-only
 # The fuzz stage's iteration budget is tunable: CHECK_FUZZ_ITERS=400
-# buys a deeper corpus sweep, the default 120 keeps CI fast.
+# buys a deeper corpus sweep. The default 200 is FuzzConfig{}'s and
+# fuzz_demo's own, the campaign tests/fuzz_findings.hpp replays.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -141,7 +143,7 @@ cmake --build build-asan -j "$JOBS" --target fuzz_test fuzz_demo
 # with CHECK_FUZZ_ITERS for a deeper sweep): the demo runs the same
 # campaign twice and exits nonzero unless the reruns are
 # byte-identical; it leaves the corpus + findings JSON in the repo root.
-./build-asan/examples/fuzz_demo 2026 "${CHECK_FUZZ_ITERS:-120}" > FUZZ_report.txt
+./build-asan/examples/fuzz_demo 2026 "${CHECK_FUZZ_ITERS:-200}" > FUZZ_report.txt
 grep -q 'byte-identical: yes' FUZZ_report.txt
 test -s FUZZ_corpus.json
 echo "fuzz headline:"
@@ -238,8 +240,10 @@ cmake --build build-tsan -j "$JOBS" --target exec_test
 # The report() of every bench that drives the model engine, under ASan
 # (the empty filter skips the microbenchmarks). They run inside
 # build-asan so their BENCH_*.json stay out of the repo root.
-cmake --build build-asan -j "$JOBS" --target bench_exec bench_awareness bench_scale
-for bench in bench_exec bench_awareness bench_scale; do
+cmake --build build-asan -j "$JOBS" --target bench_exec bench_awareness bench_scale \
+  bench_printer bench_mediaplayer bench_detection
+for bench in bench_exec bench_awareness bench_scale bench_printer bench_mediaplayer \
+  bench_detection; do
   (cd build-asan && "./bench/$bench" --benchmark_filter='^$' >/dev/null)
 done
 cmake --build build -j "$JOBS" --target bench_exec

@@ -43,8 +43,9 @@ class IControl {
 
 /// The executable specification model run by the Model Executor.
 ///
-/// Implementations adapt the interpreting or the compiled state machine
-/// executor (or any hand-written model) to the framework.
+/// ModelInstance (core/model_program.hpp) adapts one slot of the
+/// compiled ModelProgram's BatchExecutor; decorators such as
+/// ipc::LinkGatedModel wrap it.
 class IModelImpl {
  public:
   virtual ~IModelImpl() = default;

@@ -38,8 +38,7 @@ inline ModelProgramPtr compile_model(statemachine::StateMachineDef def) {
 /// IModelImpl facade over one slot of a shared BatchExecutor. Holds the
 /// batch alive (shared_ptr) and returns the slot to its free list on
 /// destruction, so monitor churn recycles arena rows instead of growing
-/// them. Honours the IEnableCompare "nocompare[:X]" convention like the
-/// other model impls.
+/// them. Honours the IEnableCompare "nocompare[:X]" convention.
 class ModelInstance : public IModelImpl {
  public:
   explicit ModelInstance(std::shared_ptr<statemachine::BatchExecutor> batch)

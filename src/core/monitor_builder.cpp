@@ -5,11 +5,6 @@
 
 namespace trader::core {
 
-MonitorBuilder& MonitorBuilder::model(std::unique_ptr<IModelImpl> model) {
-  model_ = std::move(model);
-  return *this;
-}
-
 MonitorBuilder& MonitorBuilder::model(statemachine::StateMachineDef def) {
   return with_program(compile_model(std::move(def)));
 }
@@ -131,14 +126,12 @@ std::unique_ptr<AwarenessMonitor> MonitorBuilder::build() {
 
 std::unique_ptr<AwarenessMonitor> MonitorBuilder::build(runtime::Scheduler& sched,
                                                         runtime::EventBus& bus) {
-  std::unique_ptr<IModelImpl> model = std::move(model_);
-  if (!model && program_) {
-    model = arena_ ? arena_->make_instance(program_) : std::make_unique<ModelInstance>(program_);
-  }
-  if (!model) {
+  if (!program_) {
     throw std::logic_error(
         "MonitorBuilder::build(): no model set; call model(...) or with_program(...) first");
   }
+  std::unique_ptr<IModelImpl> model =
+      arena_ ? arena_->make_instance(program_) : std::make_unique<ModelInstance>(program_);
   if (wrap_) model = wrap_(std::move(model));
   auto monitor = std::make_unique<AwarenessMonitor>(sched, bus, std::move(model), spec_);
   if (on_error_) monitor->set_recovery_handler(std::move(on_error_));

@@ -41,10 +41,8 @@ class MonitorBuilder {
   MonitorBuilder(runtime::Scheduler& sched, runtime::EventBus& bus)
       : sched_(&sched), bus_(&bus) {}
 
-  /// The executable specification model (one of model/with_program is
-  /// required).
-  MonitorBuilder& model(std::unique_ptr<IModelImpl> model);
-  /// with_program(compile_model(def)); throws CompileError on history.
+  /// The executable specification model: with_program(compile_model(def))
+  /// (one of model/with_program is required).
   MonitorBuilder& model(statemachine::StateMachineDef def);
 
   /// Share an already compiled program: N monitors built from the same
@@ -56,8 +54,7 @@ class MonitorBuilder {
   MonitorBuilder& arena(std::shared_ptr<ModelArena> arena);
   /// Fleet placement hook: adopts `arena` only when none was set.
   MonitorBuilder& default_arena(std::shared_ptr<ModelArena> arena);
-  /// Decorate the model right after construction (link gating etc.);
-  /// applies to both the model() and with_program() paths.
+  /// Decorate the model right after construction (link gating etc.).
   MonitorBuilder& wrap_model(
       std::function<std::unique_ptr<IModelImpl>(std::unique_ptr<IModelImpl>)> wrap);
 
@@ -100,7 +97,6 @@ class MonitorBuilder {
  private:
   runtime::Scheduler* sched_ = nullptr;
   runtime::EventBus* bus_ = nullptr;
-  std::unique_ptr<IModelImpl> model_;
   ModelProgramPtr program_;
   std::shared_ptr<ModelArena> arena_;
   std::function<std::unique_ptr<IModelImpl>(std::unique_ptr<IModelImpl>)> wrap_;

@@ -15,8 +15,8 @@
 //
 // Slots are recycled through a free list so monitor churn (recovery
 // restarts, SUO reconnects) does not grow the arena. Dispatch semantics
-// are those of the reference interpreter (machine.hpp) minus history
-// states; exec_test holds every slot to it step for step.
+// are those of the reference interpreter (machine.hpp); exec_test holds
+// every slot to it step for step.
 //
 // Thread-safety: a BatchExecutor is single-threaded (one per shard);
 // the ModelProgram it shares with other shards is immutable, so guards

@@ -49,15 +49,7 @@ std::vector<StateId> ModelChecker::reachable_states(const StateMachineDef& def) 
     }
     cur = s;
     while (!def.state(cur).children.empty()) {
-      StateId next = def.state(cur).initial_child;
-      // History entry can resurrect any child that was ever active; for
-      // an over-approximation treat history composites as able to enter
-      // any child. Conservative for reachability claims.
-      if (def.state(cur).history) {
-        for (StateId c : def.state(cur).children) {
-          if (seen.insert(c).second) work.push(c);
-        }
-      }
+      const StateId next = def.state(cur).initial_child;
       if (seen.insert(next).second) work.push(next);
       cur = next;
     }

@@ -37,11 +37,6 @@ void StateMachineDef::set_initial(StateId parent, StateId child) {
   states_[static_cast<std::size_t>(parent)].initial_child = child;
 }
 
-void StateMachineDef::set_history(StateId state, bool enabled) {
-  check_state(state);
-  states_[static_cast<std::size_t>(state)].history = enabled;
-}
-
 void StateMachineDef::on_entry(StateId state, Action a) {
   check_state(state);
   states_[static_cast<std::size_t>(state)].on_entry = std::move(a);

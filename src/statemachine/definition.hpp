@@ -15,7 +15,6 @@ struct StateDef {
   std::string name;
   StateId parent = kNoState;
   StateId initial_child = kNoState;  ///< kNoState for leaf states.
-  bool history = false;              ///< Shallow history on re-entry.
   Action on_entry;                   ///< May be empty.
   Action on_exit;                    ///< May be empty.
   std::vector<StateId> children;     ///< Filled by the builder.
@@ -50,9 +49,6 @@ class StateMachineDef {
 
   /// Override the initial child of a composite state.
   void set_initial(StateId parent, StateId child);
-
-  /// Enable shallow history on a composite state.
-  void set_history(StateId state, bool enabled = true);
 
   void on_entry(StateId state, Action a);
   void on_exit(StateId state, Action a);

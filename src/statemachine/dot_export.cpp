@@ -20,7 +20,7 @@ void emit_state(const StateMachineDef& def, StateId s, std::ostringstream& os, i
     return;
   }
   os << pad << "subgraph cluster_" << s << " {\n";
-  os << pad << "  label=\"" << st.name << (st.history ? " (H)" : "") << "\";\n";
+  os << pad << "  label=\"" << st.name << "\";\n";
   if (is_initial) os << pad << "  penwidth=2;\n";
   for (StateId c : st.children) emit_state(def, c, os, indent + 1);
   os << pad << "}\n";

@@ -14,7 +14,6 @@ void StateMachine::reset() {
   vars_.clear();
   active_.clear();
   entered_at_.clear();
-  history_.clear();
   outputs_.clear();
   livelock_ = false;
   fired_ = 0;
@@ -59,15 +58,10 @@ void StateMachine::enter_from(StateId boundary, StateId target, const SmEvent& e
     entered_at_[s] = now;
     run_action(def_.state(s).on_entry, ev, now);
   }
-  // Drill down to a leaf via history or initial children.
+  // Drill down to a leaf via initial children.
   StateId cur = target;
   while (!def_.state(cur).children.empty()) {
-    StateId next = kNoState;
-    if (def_.state(cur).history) {
-      auto it = history_.find(cur);
-      if (it != history_.end()) next = it->second;
-    }
-    if (next == kNoState) next = def_.state(cur).initial_child;
+    const StateId next = def_.state(cur).initial_child;
     active_.push_back(next);
     entered_at_[next] = now;
     run_action(def_.state(next).on_entry, ev, now);
@@ -79,8 +73,6 @@ void StateMachine::exit_to(StateId boundary, const SmEvent& ev, runtime::SimTime
   // Exit from the leaf upwards until (excluding) boundary.
   while (!active_.empty() && active_.back() != boundary) {
     const StateId s = active_.back();
-    const StateId parent = def_.state(s).parent;
-    if (parent != kNoState && def_.state(parent).history) history_[parent] = s;
     run_action(def_.state(s).on_exit, ev, now);
     entered_at_.erase(s);
     active_.pop_back();

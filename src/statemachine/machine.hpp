@@ -1,9 +1,9 @@
-// Reference interpreter for timed hierarchical state machines. Monitors
-// run the compiled ModelProgram (program.hpp) instead; this class stays
-// as the reference semantics for exec_test's equivalence oracle, the
-// §4.2 validation tools (TestScript, RandomWalkExplorer, MachineSet,
-// and history states, which the compiler rejects) and perfbench's
-// ledger replay.
+// Reference interpreter for timed hierarchical state machines. Nothing
+// else in src/ uses it: monitors and the §4.2 validation tools
+// (TestScript, RandomWalkExplorer) run the compiled ModelProgram
+// (program.hpp). It stays as the reference oracle that exec_test holds
+// the compiled program to, the baseline the benches compare against,
+// and perfbench's ledger replay.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,7 @@ namespace trader::statemachine {
 /// UML-style semantics: external events are dispatched to the innermost
 /// active state first; firing a transition exits up to the transition
 /// scope boundary, runs the action, and enters the target (drilling down
-/// through initial or history children). After every microstep,
+/// through initial children). After every microstep,
 /// completion transitions run until quiescence (bounded to catch
 /// modeling livelocks, which §4.2 reports are easy to introduce).
 class StateMachine {
@@ -60,7 +60,7 @@ class StateMachine {
   /// (modeling livelock); sticky until reset().
   bool livelock_detected() const { return livelock_; }
 
-  /// Reset to the never-started state (vars cleared, history cleared).
+  /// Reset to the never-started state (vars cleared).
   void reset();
 
   /// Total transitions fired (for overhead accounting, E11).
@@ -88,7 +88,6 @@ class StateMachine {
   Context vars_;
   std::vector<StateId> active_;  // root..leaf
   std::map<StateId, runtime::SimTime> entered_at_;
-  std::map<StateId, StateId> history_;  // composite -> last active child
   std::vector<ModelOutput> outputs_;
   bool livelock_ = false;
   std::uint64_t fired_ = 0;

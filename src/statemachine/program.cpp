@@ -19,13 +19,6 @@ std::shared_ptr<const ModelProgram> ModelProgram::compile(StateMachineDef def) {
   std::shared_ptr<ModelProgram> p(new ModelProgram(std::move(def)));
   const StateMachineDef& d = p->def_;
 
-  for (std::size_t i = 0; i < d.states().size(); ++i) {
-    if (d.states()[i].history) {
-      throw CompileError("ModelProgram: history state '" +
-                         d.path(static_cast<StateId>(i)) + "' is not supported");
-    }
-  }
-
   // Intern event names in sorted order (map iteration) so ids are a pure
   // function of the definition, not of transition declaration order.
   for (const auto& t : d.transitions()) {

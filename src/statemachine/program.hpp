@@ -15,28 +15,21 @@
 //                    Stored as dense structure-of-arrays (batch.hpp) so
 //                    thousands of instances step in one tight loop.
 //
-// Compilation rejects history states (they need dynamic resolution)
-// and otherwise preserves the reference interpreter's dispatch
-// semantics exactly: innermost source first, definition order among
-// peers, earliest-due-first timed firing, bounded completion chains.
+// Compilation accepts every definition and preserves the reference
+// interpreter's dispatch semantics exactly: innermost source first,
+// definition order among peers, earliest-due-first timed firing,
+// bounded completion chains.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "statemachine/definition.hpp"
 
 namespace trader::statemachine {
-
-/// Thrown when a definition uses features the compiler does not support.
-class CompileError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 class ModelProgram {
  public:
@@ -68,8 +61,7 @@ class ModelProgram {
     Span timed;
   };
 
-  /// Compile `def` (copied into the program). Throws CompileError on
-  /// history states.
+  /// Compile `def` (copied into the program).
   static std::shared_ptr<const ModelProgram> compile(StateMachineDef def);
 
   const StateMachineDef& def() const { return def_; }

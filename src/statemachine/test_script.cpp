@@ -2,13 +2,17 @@
 
 #include <sstream>
 
+#include "statemachine/batch.hpp"
+
 namespace trader::statemachine {
 
-ScriptResult TestScript::run(StateMachine& m, runtime::SimTime start_time) const {
+ScriptResult TestScript::run(const StateMachineDef& def, runtime::SimTime start_time) const {
   ScriptResult result;
+  BatchExecutor exec(ModelProgram::compile(def));
+  const auto m = exec.add_instance();
   runtime::SimTime now = start_time;
-  m.start(now);
-  std::vector<ModelOutput> pending = m.drain_outputs();
+  exec.start(m, now);
+  std::vector<ModelOutput> pending = exec.drain_outputs(m);
 
   auto fail = [&](std::size_t idx, const std::string& msg) {
     result.failures.push_back(ScriptFailure{idx, msg});
@@ -17,34 +21,31 @@ ScriptResult TestScript::run(StateMachine& m, runtime::SimTime start_time) const
   for (std::size_t i = 0; i < steps_.size(); ++i) {
     const auto& step = steps_[i];
     if (const auto* inj = std::get_if<Inject>(&step)) {
-      m.dispatch(inj->event, now);
-      for (auto& o : m.drain_outputs()) pending.push_back(std::move(o));
+      exec.dispatch(m, inj->event, now);
+      for (auto& o : exec.drain_outputs(m)) pending.push_back(std::move(o));
     } else if (const auto* adv = std::get_if<Advance>(&step)) {
       now += adv->by;
-      m.advance_time(now);
-      for (auto& o : m.drain_outputs()) pending.push_back(std::move(o));
+      exec.advance_time(m, now);
+      for (auto& o : exec.drain_outputs(m)) pending.push_back(std::move(o));
     } else if (const auto* es = std::get_if<ExpectState>(&step)) {
-      if (!m.in(es->state)) {
-        fail(i, "expected state '" + es->state + "' active, leaf is '" + m.active_leaf() + "'");
+      if (!exec.in(m, es->state)) {
+        fail(i, "expected state '" + es->state + "' active, leaf is '" + exec.active_leaf(m) +
+                    "'");
       }
     } else if (const auto* ens = std::get_if<ExpectNotState>(&step)) {
-      if (m.in(ens->state)) {
-        fail(i, "expected state '" + ens->state + "' inactive, leaf is '" + m.active_leaf() + "'");
+      if (exec.in(m, ens->state)) {
+        fail(i, "expected state '" + ens->state + "' inactive, leaf is '" +
+                    exec.active_leaf(m) + "'");
       }
     } else if (const auto* ev = std::get_if<ExpectVar>(&step)) {
-      if (!m.vars().has(ev->key)) {
+      const auto& vars = exec.vars(m).all();
+      const auto it = vars.find(ev->key);
+      if (it == vars.end()) {
         fail(i, "variable '" + ev->key + "' not set");
-      } else {
-        // Compare via the runtime deviation metric to handle int/double.
-        runtime::Value actual(std::int64_t{0});
-        // Re-read with correct type preference.
-        const auto& all = m.vars().all();
-        actual = all.at(ev->key);
-        const double dev = runtime::deviation(actual, ev->value);
-        if (dev > ev->tolerance) {
-          fail(i, "variable '" + ev->key + "' = " + runtime::to_string(actual) + ", expected " +
-                      runtime::to_string(ev->value));
-        }
+      } else if (runtime::deviation(it->second, ev->value) > ev->tolerance) {
+        // The deviation metric compares int and double values alike.
+        fail(i, "variable '" + ev->key + "' = " + runtime::to_string(it->second) +
+                    ", expected " + runtime::to_string(ev->value));
       }
     } else if (const auto* eo = std::get_if<ExpectOutput>(&step)) {
       bool found = false;

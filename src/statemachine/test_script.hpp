@@ -2,15 +2,16 @@
 //
 // §4.2 mentions "test scripts to improve model quality". A TestScript is
 // a linear scenario — inject events, let virtual time pass, assert on
-// states / variables / emitted outputs — run against the reference
-// interpreter. Model validation suites in tests/ are built from these.
+// states / variables / emitted outputs — run against the compiled
+// ModelProgram, the engine every monitor runs. Model validation suites
+// in tests/ are built from these.
 #pragma once
 
 #include <string>
 #include <variant>
 #include <vector>
 
-#include "statemachine/machine.hpp"
+#include "statemachine/definition.hpp"
 
 namespace trader::statemachine {
 
@@ -89,8 +90,9 @@ class TestScript {
   const std::string& name() const { return name_; }
   const std::vector<ScriptStep>& steps() const { return steps_; }
 
-  /// Run against the interpreter (machine is started fresh).
-  ScriptResult run(StateMachine& m, runtime::SimTime start_time = 0) const;
+  /// Compile `def` and run the script on a fresh instance started at
+  /// `start_time`.
+  ScriptResult run(const StateMachineDef& def, runtime::SimTime start_time = 0) const;
 
  private:
   std::string name_;

@@ -4,7 +4,7 @@
 // machines (Stateflow) and runs generated C code inside the Model
 // Executor (§4.2/§4.3). This module is the from-scratch substitute: the
 // same semantic ingredients — hierarchy, guards, actions, timed
-// ("after") transitions, history, run-to-completion — with a builder API
+// ("after") transitions, run-to-completion — with a builder API
 // instead of a graphical editor.
 #pragma once
 

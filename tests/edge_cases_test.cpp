@@ -110,25 +110,6 @@ TEST(EdgeMachine, TransitionFromCompositeExitsAllDescendants) {
   EXPECT_TRUE(m.in("Other"));
 }
 
-TEST(EdgeMachine, HistoryClearedByReset) {
-  sm::StateMachineDef def("m");
-  const auto on = def.add_state("On");
-  def.add_state("A", on);
-  const auto b = def.add_state("B", on);
-  const auto off = def.add_state("Off");
-  def.set_history(on, true);
-  def.add_transition(def.find_state("A"), b, "next");
-  def.add_transition(on, off, "off");
-  def.add_transition(off, on, "on");
-  sm::StateMachine m(def);
-  m.start(0);
-  m.dispatch(sm::SmEvent::named("next"), 1);
-  m.dispatch(sm::SmEvent::named("off"), 2);
-  m.reset();
-  m.start(3);
-  EXPECT_TRUE(m.in("A"));  // history gone after reset
-}
-
 // --------------------------------------------------------------- TV corners
 
 TEST(EdgeTv, VolumeAtRailsStillConsistent) {

@@ -40,7 +40,7 @@ namespace {
 //
 // Same family as statemachine_test's equivalence suite: 2-4 top states
 // with 0-3 children, random guarded/counting transitions over a 4-event
-// alphabet, a few timed transitions. No history (compile rejects it).
+// alphabet, a few timed transitions.
 
 struct RandomMachine {
   std::unique_ptr<sm::StateMachineDef> def;

@@ -11,6 +11,7 @@
 #include "runtime/event_bus.hpp"
 #include "runtime/scheduler.hpp"
 #include "statemachine/checker.hpp"
+#include "statemachine/machine.hpp"
 #include "statemachine/test_script.hpp"
 
 namespace mp = trader::mediaplayer;
@@ -153,7 +154,6 @@ TEST(PlayerSpec, PassesStaticChecks) {
 
 TEST(PlayerSpec, TransportScript) {
   auto def = mp::build_player_spec_model();
-  sm::StateMachine m(def);
   sm::TestScript script("transport");
   script.expect_state("Stopped")
       .inject("play")
@@ -164,7 +164,7 @@ TEST(PlayerSpec, TransportScript) {
       .expect_state("Playing")
       .inject("stop")
       .expect_state("Stopped");
-  EXPECT_TRUE(script.run(m).passed());
+  EXPECT_TRUE(script.run(def).passed());
 }
 
 TEST(PlayerSpec, SeekSuppressesComparisonThenResumes) {

@@ -144,7 +144,6 @@ TEST(PrinterSpec, PassesStaticChecks) {
 
 TEST(PrinterSpec, JobLifecycleScript) {
   auto def = pr::build_printer_spec_model();
-  sm::StateMachine m(def);
   sm::TestScript script("lifecycle");
   script.expect_state("Idle")
       .inject("submit")
@@ -155,12 +154,11 @@ TEST(PrinterSpec, JobLifecycleScript) {
       .expect_state("Printing")
       .inject("job_done")
       .expect_state("Idle");
-  EXPECT_TRUE(script.run(m).passed());
+  EXPECT_TRUE(script.run(def).passed());
 }
 
 TEST(PrinterSpec, QueuedJobContinuesPrinting) {
   auto def = pr::build_printer_spec_model();
-  sm::StateMachine m(def);
   sm::TestScript script("queue");
   script.inject("submit")
       .inject("submit")  // second job queued
@@ -169,12 +167,11 @@ TEST(PrinterSpec, QueuedJobContinuesPrinting) {
       .expect_state("Printing")
       .inject("job_done")
       .expect_state("Idle");
-  EXPECT_TRUE(script.run(m).passed());
+  EXPECT_TRUE(script.run(def).passed());
 }
 
 TEST(PrinterSpec, ErrorPathsScript) {
   auto def = pr::build_printer_spec_model();
-  sm::StateMachine m(def);
   sm::TestScript script("errors");
   script.inject("submit")
       .inject("engine_ready")
@@ -186,7 +183,7 @@ TEST(PrinterSpec, ErrorPathsScript) {
       .inject("engine_ready")
       .inject("paper_out")
       .expect_state("Error");
-  EXPECT_TRUE(script.run(m).passed());
+  EXPECT_TRUE(script.run(def).passed());
 }
 
 // --------------------------------------------------------- awareness monitor

@@ -168,17 +168,6 @@ TEST(Builder, ModelDefLandsInTheShardArena) {
   EXPECT_EQ(fleet.shard(0).arena().live_instances(), 2u);
 }
 
-// History states are the one feature the compiler rejects; model(def)
-// says so up front instead of falling back to another engine.
-TEST(Builder, ModelDefWithHistoryThrowsCompileError) {
-  sm::StateMachineDef def("h");
-  const auto on = def.add_state("On");
-  def.add_state("A", on);
-  def.set_history(on, true);
-  core::MonitorBuilder builder;
-  EXPECT_THROW(builder.model(std::move(def)), sm::CompileError);
-}
-
 TEST(Builder, FirstOutputTopicReplacesDefault) {
   core::MonitorBuilder builder;
   ASSERT_EQ(builder.output_topics().size(), 1u);

@@ -190,7 +190,6 @@ TEST(AvSource, LostSelectCommandDetectedByAwarenessMonitor) {
 
 TEST(AvSource, SpecModelScripts) {
   auto def = tv::build_tv_spec_model();
-  sm::StateMachine m(def);
   sm::TestScript script("source");
   script.inject("power")
       .inject("source")
@@ -208,7 +207,7 @@ TEST(AvSource, SpecModelScripts) {
       .inject("source")              // dismisses teletext
       .expect_state("On.Video")
       .expect_var("source", std::string("hdmi"));
-  const auto result = script.run(m);
+  const auto result = script.run(def);
   for (const auto& fail : result.failures) {
     ADD_FAILURE() << "step " << fail.step_index << ": " << fail.message;
   }

@@ -63,7 +63,6 @@ TEST(TvSpecModel, CompilesToFlatTables) {
 
 TEST(TvSpecModel, PowerCycleScript) {
   auto def = tv::build_tv_spec_model();
-  sm::StateMachine m(def);
   sm::TestScript script("power");
   script.expect_state("Off")
       .expect_output("powered")
@@ -71,14 +70,13 @@ TEST(TvSpecModel, PowerCycleScript) {
       .expect_state("On.Video")
       .inject("power")
       .expect_state("Off");
-  const auto result = script.run(m);
+  const auto result = script.run(def);
   for (const auto& f : result.failures) ADD_FAILURE() << "step " << f.step_index << ": " << f.message;
   EXPECT_TRUE(result.passed());
 }
 
 TEST(TvSpecModel, VolumeAndMuteScript) {
   auto def = tv::build_tv_spec_model();
-  sm::StateMachine m(def);
   sm::TestScript script("volume");
   script.inject("power")
       .inject("volume_up")
@@ -88,12 +86,11 @@ TEST(TvSpecModel, VolumeAndMuteScript) {
       .inject("volume_up")  // unmutes
       .expect_var("muted", false)
       .expect_var("volume", std::int64_t{40});
-  EXPECT_TRUE(script.run(m).passed());
+  EXPECT_TRUE(script.run(def).passed());
 }
 
 TEST(TvSpecModel, ScreenInteractionScript) {
   auto def = tv::build_tv_spec_model();
-  sm::StateMachine m(def);
   sm::TestScript script("screens");
   script.inject("power")
       .inject("teletext")
@@ -110,28 +107,26 @@ TEST(TvSpecModel, ScreenInteractionScript) {
       .expect_state("On.Menu")
       .inject("menu")
       .expect_state("On.Video");
-  EXPECT_TRUE(script.run(m).passed());
+  EXPECT_TRUE(script.run(def).passed());
 }
 
 TEST(TvSpecModel, DigitEntryCommitsTwoDigits) {
   auto def = tv::build_tv_spec_model();
-  sm::StateMachine m(def);
   sm::TestScript script("digits");
   script.inject("power").inject("digit_1").inject("digit_7").expect_var("channel",
                                                                         std::int64_t{17});
-  EXPECT_TRUE(script.run(m).passed());
+  EXPECT_TRUE(script.run(def).passed());
 }
 
 TEST(TvSpecModel, SingleDigitCommitsAfterTimeout) {
   auto def = tv::build_tv_spec_model();
-  sm::StateMachine m(def);
   sm::TestScript script("digit-timeout");
   script.inject("power")
       .inject("digit_5")
       .expect_var("channel", std::int64_t{1})
       .advance(rt::msec(1500))
       .expect_var("channel", std::int64_t{5});
-  EXPECT_TRUE(script.run(m).passed());
+  EXPECT_TRUE(script.run(def).passed());
 }
 
 TEST(TvSpecModel, DigitTimeoutRestartsPerDigit) {
@@ -149,7 +144,6 @@ TEST(TvSpecModel, DigitTimeoutRestartsPerDigit) {
 
 TEST(TvSpecModel, ChildLockBlocksAdultTargets) {
   auto def = tv::build_tv_spec_model();
-  sm::StateMachine m(def);
   sm::TestScript script("lock");
   script.inject("power")
       .inject("child_lock")
@@ -159,19 +153,18 @@ TEST(TvSpecModel, ChildLockBlocksAdultTargets) {
       .inject("digit_1")
       .inject("digit_2")
       .expect_var("channel", std::int64_t{12});
-  EXPECT_TRUE(script.run(m).passed());
+  EXPECT_TRUE(script.run(def).passed());
 }
 
 TEST(TvSpecModel, TeletextSwallowsDigits) {
   auto def = tv::build_tv_spec_model();
-  sm::StateMachine m(def);
   sm::TestScript script("ttx-digits");
   script.inject("power")
       .inject("teletext")
       .inject("digit_2")
       .inject("digit_3")
       .expect_var("channel", std::int64_t{1});  // pages, not channels
-  EXPECT_TRUE(script.run(m).passed());
+  EXPECT_TRUE(script.run(def).passed());
 }
 
 TEST(TvSpecModel, ZapWrapsAtLineupEdges) {

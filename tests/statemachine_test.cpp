@@ -280,26 +280,6 @@ TEST(Machine, CompletionLivelockIsDetectedNotInfinite) {
   EXPECT_TRUE(m.livelock_detected());
 }
 
-TEST(Machine, HistoryRestoresLastChild) {
-  sm::StateMachineDef def("m");
-  const auto on = def.add_state("On");
-  def.add_state("A", on);
-  const auto bb = def.add_state("B", on);
-  const auto off = def.add_state("Off");
-  def.set_history(on, true);
-  def.add_transition(def.find_state("A"), bb, "next");
-  def.add_transition(on, off, "off");
-  def.add_transition(off, on, "on");
-  sm::StateMachine m(def);
-  m.start(0);
-  EXPECT_TRUE(m.in("A"));
-  m.dispatch(sm::SmEvent::named("next"), 1);
-  EXPECT_TRUE(m.in("B"));
-  m.dispatch(sm::SmEvent::named("off"), 2);
-  m.dispatch(sm::SmEvent::named("on"), 3);
-  EXPECT_TRUE(m.in("B"));  // history, not initial child A
-}
-
 TEST(Machine, WithoutHistoryReentersInitial) {
   sm::StateMachineDef def("m");
   const auto on = def.add_state("On");
@@ -480,14 +460,6 @@ TEST(Context, TypedAccessorsAndDefaults) {
 
 // ------------------------------------------------------------------ Compiled
 
-TEST(Compiled, RejectsHistory) {
-  sm::StateMachineDef def("m");
-  const auto on = def.add_state("On");
-  def.add_state("A", on);
-  def.set_history(on, true);
-  EXPECT_THROW(sm::ModelProgram::compile(def), sm::CompileError);
-}
-
 TEST(Compiled, LeafCountMatchesDefinition) {
   sm::StateMachineDef def("m");
   const auto on = def.add_state("On");
@@ -506,9 +478,9 @@ TEST(Compiled, BasicDispatchMatchesInterpreter) {
   EXPECT_TRUE(batch.in(id, "Green"));
 }
 
-// Equivalence property: random hierarchical machines (no history) driven
-// by random event sequences behave identically under the interpreter and
-// a one-slot batch of the compiled program.
+// Equivalence property: random hierarchical machines driven by random
+// event sequences behave identically under the interpreter and a
+// one-slot batch of the compiled program.
 namespace {
 
 struct RandomMachine {
@@ -714,19 +686,17 @@ TEST(Checker, IssueKindNames) {
 
 TEST(TestScript, PassingScenario) {
   auto def = simple_machine();
-  sm::StateMachine m(def);
   sm::TestScript script("basic");
   script.inject("go").expect_state("Green").inject("stop").expect_state("Red");
-  const auto result = script.run(m);
+  const auto result = script.run(def);
   EXPECT_TRUE(result.passed());
 }
 
 TEST(TestScript, FailureIsReportedWithStepIndex) {
   auto def = simple_machine();
-  sm::StateMachine m(def);
   sm::TestScript script("wrong");
   script.inject("go").expect_state("Red");
-  const auto result = script.run(m);
+  const auto result = script.run(def);
   ASSERT_EQ(result.failures.size(), 1u);
   EXPECT_EQ(result.failures[0].step_index, 1u);
 }
@@ -736,10 +706,9 @@ TEST(TestScript, AdvanceDrivesTimedTransitions) {
   const auto a = def.add_state("A");
   const auto b = def.add_state("B");
   def.add_timed(a, b, 1000);
-  sm::StateMachine m(def);
   sm::TestScript script("timed");
   script.advance(999).expect_state("A").advance(1).expect_state("B");
-  EXPECT_TRUE(script.run(m).passed());
+  EXPECT_TRUE(script.run(def).passed());
 }
 
 TEST(TestScript, ExpectVarAndOutput) {
@@ -749,24 +718,21 @@ TEST(TestScript, ExpectVarAndOutput) {
     env.vars.set_int("x", 5);
     env.emit("ping", {});
   });
-  sm::StateMachine m(def);
   sm::TestScript script("vars");
   script.inject("e").expect_var("x", std::int64_t{5}).expect_output("ping");
-  EXPECT_TRUE(script.run(m).passed());
+  EXPECT_TRUE(script.run(def).passed());
 }
 
 TEST(TestScript, ExpectNotState) {
   auto def = simple_machine();
-  sm::StateMachine m(def);
   sm::TestScript script("not");
   script.expect_not_state("Green").inject("go").expect_not_state("Red");
-  EXPECT_TRUE(script.run(m).passed());
+  EXPECT_TRUE(script.run(def).passed());
 }
 
 TEST(TestScript, MissingVarFails) {
   auto def = simple_machine();
-  sm::StateMachine m(def);
   sm::TestScript script("missing");
   script.expect_var("nope", std::int64_t{1});
-  EXPECT_FALSE(script.run(m).passed());
+  EXPECT_FALSE(script.run(def).passed());
 }
