@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/monitor_builder.hpp"
+#include "hub/agent.hpp"
 #include "hub/event_loop.hpp"
 #include "hub/hub.hpp"
 #include "ipc/transport.hpp"
@@ -95,21 +96,12 @@ SweepRun run_sweep(std::size_t connections, std::uint64_t total_frames) {
   if (!awareness_hub.start()) return {};
 
   // Connect + handshake every client against the live loop.
-  std::vector<ipc::FramedSocket> clients;
-  clients.reserve(connections);
+  std::vector<hub::SuoLink> clients(connections);
   for (std::size_t k = 0; k < connections; ++k) {
-    const int fd = ipc::connect_unix_retry(awareness_hub.path(), 2000);
-    if (fd < 0) return {};
-    ipc::FramedSocket sock(fd);
-    ipc::Frame hello;
-    hello.type = ipc::FrameType::kHello;
-    hello.detail = slot_name(k);
-    sock.send(hello);
-    ipc::Frame ack;
-    while (sock.recv(ack, 0) != ipc::FramedSocket::RecvStatus::kFrame) {
-      awareness_hub.poll(0);
+    if (clients[k].claim(awareness_hub.path(), slot_name(k), &awareness_hub) !=
+        ipc::FrameType::kHelloAck) {
+      return {};
     }
-    clients.push_back(std::move(sock));
   }
 
   // Writer thread floods frames round-robin across every connection,
@@ -124,7 +116,7 @@ SweepRun run_sweep(std::size_t connections, std::uint64_t total_frames) {
       const std::size_t k = static_cast<std::size_t>(i % connections);
       frames[k].seq = static_cast<std::uint32_t>(i);
       frames[k].event.fields["t0"] = hub::EventLoop::now_ns();
-      if (!clients[k].send(frames[k])) break;
+      if (!clients[k].socket().send(frames[k])) break;
     }
   });
 
@@ -150,7 +142,7 @@ SweepRun run_sweep(std::size_t connections, std::uint64_t total_frames) {
   const rt::MetricsSnapshot snap = awareness_hub.metrics();
   const auto batch = snap.histograms.find("hub.batch_frames");
   if (batch != snap.histograms.end()) run.mean_batch = batch->second.mean();
-  for (auto& c : clients) c.close();
+  for (auto& c : clients) c.socket().close();
   while (awareness_hub.connection_count() > 0) awareness_hub.poll(10);
   awareness_hub.stop();
   return run;
@@ -217,14 +209,12 @@ void BM_HubIngestOneFrame(benchmark::State& state) {
   hub::AwarenessHub awareness_hub(config);
   awareness_hub.add_slot("c0");
   awareness_hub.start();
-  const int fd = ipc::connect_unix_retry(awareness_hub.path(), 2000);
-  ipc::FramedSocket sock(fd);
-  ipc::Frame hello;
-  hello.type = ipc::FrameType::kHello;
-  hello.detail = "c0";
-  sock.send(hello);
-  ipc::Frame ack;
-  while (sock.recv(ack, 0) != ipc::FramedSocket::RecvStatus::kFrame) awareness_hub.poll(0);
+  hub::SuoLink link;
+  if (link.claim(awareness_hub.path(), "c0", &awareness_hub) != ipc::FrameType::kHelloAck) {
+    state.SkipWithError("slot claim failed");
+    return;
+  }
+  ipc::FramedSocket& sock = link.socket();
 
   const ipc::Frame f = sample_frame(0);
   std::uint64_t sent = 0;

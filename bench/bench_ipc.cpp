@@ -28,11 +28,9 @@
 #include "ipc/wire.hpp"
 #include "runtime/event_bus.hpp"
 #include "runtime/scheduler.hpp"
-#include "testkit/campaign.hpp"
 
 namespace rt = trader::runtime;
 namespace ipc = trader::ipc;
-namespace tk = trader::testkit;
 using trader::bench::Table;
 using trader::bench::banner;
 using trader::bench::fmt;
@@ -57,12 +55,15 @@ ipc::Frame sample_output_frame() {
   return f;
 }
 
+/// The two kernel streams FramedSocket runs over; the names label the
+/// BENCH_ipc.json rows.
+enum class Transport : std::uint8_t { kSocketpair, kUnix };
+
+const char* to_string(Transport t) { return t == Transport::kSocketpair ? "socketpair" : "unix"; }
+
 /// Make one connected FramedSocket pair on the requested transport.
-/// Transports are named by the campaign backend registry
-/// (testkit::to_string), so BENCH_ipc.json rows and campaign reports
-/// can never label the same wire differently.
-std::pair<ipc::FramedSocket, ipc::FramedSocket> make_pair_on(tk::IpcMode transport) {
-  if (transport == tk::IpcMode::kSocketpair) return ipc::socketpair_transport();
+std::pair<ipc::FramedSocket, ipc::FramedSocket> make_pair_on(Transport transport) {
+  if (transport == Transport::kSocketpair) return ipc::socketpair_transport();
   const std::string path = "@trader-bench-ipc-" + std::to_string(::getpid());
   const int listener = ipc::listen_unix(path);
   const int client = ipc::connect_unix_retry(path, 2000);
@@ -77,7 +78,7 @@ struct ThroughputRun {
 };
 
 /// One writer thread floods frames; the main thread drains and counts.
-ThroughputRun run_throughput(tk::IpcMode transport, int frames) {
+ThroughputRun run_throughput(Transport transport, int frames) {
   auto [rx, tx] = make_pair_on(transport);
   const auto encoded_size = ipc::encode_frame(sample_output_frame()).size();
 
@@ -111,7 +112,7 @@ struct RttRun {
 
 /// Heartbeat round-trips against a live SuoServer on a worker thread —
 /// the exact exchange that paces lockstep virtual-time advancement.
-RttRun run_rtt(tk::IpcMode transport, int rounds) {
+RttRun run_rtt(Transport transport, int rounds) {
   auto [server_sock, client_sock] = make_pair_on(transport);
   ipc::SuoServer server;
   std::thread host([&server, s = std::move(server_sock)]() mutable { server.serve(s); });
@@ -154,7 +155,7 @@ void report() {
 
   const int frames = 200000;
   const int rounds = 2000;
-  const std::vector<tk::IpcMode> transports{tk::IpcMode::kSocketpair, tk::IpcMode::kUnix};
+  const std::vector<Transport> transports{Transport::kSocketpair, Transport::kUnix};
 
   std::vector<ThroughputRun> tputs;
   std::vector<RttRun> rtts;
@@ -165,7 +166,7 @@ void report() {
 
   Table t({"transport", "frames/sec", "MB/sec", "rtt p50 us", "rtt p99 us", "rtt mean us"});
   for (std::size_t i = 0; i < transports.size(); ++i) {
-    t.row({tk::to_string(transports[i]), fmt(tputs[i].frames_per_sec, 0),
+    t.row({to_string(transports[i]), fmt(tputs[i].frames_per_sec, 0),
            fmt(tputs[i].mb_per_sec, 1),
            fmt(rtts[i].p50_us, 1), fmt(rtts[i].p99_us, 1), fmt(rtts[i].mean_us, 1)});
   }
@@ -179,7 +180,7 @@ void report() {
   json << "  \"frames\": " << frames << ",\n  \"rtt_rounds\": " << rounds << ",\n";
   json << "  \"transports\": [\n";
   for (std::size_t i = 0; i < transports.size(); ++i) {
-    json << "    {\"transport\": \"" << tk::to_string(transports[i]) << "\""
+    json << "    {\"transport\": \"" << to_string(transports[i]) << "\""
          << ", \"frames_per_sec\": " << fmt(tputs[i].frames_per_sec, 0)
          << ", \"mb_per_sec\": " << fmt(tputs[i].mb_per_sec, 2)
          << ", \"rtt_p50_us\": " << fmt(rtts[i].p50_us, 2)

@@ -14,14 +14,16 @@
 #      iteration budget) that must replay byte-identically and leaves
 #      FUZZ_corpus.json (corpus + coverage map + minimized findings) in
 #      the repo root
-#   6. ipc: the wire codec property tests plus the cross-transport
-#      campaign (in-process vs socketpair vs AF_UNIX, verdict for
-#      verdict) under ASan, including the SIGKILL/reconnect supervision
-#      test — the whole out-of-process SUO path with leak checking on
+#   6. ipc: the wire codec property tests (round-trip, truncation,
+#      bit-flip) and the SIGKILL/reconnect supervision of a real
+#      suo_host child under ASan — the lockstep out-of-process SUO path
+#      with leak checking on
 #   7. hub: the epoll event loop (timer catch-up, backpressure, accept
-#      storm, crash-loop backoff) under ASan, plus the multi-SUO
-#      campaign through the hub under TSan (the loop thread vs fleet
-#      shard threads share the scored path)
+#      storm, crash-loop backoff), the SUO end of a link (slot claim,
+#      idempotent recover ack) and the campaign's one wire — the
+#      in-process vs hub differential and the kill-restart scenario —
+#      under ASan, plus the hub campaign under TSan (the loop thread vs
+#      fleet shard threads share the scored path)
 #   8. fleetdiag: fleet-level online diagnosis under ASan (reporter
 #      chunking, online-vs-offline ranking equivalence over real
 #      sockets, slot lifecycle, fuzz-findings replay) and TSan
@@ -47,9 +49,10 @@
 #      spec models against the reference interpreter) plus arena
 #      growth/reuse under ASan, and the shared-program multi-thread test
 #      under TSan; the report() of bench_exec, bench_awareness,
-#      bench_scale, bench_printer, bench_mediaplayer and bench_detection
-#      under ASan; then bench_exec leaves BENCH_exec.json in the repo
-#      root (steps/sec/core + bytes/monitor per kernel)
+#      bench_scale, bench_printer, bench_mediaplayer, bench_detection,
+#      bench_ipc, bench_hub and bench_diag_hub under ASan; then
+#      bench_exec leaves BENCH_exec.json in the repo root
+#      (steps/sec/core + bytes/monitor per kernel)
 #  12. bench_scale scaling experiment, leaving BENCH_scale.json in the
 #      repo root (per-shard-count throughput + merged metrics snapshot)
 #  13. bench_ipc transport experiment, leaving BENCH_ipc.json in the
@@ -149,19 +152,18 @@ test -s FUZZ_corpus.json
 echo "fuzz headline:"
 grep -E 'corpus:|detection floor' FUZZ_report.txt
 
-stage "ipc: codec properties + cross-transport campaign under ASan"
+stage "ipc: codec properties + kill -9 supervision under ASan"
 cmake --build build-asan -j "$JOBS" --target ipc_test
-# Wire-level fuzzing (round-trip, truncation, bit-flip) and the
-# 20-scenario campaign that must match the in-process backend verdict
-# for verdict over a real AF_UNIX socket, plus kill -9 supervision.
-./build-asan/tests/ipc_test \
-  --gtest_filter='IpcWire.*:IpcCampaign.*:IpcSupervision.*'
+# Wire-level fuzzing (round-trip, truncation, bit-flip) plus kill -9
+# supervision. The campaign's wire differential runs in the hub stage.
+./build-asan/tests/ipc_test --gtest_filter='IpcWire.*:IpcSupervision.*'
 
 stage "hub: epoll loop + multi-SUO campaign under ASan and TSan"
 cmake --build build-asan -j "$JOBS" --target hub_test
 # The whole suite under ASan: event-loop timer semantics (fixed-rate
 # catch-up), backpressure eviction, accept storm, crash-loop backoff,
-# liveness accounting and the 8-SUO differential campaign.
+# liveness accounting, the SUO link's recover-ack cache and the 8-SUO
+# differential campaign.
 ./build-asan/tests/hub_test
 # Under TSan the loop thread coexists with fleet shard threads and the
 # publisher test thread — the scored hub campaign must stay race-free.
@@ -237,13 +239,15 @@ cmake --build build-asan -j "$JOBS" --target exec_test
 cmake --build build-tsan -j "$JOBS" --target exec_test
 ./build-tsan/tests/exec_test \
   --gtest_filter='BatchExecutor.SharedProgramAcrossThreadsIsRaceFree'
-# The report() of every bench that drives the model engine, under ASan
-# (the empty filter skips the microbenchmarks). They run inside
-# build-asan so their BENCH_*.json stay out of the repo root.
+# The report() of every bench that drives the model engine or the wire,
+# under ASan (the empty filter skips the microbenchmarks). They run
+# inside build-asan so their BENCH_*.json stay out of the repo root.
+# bench_recovery_hub stays out while it can hang on the hub's recovery
+# deadlock (ROADMAP).
 cmake --build build-asan -j "$JOBS" --target bench_exec bench_awareness bench_scale \
-  bench_printer bench_mediaplayer bench_detection
+  bench_printer bench_mediaplayer bench_detection bench_ipc bench_hub bench_diag_hub
 for bench in bench_exec bench_awareness bench_scale bench_printer bench_mediaplayer \
-  bench_detection; do
+  bench_detection bench_ipc bench_hub bench_diag_hub; do
   (cd build-asan && "./bench/$bench" --benchmark_filter='^$' >/dev/null)
 done
 cmake --build build -j "$JOBS" --target bench_exec

@@ -8,7 +8,7 @@
 
 #include "faults/injector.hpp"
 #include "fleetdiag/reporter.hpp"
-#include "ipc/transport.hpp"
+#include "hub/hub.hpp"
 #include "ipc/wire.hpp"
 #include "recovery/escalation.hpp"
 #include "runtime/event_bus.hpp"
@@ -29,31 +29,69 @@ constexpr tv::Key kViewerKeys[] = {
 
 }  // namespace
 
-int run_hub_publisher(const PublisherConfig& config, PublisherStats* out) {
-  PublisherStats stats;
-  const int fd = ipc::connect_unix_retry(config.hub_path, config.connect_timeout_ms);
-  if (fd < 0) {
-    if (out != nullptr) *out = stats;
-    return 1;
-  }
-  ipc::FramedSocket sock(fd);
-
-  // Claim our slot.
+ipc::FrameType SuoLink::claim(const std::string& path, const std::string& slot,
+                              AwarenessHub* pump, int timeout_ms, std::uint8_t max_version) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  const auto remaining_ms = [&deadline] {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               deadline - std::chrono::steady_clock::now())
+        .count();
+  };
+  version_ = 0;
+  sock_ = ipc::FramedSocket(ipc::connect_unix_retry(path, timeout_ms));
   ipc::Frame hello;
   hello.type = ipc::FrameType::kHello;
-  hello.detail = config.name;
-  if (!sock.send(hello)) {
-    if (out != nullptr) *out = stats;
-    return 1;
+  hello.detail = slot;
+  hello.max_version = max_version;
+  if (!sock_.valid() || !sock_.send(hello)) return ipc::FrameType::kShutdown;
+  for (;;) {
+    // A pumped hub runs on this thread, so the read must not block it.
+    const int wait_ms =
+        pump != nullptr ? 0 : static_cast<int>(std::max<std::int64_t>(remaining_ms(), 0));
+    ipc::Frame reply;
+    const auto st = sock_.recv(reply, wait_ms);
+    if (st == ipc::FramedSocket::RecvStatus::kFrame) {
+      if (reply.type == ipc::FrameType::kHelloAck) version_ = reply.version;
+      return reply.type;
+    }
+    if (st != ipc::FramedSocket::RecvStatus::kTimeout || remaining_ms() <= 0) {
+      return ipc::FrameType::kShutdown;
+    }
+    if (pump != nullptr && pump->poll(10) < 0) return ipc::FrameType::kShutdown;
   }
-  ipc::Frame reply;
-  if (sock.recv(reply, config.connect_timeout_ms) != ipc::FramedSocket::RecvStatus::kFrame ||
-      reply.type != ipc::FrameType::kHelloAck) {
+}
+
+ipc::Frame SuoLink::recover_ack(const ipc::Frame& cmd, runtime::SimTime time,
+                                const std::function<RecoverOutcome()>& act) {
+  ipc::Frame ack;
+  ack.type = ipc::FrameType::kRecoverAck;
+  ack.seq = next_seq();
+  ack.time = time;
+  ack.action = cmd.action;
+  ack.token = cmd.token;
+  ack.unit = cmd.unit;
+  if (cmd.token != 0 && cmd.token == last_token_) {
+    ++duplicates_;
+  } else {
+    last_token_ = cmd.token;
+    last_outcome_ = act();
+  }
+  ack.ok = last_outcome_.ok;
+  ack.detail = last_outcome_.detail;
+  return ack;
+}
+
+int run_hub_publisher(const PublisherConfig& config, PublisherStats* out) {
+  PublisherStats stats;
+  SuoLink link;
+  if (link.claim(config.hub_path, config.name, nullptr, config.connect_timeout_ms) !=
+      ipc::FrameType::kHelloAck) {
     stats.rejected = true;
     if (out != nullptr) *out = stats;
     return 1;
   }
-  stats.negotiated_version = reply.version;
+  ipc::FramedSocket& sock = link.socket();
+  stats.negotiated_version = link.version();
 
   // Host a private TV simulation; stream its bus traffic to the hub.
   runtime::Scheduler sched;
@@ -61,13 +99,12 @@ int run_hub_publisher(const PublisherConfig& config, PublisherStats* out) {
   faults::FaultInjector injector{runtime::Rng(config.seed ^ 0xfa17)};
   tv::TvSystem tv(sched, bus, injector, config.tv);
 
-  std::uint32_t seq = 0;
   bool link_ok = true;
   const auto forward = [&](const runtime::Event& ev, ipc::FrameType type) {
     if (!link_ok) return;
     ipc::Frame f;
     f.type = type;
-    f.seq = ++seq;
+    f.seq = link.next_seq();
     f.time = ev.timestamp;
     f.event = ev;
     if (sock.send(f)) {
@@ -105,7 +142,7 @@ int run_hub_publisher(const PublisherConfig& config, PublisherStats* out) {
   const auto ship_spectra = [&](bool force) {
     if (reporter == nullptr || !link_ok) return;
     if (!force && !reporter->flush_due()) return;
-    for (ipc::Frame& f : reporter->flush(seq, sched.now())) {
+    for (ipc::Frame& f : reporter->flush(link.seq(), sched.now())) {
       if (!sock.send(f)) {
         link_ok = false;
         return;
@@ -119,39 +156,21 @@ int run_hub_publisher(const PublisherConfig& config, PublisherStats* out) {
   runtime::SimTime next_key = config.key_period;
   int rc = 0;
 
-  // Idempotent recovery actuation: the hub may resend a command whose
-  // ack was lost, so the last executed token's outcome is cached and
-  // replayed instead of acting twice (a double restart is exactly the
-  // storm the hub-side guards exist to prevent).
-  std::uint64_t last_recover_token = 0;
-  bool last_recover_ok = false;
-  std::string last_recover_detail;
-  const auto execute_recover = [&](const ipc::Frame& f, ipc::Frame& ack) {
-    ack.type = ipc::FrameType::kRecoverAck;
-    ack.seq = ++seq;
-    ack.time = sched.now();
-    ack.action = f.action;
-    ack.token = f.token;
-    ack.unit = f.unit;
-    if (f.token != 0 && f.token == last_recover_token) {
-      ack.ok = last_recover_ok;
-      ack.detail = last_recover_detail;
-      ++stats.recover_duplicates;
-      return;
-    }
-    bool ok = false;
-    std::string detail;
+  // SUO-side actuation: resync never repairs, a targeted restart
+  // repairs only when the suspect block lives in the faulty feature, the
+  // brute-force rungs always do.
+  const auto execute_recover = [&](const ipc::Frame& f) {
+    RecoverOutcome outcome;
     switch (static_cast<recovery::RecoveryAction>(f.action)) {
       case recovery::RecoveryAction::kResync:
         // Cheapest rung: re-announce believed state. Does not touch the
         // program fault — a real defect survives a state resync.
         tv.republish_outputs();
-        ok = true;
-        detail = "resynced";
+        outcome = {true, "resynced"};
         break;
       case recovery::RecoveryAction::kRestartUnit: {
         if (program == nullptr) {
-          detail = "no instrumented program";
+          outcome.detail = "no instrumented program";
           break;
         }
         // Restarting the unit repairs the fault only when the suspect
@@ -163,11 +182,8 @@ int run_hub_publisher(const PublisherConfig& config, PublisherStats* out) {
         if (repairs) {
           program->clear_fault();
           ++stats.recover_repairs;
-          detail = "repaired " + f.unit;
-        } else {
-          detail = "restarted " + f.unit;
         }
-        ok = true;
+        outcome = {true, (repairs ? "repaired " : "restarted ") + f.unit};
         break;
       }
       case recovery::RecoveryAction::kRestartDependents:
@@ -179,19 +195,14 @@ int run_hub_publisher(const PublisherConfig& config, PublisherStats* out) {
           ++stats.recover_repairs;
         }
         tv.republish_outputs();
-        ok = true;
-        detail = "restarted all";
+        outcome = {true, "restarted all"};
         break;
       default:
-        detail = "unsupported action";
+        outcome.detail = "unsupported action";
         break;
     }
-    ack.ok = ok;
-    ack.detail = detail;
-    last_recover_token = f.token;
-    last_recover_ok = ok;
-    last_recover_detail = detail;
     ++stats.recover_commands;
+    return outcome;
   };
 
   while (link_ok && sched.now() < config.horizon) {
@@ -231,7 +242,7 @@ int run_hub_publisher(const PublisherConfig& config, PublisherStats* out) {
       if (f.type == ipc::FrameType::kHeartbeat) {
         ipc::Frame ack;
         ack.type = ipc::FrameType::kHeartbeatAck;
-        ack.seq = ++seq;
+        ack.seq = link.next_seq();
         ack.nonce = f.nonce;
         if (!sock.send(ack)) {
           link_ok = false;
@@ -242,9 +253,7 @@ int run_hub_publisher(const PublisherConfig& config, PublisherStats* out) {
       } else if (f.type == ipc::FrameType::kRecover) {
         // Hub-commanded recovery (v3 links only — the hub version-gates
         // its side, so a v2 publisher never reaches this branch).
-        ipc::Frame ack;
-        execute_recover(f, ack);
-        if (!sock.send(ack)) {
+        if (!sock.send(link.recover_ack(f, sched.now(), [&] { return execute_recover(f); }))) {
           link_ok = false;
           rc = 2;
           break;
@@ -268,10 +277,11 @@ int run_hub_publisher(const PublisherConfig& config, PublisherStats* out) {
   if (link_ok) {
     ipc::Frame bye;
     bye.type = ipc::FrameType::kShutdown;
-    bye.seq = ++seq;
+    bye.seq = link.next_seq();
     bye.detail = "horizon reached";
     sock.send(bye);
   }
+  stats.recover_duplicates = link.duplicates();
   if (out != nullptr) *out = stats;
   return rc;
 }

@@ -4,9 +4,8 @@
 //   * AF_UNIX filesystem sockets — the paper's real process boundary
 //     (suo_host in one process, the monitor in another);
 //   * socketpair(AF_UNIX) — both ends in one process, so tier-1 tests
-//     and the testkit's IPC campaign backend stay hermetic and fast
-//     while still exercising the real kernel stream path and the full
-//     encode/decode machinery.
+//     stay hermetic and fast while still exercising the real kernel
+//     stream path and the full encode/decode machinery.
 //
 // FramedSocket owns the fd, speaks whole frames (wire.hpp), and mirrors
 // its traffic into "ipc.*" metrics: frames/bytes in both directions

@@ -1,7 +1,5 @@
 #include "testkit/campaign.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -12,10 +10,9 @@
 #include "core/monitor_builder.hpp"
 #include "core/sharded_fleet.hpp"
 #include "faults/injector.hpp"
+#include "hub/agent.hpp"
 #include "hub/hub.hpp"
 #include "ipc/link_gate.hpp"
-#include "ipc/supervisor.hpp"
-#include "ipc/transport.hpp"
 #include "runtime/event_bus.hpp"
 #include "runtime/scheduler.hpp"
 #include "statemachine/definition.hpp"
@@ -43,10 +40,9 @@ core::MonitorBuilder counter_monitor(std::size_t k, const ExecutorConfig& config
                                      std::shared_ptr<const std::atomic<bool>> gate) {
   core::MonitorBuilder builder;
   builder.with_program(program);  // one table set across aspects AND scenarios
-  // With an IPC link in the path the model is wrapped in a LinkGatedModel
-  // so comparisons quiesce while the SUO is unreachable (the §4.3
-  // graceful-degradation policy); a null gate means in-process wiring.
-  if (gate != nullptr) builder.wrap_model(ipc::link_gated(std::move(gate)));
+  // The model is wrapped in a LinkGatedModel so comparisons quiesce
+  // while the SUO is unreachable (the §4.3 graceful-degradation policy).
+  builder.wrap_model(ipc::link_gated(std::move(gate)));
   builder.input_topic("in." + std::to_string(k))
       .output_topic("out." + std::to_string(k))
       .threshold("count", 0.0, config.max_consecutive)
@@ -56,8 +52,8 @@ core::MonitorBuilder counter_monitor(std::size_t k, const ExecutorConfig& config
 }
 
 // Backend-neutral view of "an awareness runtime the driver feeds from
-// outside". Every backend feeds a ShardedFleet; they differ in the
-// transport between the scripted SUO and the fleet.
+// outside". Both backends feed a ShardedFleet; they differ in whether
+// the scripted SUO reaches it in process or over the hub's sockets.
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -69,31 +65,26 @@ class Backend {
   virtual std::vector<core::AspectError> errors() const = 0;
   virtual const core::ComparatorStats& stats(const std::string& aspect) = 0;
   virtual runtime::MetricsSnapshot metrics() const = 0;
-  /// Comparison gate shared with the models (IPC backends only).
-  virtual std::shared_ptr<const std::atomic<bool>> gate() const { return nullptr; }
-  /// Per-aspect comparison gate; the hub backend gates each slot
-  /// independently, the single-link backends share one gate.
-  virtual std::shared_ptr<const std::atomic<bool>> gate_for(const std::string& aspect) {
-    (void)aspect;
-    return gate();
-  }
-  /// Tear down / re-establish the SUO link (IPC backends only).
-  virtual void set_link(bool up) { (void)up; }
+  /// Comparison gate of one aspect's model: closed while its SUO link
+  /// is down.
+  virtual std::shared_ptr<const std::atomic<bool>> gate_for(const std::string& aspect) = 0;
+  /// Tear down / re-establish the SUO link.
+  virtual void set_link(bool up) = 0;
 };
 
-// The in-process backend carries a *virtual* SUO link: the same shared
-// gate the IPC backends flip on a real socket teardown, minus the
-// socket. set_link(false) drops every publish and quiesces comparators
-// through LinkGatedModel, so a kill-restart scenario fingerprints
-// identically whether the SUO is a struct in this process or a peer
-// behind a kernel stream — which is what lets the fuzzer's outage
-// mutations run on the fast backend and still replay differentially.
+// The in-process backend carries a *virtual* SUO link: one gate shared
+// by every aspect, which the hub backend keeps per slot and flips on a
+// real socket teardown. set_link(false) drops every publish and
+// quiesces comparators through LinkGatedModel, so a kill-restart
+// scenario fingerprints identically whether the SUO is a struct in
+// this process or a peer behind a kernel stream — which is what lets
+// the fuzzer's outage mutations run on the fast backend and still
+// replay differentially.
 class ShardedBackend : public Backend {
  public:
   explicit ShardedBackend(const ExecutorConfig& config)
-      : fleet_(core::ShardedFleetConfig{config.shards, config.epoch, config.seed}) {
-    gate_ = std::make_shared<std::atomic<bool>>(true);
-  }
+      : fleet_(core::ShardedFleetConfig{config.shards, config.epoch, config.seed}),
+        gate_(std::make_shared<std::atomic<bool>>(true)) {}
 
   void add_monitor(const std::string& aspect, core::MonitorBuilder builder) override {
     fleet_.add_monitor(aspect, std::move(builder));
@@ -110,119 +101,17 @@ class ShardedBackend : public Backend {
     return fleet_.monitor(aspect).stats();
   }
   runtime::MetricsSnapshot metrics() const override { return fleet_.metrics(); }
-  std::shared_ptr<const std::atomic<bool>> gate() const override { return gate_; }
+  std::shared_ptr<const std::atomic<bool>> gate_for(const std::string& aspect) override {
+    (void)aspect;
+    return gate_;
+  }
   // The driver only flips the link between run_until epochs, so the
   // relaxed store is ordered against shard threads by the epoch barrier.
   void set_link(bool up) override { gate_->store(up, std::memory_order_relaxed); }
 
- protected:
+ private:
   core::ShardedFleet fleet_;
   std::shared_ptr<std::atomic<bool>> gate_;
-};
-
-// The IPC backend puts the real wire in the campaign's SUO-to-monitor
-// path: every scripted event is encoded, sent through a kernel stream
-// socket (socketpair or a genuine AF_UNIX listener), received, decoded,
-// and only then published into the fleet. Events carry virtual
-// timestamps and each publish pumps its frame synchronously, so
-// verdicts and golden traces are identical to the in-process backend —
-// which is exactly the equivalence the tier-1 suite asserts.
-class IpcBackend : public ShardedBackend {
- public:
-  /// Strategy producing a connected (SUO side, monitor side) stream
-  /// pair — the ONLY transport-specific piece. Each registered IPC mode
-  /// supplies its own factory, so a new transport is one registration
-  /// instead of `if (mode == ...)` edits across ctor/set_link/dtor.
-  using StreamPair = std::pair<ipc::FramedSocket, ipc::FramedSocket>;
-  using PairFactory = std::function<StreamPair()>;
-
-  IpcBackend(const ExecutorConfig& config, PairFactory make_pair)
-      : ShardedBackend(config), make_pair_(std::move(make_pair)) {
-    supervisor_.set_metrics(&metrics_);
-    gate_->store(false, std::memory_order_relaxed);
-    set_link(true);
-  }
-
-  void publish(const runtime::Event& ev) override {
-    if (!gate_->load(std::memory_order_relaxed)) return;  // SUO unreachable
-    ipc::Frame f;
-    f.type = ev.topic.rfind("in.", 0) == 0 ? ipc::FrameType::kInputEvent
-                                           : ipc::FrameType::kOutputEvent;
-    f.seq = ++seq_;
-    f.time = fleet_.now();
-    f.event = ev;
-    if (!suo_side_.send(f)) {
-      set_link(false);
-      return;
-    }
-    // Synchronous pump: the frame we just sent comes back out of the
-    // kernel before the driver moves on, preserving the in-process
-    // backend's publish-then-deliver ordering exactly.
-    ipc::Frame in;
-    if (monitor_side_.recv(in, /*timeout_ms=*/2000) != ipc::FramedSocket::RecvStatus::kFrame) {
-      set_link(false);
-      return;
-    }
-    fleet_.publish(in.event);
-  }
-
-  runtime::MetricsSnapshot metrics() const override {
-    runtime::MetricsSnapshot snap = ShardedBackend::metrics();
-    snap.merge(metrics_.snapshot());
-    return snap;
-  }
-
-  void set_link(bool up) override {
-    if (up == gate_->load(std::memory_order_relaxed)) return;
-    if (!up) {
-      suo_side_.close();
-      monitor_side_.close();
-      supervisor_.on_disconnected();
-      gate_->store(false, std::memory_order_relaxed);
-      return;
-    }
-    supervisor_.next_backoff_ms();  // the reconnect attempt (no wall sleep here)
-    auto [a, b] = make_pair_();
-    suo_side_ = std::move(a);
-    monitor_side_ = std::move(b);
-    suo_side_.set_metrics(&metrics_);
-    monitor_side_.set_metrics(&metrics_);
-    if (suo_side_.valid() && monitor_side_.valid()) {
-      supervisor_.on_connected();
-      gate_->store(true, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  PairFactory make_pair_;
-  runtime::MetricsRegistry metrics_;  ///< Transport + supervisor instruments.
-  ipc::ProcessSupervisor supervisor_;
-  ipc::FramedSocket suo_side_;      ///< Scripted SUO writes here.
-  ipc::FramedSocket monitor_side_;  ///< Fleet-facing end; pumped per publish.
-  std::uint32_t seq_ = 0;
-};
-
-/// One AF_UNIX listener (abstract namespace: no filesystem entry,
-/// kernel-cleaned) shared by every reconnect of one backend instance.
-struct UnixEndpoint {
-  std::string path;
-  int listener = -1;
-
-  UnixEndpoint() {
-    static std::atomic<std::uint64_t> instance{0};
-    path = "@trader-campaign-" + std::to_string(::getpid()) + "-" +
-           std::to_string(instance.fetch_add(1));
-    listener = ipc::listen_unix(path);
-  }
-  ~UnixEndpoint() {
-    if (listener >= 0) ::close(listener);
-  }
-
-  IpcBackend::StreamPair make_pair() {
-    const int client = ipc::connect_unix(path);
-    const int server = ipc::accept_unix(listener, /*timeout_ms=*/2000);
-    return {ipc::FramedSocket(client), ipc::FramedSocket(server)};
-  }
 };
 
 // The hub backend runs the full fleet-over-sockets topology inside the
@@ -231,10 +120,10 @@ struct UnixEndpoint {
 // its ShardedFleet. The driver stays synchronous — after each send it
 // pumps the loop until the frame has been ingested — so publish-then-
 // deliver ordering (and therefore every verdict and golden-trace
-// fingerprint) matches the in-process backends exactly. This is the
-// differential gate for the whole hub subsystem: epoll readiness,
-// nonblocking decode, slot handshakes and per-slot gating all sit in
-// the scored path.
+// fingerprint) matches the in-process backend exactly. This is the
+// differential gate for the whole wire: encode, the kernel stream,
+// epoll readiness, nonblocking decode, slot handshakes and per-slot
+// gating all sit in the scored path.
 class HubBackend : public Backend {
  public:
   explicit HubBackend(const ExecutorConfig& config) {
@@ -262,7 +151,7 @@ class HubBackend : public Backend {
   }
 
   void stop() override {
-    for (auto& c : clients_) c.close();
+    for (auto& c : clients_) c.socket().close();
     drain_disconnects();
     hub_->stop();
   }
@@ -280,13 +169,13 @@ class HubBackend : public Backend {
     f.seq = ++seq_;
     f.time = hub_->now();
     f.event = ev;
-    if (!clients_[k].send(f)) {
+    if (!clients_[k].socket().send(f)) {
       set_link(false);
       return;
     }
     // Synchronous pump: run the loop until this frame has been decoded
     // and published into the fleet, preserving publish-then-deliver
-    // ordering exactly as the in-process backends see it.
+    // ordering exactly as the in-process backend sees it.
     const std::uint64_t target = hub_->events_ingested() + 1;
     while (hub_->events_ingested() < target) {
       if (hub_->poll(2000) <= 0) {
@@ -307,7 +196,7 @@ class HubBackend : public Backend {
     if (!up) {
       // Kill the whole SUO process: every connection drops at once. The
       // hub notices the EOFs, downs the slots and flips the gates.
-      for (auto& c : clients_) c.close();
+      for (auto& c : clients_) c.socket().close();
       drain_disconnects();
       link_up_ = false;
       return;
@@ -316,31 +205,14 @@ class HubBackend : public Backend {
     clients_.resize(aspects_.size());
     bool all_up = true;
     for (std::size_t k = 0; k < aspects_.size(); ++k) {
-      all_up = connect_slot(k) && all_up;
+      all_up = clients_[k].claim(hub_->path(), aspects_[k], hub_.get()) ==
+                   ipc::FrameType::kHelloAck &&
+               all_up;
     }
     link_up_ = all_up;
   }
 
  private:
-  bool connect_slot(std::size_t k) {
-    const int fd = ipc::connect_unix_retry(hub_->path(), /*timeout_ms=*/2000);
-    if (fd < 0) return false;
-    clients_[k] = ipc::FramedSocket(fd);
-    ipc::Frame hello;
-    hello.type = ipc::FrameType::kHello;
-    hello.detail = aspects_[k];
-    if (!clients_[k].send(hello)) return false;
-    for (;;) {
-      ipc::Frame ack;
-      const auto st = clients_[k].recv(ack, 0);
-      if (st == ipc::FramedSocket::RecvStatus::kFrame) {
-        return ack.type == ipc::FrameType::kHelloAck;
-      }
-      if (st != ipc::FramedSocket::RecvStatus::kTimeout) return false;
-      if (hub_->poll(2000) < 0) return false;
-    }
-  }
-
   /// Pump until the hub has processed every pending hangup.
   void drain_disconnects() {
     while (hub_->connection_count() > 0) {
@@ -350,53 +222,14 @@ class HubBackend : public Backend {
 
   std::unique_ptr<hub::AwarenessHub> hub_;
   std::vector<std::string> aspects_;
-  std::vector<ipc::FramedSocket> clients_;  ///< Indexed like aspects_.
+  std::vector<hub::SuoLink> clients_;  ///< Indexed like aspects_.
   bool link_up_ = false;
-  std::uint32_t seq_ = 0;
+  std::uint32_t seq_ = 0;  ///< One frame counter across every link.
 };
-
-// ------------------------------------------------------- backend registry
-//
-// One row per IpcMode: the canonical backend name (the single source
-// for to_string/backend_label, so JSON reports and bench emitters can
-// never drift) and the factory. Adding a transport = adding one entry.
-struct BackendEntry {
-  const char* name;
-  std::unique_ptr<Backend> (*make)(const ExecutorConfig&);
-};
-
-const std::map<IpcMode, BackendEntry>& backend_registry() {
-  static const std::map<IpcMode, BackendEntry> registry = {
-      {IpcMode::kOff,
-       {"off",
-        [](const ExecutorConfig& config) -> std::unique_ptr<Backend> {
-          return std::make_unique<ShardedBackend>(config);
-        }}},
-      {IpcMode::kSocketpair,
-       {"socketpair",
-        [](const ExecutorConfig& config) -> std::unique_ptr<Backend> {
-          return std::make_unique<IpcBackend>(config, [] {
-            return IpcBackend::StreamPair{ipc::socketpair_transport()};
-          });
-        }}},
-      {IpcMode::kUnix,
-       {"unix",
-        [](const ExecutorConfig& config) -> std::unique_ptr<Backend> {
-          auto endpoint = std::make_shared<UnixEndpoint>();
-          return std::make_unique<IpcBackend>(
-              config, [endpoint] { return endpoint->make_pair(); });
-        }}},
-      {IpcMode::kHub,
-       {"hub",
-        [](const ExecutorConfig& config) -> std::unique_ptr<Backend> {
-          return std::make_unique<HubBackend>(config);
-        }}},
-  };
-  return registry;
-}
 
 std::unique_ptr<Backend> make_backend(const ExecutorConfig& config) {
-  return backend_registry().at(config.ipc).make(config);
+  if (config.ipc == IpcMode::kHub) return std::make_unique<HubBackend>(config);
+  return std::make_unique<ShardedBackend>(config);
 }
 
 std::string fmt_value(std::int64_t v) { return std::to_string(v); }
@@ -404,9 +237,13 @@ std::string fmt_value(std::int64_t v) { return std::to_string(v); }
 }  // namespace
 
 const char* to_string(IpcMode m) {
-  const auto& registry = backend_registry();
-  const auto it = registry.find(m);
-  return it == registry.end() ? "?" : it->second.name;
+  switch (m) {
+    case IpcMode::kOff:
+      return "off";
+    case IpcMode::kHub:
+      return "hub";
+  }
+  return "?";
 }
 
 std::string backend_label(const ExecutorConfig& config) {
@@ -609,8 +446,8 @@ ScenarioResult ScenarioExecutor::run(const ScenarioScript& script) {
   // gone. Commands reach nobody — neither the model nor the scripted
   // system advances, so no divergence is manufactured — and the
   // comparators quiesce through the link gate: a real socket teardown
-  // on the IPC backends, the virtual link on the in-process ones (same
-  // gate, same trace, so outage scenarios replay differentially). A
+  // on the hub backend, the virtual link in process (same gate, same
+  // trace, so outage scenarios replay differentially). A
   // script-level outage overrides the executor-level window. Each
   // transition is traced exactly once (the no-error-flood policy).
   const runtime::SimTime suo_down =

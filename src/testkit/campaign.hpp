@@ -5,7 +5,7 @@
 // measurable end to end. A CampaignRunner sweeps seeded scenarios
 // (fault kind x target x timing x intensity drawn from runtime::Rng),
 // executes each through a real awareness backend — a ShardedFleet at
-// any shard count, optionally behind a real IPC transport — and
+// any shard count, optionally behind the AwarenessHub's sockets — and
 // cross-references FaultInjector ground truth against comparator error
 // reports to score per-scenario verdicts, detection latency and
 // recovery success, plus an aggregate JSON report.
@@ -52,17 +52,16 @@ const char* to_string(Verdict v);
 Verdict classify_verdict(bool manifested, std::size_t errors_on_target,
                          std::size_t errors_off_target);
 
-/// Transport between the scripted SUO and the monitors (src/ipc, src/hub).
+/// Wire between the scripted SUO and the monitors. The testkit has one:
+/// the production path, src/hub.
 enum class IpcMode : std::uint8_t {
-  kOff,         ///< Events go straight onto the backend bus (no IPC).
-  kSocketpair,  ///< Real kernel stream via socketpair(AF_UNIX) — hermetic.
-  kUnix,        ///< Real AF_UNIX listener/connect (abstract namespace).
-  kHub,         ///< AwarenessHub epoll loop: one AF_UNIX connection per
-                ///< aspect into one event loop feeding a sharded fleet.
+  kOff,  ///< Events go straight into the fleet (no wire).
+  kHub,  ///< AwarenessHub epoll loop: one AF_UNIX connection per aspect
+         ///< into one event loop feeding a sharded fleet.
 };
 
-/// Canonical backend name, read from the backend registry — the same
-/// string for every consumer (campaign JSON, bench emitters, logs).
+/// Canonical backend name ("off", "hub") — the same string for every
+/// consumer (campaign JSON, bench emitters, logs).
 const char* to_string(IpcMode m);
 
 /// How one scenario is executed.
@@ -77,19 +76,18 @@ struct ExecutorConfig {
   runtime::SimDuration startup_grace = runtime::msec(5);
   int max_consecutive = 2;
   recovery::EscalationConfig escalation;
-  /// Push every SUO event through the wire protocol over a real socket.
-  /// kSocketpair/kUnix carry one link into the fleet; kHub multiplexes
-  /// one connection per aspect through the epoll hub into the hub's
-  /// fleet. `shards` applies to every mode. Verdicts and golden
-  /// traces stay identical to IpcMode::kOff because events carry
-  /// virtual timestamps and each one is pumped through the socket
+  /// kHub pushes every SUO event through the wire protocol: one
+  /// connection per aspect through the epoll hub into the hub's fleet.
+  /// `shards` applies to both modes. Verdicts and golden traces stay
+  /// identical to IpcMode::kOff because events carry virtual
+  /// timestamps and each one is pumped through the socket
   /// synchronously.
   IpcMode ipc = IpcMode::kOff;
   /// Kill-and-restart window: the SUO link drops at suo_down_at and a
   /// restarted SUO is reconnected at suo_up_at (virtual time; both -1 =
   /// no outage). Commands inside the window reach nobody; comparators
   /// are quiesced through the link gate; the outage is traced once.
-  /// Honored on every backend — the in-process fleets gate a virtual
+  /// Honored on both backends — the in-process fleet gates a virtual
   /// link so outage scenarios fingerprint identically across IpcModes.
   /// A ScenarioScript::outage window overrides this executor-level one.
   runtime::SimTime suo_down_at = -1;
@@ -97,7 +95,7 @@ struct ExecutorConfig {
 };
 
 /// One-line config echo shared by campaign JSON reports and bench
-/// emitters: "sharded(N)", plus "+ipc-<mode>" when a wire is in the
+/// emitters: "sharded(N)", plus "+ipc-hub" when the wire is in the
 /// path.
 std::string backend_label(const ExecutorConfig& config);
 

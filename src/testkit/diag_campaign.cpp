@@ -251,13 +251,43 @@ bool script_from_value(const JsonValue& v, ScenarioScript& out) {
   return true;
 }
 
-std::string fmt3(double v) {
+diagnosis::SyntheticProgramConfig per_script(diagnosis::SyntheticProgramConfig config,
+                                             const ScenarioScript& script) {
+  config.feature_count = std::max<std::size_t>(1, script.aspect_count());
+  config.seed ^= std::hash<std::string>{}(script.name());
+  return config;
+}
+
+}  // namespace
+
+std::string fixed3(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.3f", v);
   return buf;
 }
 
-}  // namespace
+PlantedFault::PlantedFault(const ScenarioScript& script, diagnosis::SyntheticProgramConfig config)
+    : program(per_script(std::move(config), script)) {
+  for (const faults::FaultSpec& spec : script.fault_plan()) {
+    for (std::size_t k = 0; k < script.aspect_count(); ++k) {
+      if (spec.target == aspect_name(k)) {
+        primary = &spec;
+        feature = k;
+        program.set_fault_in_feature(k);
+        return;
+      }
+    }
+  }
+}
+
+std::vector<LabeledScenario> draw_labeled(std::uint64_t seed, std::size_t count,
+                                          const ScenarioDraw& draw) {
+  std::vector<LabeledScenario> labeled;
+  runtime::Rng rng(seed);
+  labeled.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) labeled.push_back({draw_scenario(rng, i, draw), "", ""});
+  return labeled;
+}
 
 std::vector<LabeledScenario> findings_from_json(const std::string& json_text) {
   std::vector<LabeledScenario> out;
@@ -299,32 +329,9 @@ DiagnosisScore DiagnosisCampaign::run_scenario(const ScenarioScript& script,
   DiagnosisScore score;
   score.scenario = script.name();
 
-  // Ground truth: the first planned fault whose target is a scripted
-  // aspect. Its aspect index is the feature the fault block is seeded
-  // into — exactly what component-level diagnosis must recover.
-  const faults::FaultSpec* primary = nullptr;
-  std::size_t target_feature = SIZE_MAX;
-  for (const faults::FaultSpec& spec : script.fault_plan()) {
-    for (std::size_t k = 0; k < script.aspect_count(); ++k) {
-      if (spec.target == aspect_name(k)) {
-        primary = &spec;
-        target_feature = k;
-        break;
-      }
-    }
-    if (primary != nullptr) break;
-  }
-
-  diagnosis::SyntheticProgramConfig prog_cfg = config_.program;
-  prog_cfg.feature_count = std::max<std::size_t>(1, script.aspect_count());
-  prog_cfg.seed ^= std::hash<std::string>{}(script.name());
-  diagnosis::SyntheticProgram program(prog_cfg);
-  if (primary != nullptr) {
-    program.set_fault_in_feature(target_feature);
-    score.kind = faults::to_string(primary->kind);
-    score.target = primary->target;
-    score.fault_block = program.fault_block();
-  }
+  PlantedFault planted(script, config_.program);
+  diagnosis::SyntheticProgram& program = planted.program;
+  planted.label(score);
 
   fleetdiag::FleetAggregator local(
       fleetdiag::AggregatorConfig{config_.top_k, config_.coefficient, 1});
@@ -354,7 +361,8 @@ DiagnosisScore DiagnosisCampaign::run_scenario(const ScenarioScript& script,
     // The step errs only while the planned fault is live: the injected
     // bug exists in the code the whole run, but only manifests inside
     // its activation window (the intermittent-fault model of §4.4).
-    const bool err = primary != nullptr && fault_fired && primary->active_at(cmd.at);
+    const bool err =
+        planted.primary != nullptr && fault_fired && planted.primary->active_at(cmd.at);
     reporter.end_step_from(coverage, err);
     coverage.clear();
     ++score.steps;
@@ -365,7 +373,7 @@ DiagnosisScore DiagnosisCampaign::run_scenario(const ScenarioScript& script,
   agg->refresh();
   if (frames_out != nullptr) *frames_out += frames;
 
-  score.scored = primary != nullptr && score.error_steps > 0;
+  score.scored = planted.primary != nullptr && score.error_steps > 0;
   if (!score.scored) return score;
 
   const diagnosis::DiagnosisReport report = agg->report(slot);
@@ -385,13 +393,7 @@ DiagnosisScore DiagnosisCampaign::run_scenario(const ScenarioScript& script,
 }
 
 DiagCampaignReport DiagnosisCampaign::run() {
-  std::vector<LabeledScenario> labeled;
-  runtime::Rng rng(config_.seed);
-  labeled.reserve(config_.scenarios);
-  for (std::size_t i = 0; i < config_.scenarios; ++i) {
-    labeled.push_back({draw_scenario(rng, i, config_.draw), "", ""});
-  }
-  return run(labeled);
+  return run(draw_labeled(config_.seed, config_.scenarios, config_.draw));
 }
 
 DiagCampaignReport DiagnosisCampaign::run(const std::vector<LabeledScenario>& labeled) {
@@ -438,7 +440,7 @@ std::string DiagCampaignReport::to_json() const {
   out += ", \"silent\": " + std::to_string(silent);
   out += ", \"clean\": " + std::to_string(clean);
   out += ", \"top_k_hits\": " + std::to_string(top_k_hits);
-  out += ", \"top_k_rate\": " + fmt3(top_k_rate());
+  out += ", \"top_k_rate\": " + fixed3(top_k_rate());
   out += ", \"spectrum_frames\": " + std::to_string(spectrum_frames);
   out += ", \"by_kind\": {";
   bool first = true;
@@ -449,9 +451,9 @@ std::string DiagCampaignReport::to_json() const {
     out += "\"scenarios\": " + std::to_string(stats.scenarios);
     out += ", \"scored\": " + std::to_string(stats.scored);
     out += ", \"top_k_hits\": " + std::to_string(stats.top_k_hits);
-    out += ", \"mean_block_rank\": " + fmt3(stats.mean_block_rank);
-    out += ", \"mean_component_rank\": " + fmt3(stats.mean_component_rank);
-    out += ", \"mean_wasted_effort\": " + fmt3(stats.mean_wasted_effort) + "}";
+    out += ", \"mean_block_rank\": " + fixed3(stats.mean_block_rank);
+    out += ", \"mean_component_rank\": " + fixed3(stats.mean_component_rank);
+    out += ", \"mean_wasted_effort\": " + fixed3(stats.mean_wasted_effort) + "}";
   }
   out += "}, \"scores\": [";
   first = true;
@@ -466,7 +468,7 @@ std::string DiagCampaignReport::to_json() const {
     if (s.scored) {
       out += ", \"block_rank\": " + std::to_string(s.block_rank);
       out += ", \"component_rank\": " + std::to_string(s.component_rank);
-      out += ", \"wasted_effort\": " + fmt3(s.wasted_effort);
+      out += ", \"wasted_effort\": " + fixed3(s.wasted_effort);
       out += ", \"in_top_k\": " + std::string(s.in_top_k ? "true" : "false");
     }
     out += "}";

@@ -49,6 +49,37 @@ std::vector<LabeledScenario> findings_from_json(const std::string& json_text);
 /// findings_from_json() over a file ("" or unreadable path => empty).
 std::vector<LabeledScenario> load_findings(const std::string& path);
 
+/// `count` uniform draw_scenario() scripts from `seed`: the scenario
+/// stream run() scores in the diagnosis and recovery campaigns.
+std::vector<LabeledScenario> draw_labeled(std::uint64_t seed, std::size_t count,
+                                          const ScenarioDraw& draw);
+
+/// The planted-fault convention of the diagnosis and recovery
+/// campaigns: one SyntheticProgram per scenario, a feature per scripted
+/// aspect, seed decorrelated per script name; the first planned fault
+/// whose target is a scripted aspect seeds the program fault into that
+/// aspect's feature — exactly what component-level diagnosis must
+/// recover and targeted recovery must hit.
+struct PlantedFault {
+  PlantedFault(const ScenarioScript& script, diagnosis::SyntheticProgramConfig config);
+
+  diagnosis::SyntheticProgram program;
+  const faults::FaultSpec* primary = nullptr;  ///< Into script's plan; null = clean.
+  std::size_t feature = SIZE_MAX;              ///< Aspect index of `primary`.
+
+  /// Copy the ground truth (kind, target, fault block) into a score.
+  template <typename Score>
+  void label(Score& score) const {
+    if (primary == nullptr) return;
+    score.kind = faults::to_string(primary->kind);
+    score.target = primary->target;
+    score.fault_block = program.fault_block();
+  }
+};
+
+/// "%.3f" — the fixed-point format of both campaign reports' JSON.
+std::string fixed3(double v);
+
 struct DiagCampaignConfig {
   std::uint64_t seed = 99;
   std::size_t scenarios = 24;  ///< Uniform draws for run().

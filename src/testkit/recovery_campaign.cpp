@@ -2,28 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <utility>
 
 #include "fleetdiag/reporter.hpp"
+#include "hub/agent.hpp"
 #include "hub/hub.hpp"
-#include "ipc/transport.hpp"
 #include "journal/wal.hpp"
 #include "observation/coverage.hpp"
 #include "recovery/escalation.hpp"
 
 namespace trader::testkit {
-
-namespace {
-
-std::string fmt3(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", v);
-  return buf;
-}
-
-}  // namespace
 
 hub::RecoveryConfig RecoveryCampaignConfig::default_recovery() {
   hub::RecoveryConfig rc;
@@ -70,32 +59,9 @@ RecoveryScore RecoveryCampaign::run_scenario(const ScenarioScript& script) {
   RecoveryScore score;
   score.scenario = script.name();
 
-  // Ground truth: same convention as the diagnosis campaign — the first
-  // planned fault targeting a scripted aspect seeds the program fault
-  // into that aspect's feature.
-  const faults::FaultSpec* primary = nullptr;
-  std::size_t target_feature = SIZE_MAX;
-  for (const faults::FaultSpec& spec : script.fault_plan()) {
-    for (std::size_t k = 0; k < script.aspect_count(); ++k) {
-      if (spec.target == aspect_name(k)) {
-        primary = &spec;
-        target_feature = k;
-        break;
-      }
-    }
-    if (primary != nullptr) break;
-  }
-
-  diagnosis::SyntheticProgramConfig prog_cfg = config_.program;
-  prog_cfg.feature_count = std::max<std::size_t>(1, script.aspect_count());
-  prog_cfg.seed ^= std::hash<std::string>{}(script.name());
-  diagnosis::SyntheticProgram program(prog_cfg);
-  if (primary != nullptr) {
-    program.set_fault_in_feature(target_feature);
-    score.kind = faults::to_string(primary->kind);
-    score.target = primary->target;
-    score.fault_block = program.fault_block();
-  }
+  PlantedFault planted(script, config_.program);
+  diagnosis::SyntheticProgram& program = planted.program;
+  planted.label(score);
 
   // One hub per scenario, lockstep-driven: liveness probing off, virtual
   // time advanced by this thread, recovery ticked from poll(). The hub
@@ -143,27 +109,11 @@ RecoveryScore RecoveryCampaign::run_scenario(const ScenarioScript& script) {
     return true;
   };
 
-  // Handshake: the campaign itself plays the SUO end of the socket.
-  ipc::FramedSocket sock;
+  // The campaign itself plays the SUO end of the socket.
+  hub::SuoLink link;
   const auto connect = [&] {
-    const int fd = ipc::connect_unix_retry(awareness_hub->path(), 2000);
-    if (fd < 0) return false;
-    sock = ipc::FramedSocket(fd);
-    ipc::Frame hello;
-    hello.type = ipc::FrameType::kHello;
-    hello.detail = slot;
-    if (!sock.send(hello)) return false;
-    ipc::Frame ack;
-    const auto deadline = wall_deadline();
-    while (std::chrono::steady_clock::now() <= deadline) {
-      const auto st = sock.recv(ack, 0);
-      if (st == ipc::FramedSocket::RecvStatus::kFrame) {
-        return ack.type == ipc::FrameType::kHelloAck;
-      }
-      if (st != ipc::FramedSocket::RecvStatus::kTimeout) return false;
-      if (awareness_hub->poll(10) < 0) return false;
-    }
-    return false;
+    return link.claim(awareness_hub->path(), slot, awareness_hub.get(), config_.pump_budget_ms) ==
+           ipc::FrameType::kHelloAck;
   };
   if (!connect()) return score;
 
@@ -172,15 +122,14 @@ RecoveryScore RecoveryCampaign::run_scenario(const ScenarioScript& script) {
   rep_cfg.flush_steps = config_.flush_steps;
   fleetdiag::SpectrumReporter reporter(rep_cfg);
   observation::BlockCoverageRecorder coverage(program.block_count());
-  std::uint32_t seq = 0;
   std::uint64_t frames_shipped = 0;
 
   // Ship pending spectra and pump until the aggregator has folded every
   // frame — keeps the hub's diagnosis state a pure function of the
   // scenario prefix, independent of wall-clock poll interleaving.
   const auto ship = [&](runtime::SimTime now) {
-    for (const ipc::Frame& f : reporter.flush(seq, now)) {
-      if (!sock.send(f)) return false;
+    for (const ipc::Frame& f : reporter.flush(link.seq(), now)) {
+      if (!link.socket().send(f)) return false;
       ++frames_shipped;
     }
     return pump_until(
@@ -190,67 +139,46 @@ RecoveryScore RecoveryCampaign::run_scenario(const ScenarioScript& script) {
   // SUO-side actuation, same semantics as run_hub_publisher(): resync
   // never repairs, a targeted restart repairs only when the suspect
   // block lives in the faulty feature, the brute-force rungs always do.
-  std::uint64_t last_token = 0;
-  bool last_ok = false;
-  std::string last_detail;
   const auto execute = [&](const ipc::Frame& f) {
-    ipc::Frame ack;
-    ack.type = ipc::FrameType::kRecoverAck;
-    ack.seq = ++seq;
-    ack.time = f.time;
-    ack.action = f.action;
-    ack.token = f.token;
-    ack.unit = f.unit;
-    if (f.token != 0 && f.token == last_token) {
-      ack.ok = last_ok;
-      ack.detail = last_detail;
-      ++score.duplicates;
-      return ack;
-    }
-    ++score.commands;
-    const auto action = static_cast<recovery::RecoveryAction>(f.action);
-    score.ladder.emplace_back(recovery::to_string(action));
-    const std::size_t block_feature = program.feature_of(f.block);
-    const bool on_target = target_feature != SIZE_MAX && block_feature == target_feature;
-    bool ok = false;
-    bool repairs = false;
-    std::string detail;
-    switch (action) {
-      case recovery::RecoveryAction::kResync:
-        ok = true;
-        detail = "resynced";
-        break;
-      case recovery::RecoveryAction::kRestartUnit:
-        ++score.restarts;
-        if (score.restarts == 1) score.precise = on_target;
-        repairs = program.has_fault() && on_target;
-        ok = true;
-        detail = repairs ? "repaired " + f.unit : "restarted " + f.unit;
-        break;
-      case recovery::RecoveryAction::kRestartDependents:
-      case recovery::RecoveryAction::kFullRestart:
-        ++score.restarts;
-        if (score.restarts == 1) score.precise = on_target;
-        repairs = program.has_fault();
-        ok = true;
-        detail = "restarted all";
-        break;
-      default:
-        detail = "unsupported action";
-        break;
-    }
-    if (repairs) {
-      program.clear_fault();
-      if (!score.repaired) {
-        score.repaired = true;
-        score.repaired_at = f.time;  // the command's virtual timestamp
+    const ipc::Frame ack = link.recover_ack(f, f.time, [&] {
+      ++score.commands;
+      const auto action = static_cast<recovery::RecoveryAction>(f.action);
+      score.ladder.emplace_back(recovery::to_string(action));
+      const bool on_target =
+          planted.feature != SIZE_MAX && program.feature_of(f.block) == planted.feature;
+      hub::RecoverOutcome outcome;
+      bool repairs = false;
+      switch (action) {
+        case recovery::RecoveryAction::kResync:
+          outcome = {true, "resynced"};
+          break;
+        case recovery::RecoveryAction::kRestartUnit:
+          ++score.restarts;
+          if (score.restarts == 1) score.precise = on_target;
+          repairs = program.has_fault() && on_target;
+          outcome = {true, (repairs ? "repaired " : "restarted ") + f.unit};
+          break;
+        case recovery::RecoveryAction::kRestartDependents:
+        case recovery::RecoveryAction::kFullRestart:
+          ++score.restarts;
+          if (score.restarts == 1) score.precise = on_target;
+          repairs = program.has_fault();
+          outcome = {true, "restarted all"};
+          break;
+        default:
+          outcome.detail = "unsupported action";
+          break;
       }
-    }
-    ack.ok = ok;
-    ack.detail = detail;
-    last_token = f.token;
-    last_ok = ok;
-    last_detail = detail;
+      if (repairs) {
+        program.clear_fault();
+        if (!score.repaired) {
+          score.repaired = true;
+          score.repaired_at = f.time;  // the command's virtual timestamp
+        }
+      }
+      return outcome;
+    });
+    score.duplicates = link.duplicates();
     return ack;
   };
 
@@ -264,10 +192,10 @@ RecoveryScore RecoveryCampaign::run_scenario(const ScenarioScript& script) {
     while (awareness_hub->recovery().has_outstanding(slot)) {
       if (std::chrono::steady_clock::now() > deadline) return false;
       ipc::Frame f;
-      const auto st = sock.recv(f, 0);
+      const auto st = link.socket().recv(f, 0);
       if (st == ipc::FramedSocket::RecvStatus::kFrame) {
         if (f.type == ipc::FrameType::kRecover) {
-          if (!sock.send(execute(f))) return false;
+          if (!link.socket().send(execute(f))) return false;
         }
         continue;
       }
@@ -288,7 +216,8 @@ RecoveryScore RecoveryCampaign::run_scenario(const ScenarioScript& script) {
     // execution of the faulty block errs until an actuated repair clears
     // it (a crashed component does not heal when its window "ends") —
     // run_step() itself goes quiet after clear_fault().
-    const bool err = primary != nullptr && fault_fired && cmd.at >= primary->activate_at;
+    const bool err =
+        planted.primary != nullptr && fault_fired && cmd.at >= planted.primary->activate_at;
     reporter.end_step_from(coverage, err);
     coverage.clear();
     ++score.steps;
@@ -307,7 +236,7 @@ RecoveryScore RecoveryCampaign::run_scenario(const ScenarioScript& script) {
     if (hub_cfg.journal.enabled && cmd_index == config_.crash_at_command) {
       awareness_hub->simulate_crash();
       awareness_hub.reset();
-      sock = ipc::FramedSocket();
+      link.socket().close();
       if (!make_hub() || !connect()) return score;
     }
     ++cmd_index;
@@ -317,7 +246,7 @@ RecoveryScore RecoveryCampaign::run_scenario(const ScenarioScript& script) {
   if (awareness_hub->poll(0) >= 0) drain();  // last chance at the horizon
 
   score.quarantined = awareness_hub->recovery().quarantined(slot);
-  score.scored = primary != nullptr && score.error_steps > 0;
+  score.scored = planted.primary != nullptr && score.error_steps > 0;
   if (score.scored) {
     const runtime::SimTime end = score.repaired ? score.repaired_at : script.horizon();
     score.downtime = end - score.first_error_at;
@@ -327,13 +256,7 @@ RecoveryScore RecoveryCampaign::run_scenario(const ScenarioScript& script) {
 }
 
 RecoveryCampaignReport RecoveryCampaign::run() {
-  std::vector<LabeledScenario> labeled;
-  runtime::Rng rng(config_.seed);
-  labeled.reserve(config_.scenarios);
-  for (std::size_t i = 0; i < config_.scenarios; ++i) {
-    labeled.push_back({draw_scenario(rng, i, config_.draw), "", ""});
-  }
-  return run(labeled);
+  return run(draw_labeled(config_.seed, config_.scenarios, config_.draw));
 }
 
 RecoveryCampaignReport RecoveryCampaign::run(const std::vector<LabeledScenario>& labeled) {
@@ -382,8 +305,8 @@ std::string RecoveryCampaignReport::to_json() const {
   out += ", \"censored\": " + std::to_string(censored);
   out += ", \"with_restart\": " + std::to_string(with_restart);
   out += ", \"precise\": " + std::to_string(precise);
-  out += ", \"precision\": " + fmt3(precision());
-  out += ", \"mean_downtime_ms\": " + fmt3(mean_downtime_ms);
+  out += ", \"precision\": " + fixed3(precision());
+  out += ", \"mean_downtime_ms\": " + fixed3(mean_downtime_ms);
   out += ", \"commands\": " + std::to_string(commands);
   out += ", \"by_kind\": {";
   bool first = true;
@@ -395,7 +318,7 @@ std::string RecoveryCampaignReport::to_json() const {
     out += ", \"scored\": " + std::to_string(stats.scored);
     out += ", \"repaired\": " + std::to_string(stats.repaired);
     out += ", \"precise\": " + std::to_string(stats.precise);
-    out += ", \"mean_downtime_ms\": " + fmt3(stats.mean_downtime_ms) + "}";
+    out += ", \"mean_downtime_ms\": " + fixed3(stats.mean_downtime_ms) + "}";
   }
   out += "}, \"scores\": [";
   first = true;
@@ -411,7 +334,7 @@ std::string RecoveryCampaignReport::to_json() const {
       out += ", \"first_error_at_us\": " + std::to_string(s.first_error_at);
       out += ", \"repaired\": " + std::string(s.repaired ? "true" : "false");
       if (s.repaired) out += ", \"repaired_at_us\": " + std::to_string(s.repaired_at);
-      out += ", \"downtime_ms\": " + fmt3(runtime::to_ms(s.downtime));
+      out += ", \"downtime_ms\": " + fixed3(runtime::to_ms(s.downtime));
       out += ", \"censored\": " + std::string(s.censored ? "true" : "false");
       out += ", \"commands\": " + std::to_string(s.commands);
       out += ", \"restarts\": " + std::to_string(s.restarts);

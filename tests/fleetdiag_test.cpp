@@ -52,25 +52,6 @@ bool pump_until(hub::AwarenessHub& awareness_hub, Pred done) {
   return true;
 }
 
-/// Connect + kHello handshake against a hub pumped from this thread.
-ipc::FrameType handshake(hub::AwarenessHub& awareness_hub, ipc::FramedSocket& sock,
-                         const std::string& slot) {
-  const int fd = ipc::connect_unix_retry(awareness_hub.path(), 2000);
-  if (fd < 0) return ipc::FrameType::kShutdown;
-  sock = ipc::FramedSocket(fd);
-  ipc::Frame hello;
-  hello.type = ipc::FrameType::kHello;
-  hello.detail = slot;
-  if (!sock.send(hello)) return ipc::FrameType::kShutdown;
-  ipc::Frame ack;
-  while (true) {
-    const auto st = sock.recv(ack, 0);
-    if (st == ipc::FramedSocket::RecvStatus::kFrame) return ack.type;
-    if (st != ipc::FramedSocket::RecvStatus::kTimeout) return ipc::FrameType::kShutdown;
-    if (awareness_hub.poll(10) < 0) return ipc::FrameType::kShutdown;
-  }
-}
-
 void expect_reports_equal(const diag::DiagnosisReport& a, const diag::DiagnosisReport& b,
                           const std::string& what) {
   ASSERT_EQ(a.blocks_considered, b.blocks_considered) << what;
@@ -288,8 +269,8 @@ TEST_P(FleetDiagHub, StreamedRankingsMatchOfflineAtEveryPrefix) {
   awareness_hub.add_slot("tv0");
   ASSERT_TRUE(awareness_hub.start());
 
-  ipc::FramedSocket sock;
-  ASSERT_EQ(handshake(awareness_hub, sock, "tv0"), ipc::FrameType::kHelloAck);
+  hub::SuoLink sock;
+  ASSERT_EQ(sock.claim(awareness_hub.path(), "tv0", &awareness_hub), ipc::FrameType::kHelloAck);
 
   diag::SyntheticProgramConfig prog_cfg;
   prog_cfg.total_blocks = 600;
@@ -316,7 +297,7 @@ TEST_P(FleetDiagHub, StreamedRankingsMatchOfflineAtEveryPrefix) {
 
     // Ship a 3-step report, wait for ingest, compare the prefix.
     for (const ipc::Frame& f : reporter.flush(seq, rt::msec(10 * (step + 1)))) {
-      ASSERT_TRUE(sock.send(f));
+      ASSERT_TRUE(sock.socket().send(f));
       ++reports_sent;
     }
     ASSERT_TRUE(pump_until(awareness_hub, [&] {
@@ -352,9 +333,9 @@ TEST(FleetDiagHubLifecycle, SpectraPersistAcrossReconnect) {
   report.spectra.push_back({false, {2, 3}});
 
   {
-    ipc::FramedSocket sock;
-    ASSERT_EQ(handshake(awareness_hub, sock, "tv0"), ipc::FrameType::kHelloAck);
-    ASSERT_TRUE(sock.send(report));
+    hub::SuoLink sock;
+    ASSERT_EQ(sock.claim(awareness_hub.path(), "tv0", &awareness_hub), ipc::FrameType::kHelloAck);
+    ASSERT_TRUE(sock.socket().send(report));
     ASSERT_TRUE(pump_until(awareness_hub, [&] {
       return awareness_hub.diagnosis().steps_ingested() == 2;
     }));
@@ -363,9 +344,9 @@ TEST(FleetDiagHubLifecycle, SpectraPersistAcrossReconnect) {
   EXPECT_TRUE(awareness_hub.diagnosis().has_slot("tv0")) << "outage must not retire diagnosis";
 
   // First reconnect attempt is free (0ms backoff).
-  ipc::FramedSocket again;
-  ASSERT_EQ(handshake(awareness_hub, again, "tv0"), ipc::FrameType::kHelloAck);
-  ASSERT_TRUE(again.send(report));
+  hub::SuoLink again;
+  ASSERT_EQ(again.claim(awareness_hub.path(), "tv0", &awareness_hub), ipc::FrameType::kHelloAck);
+  ASSERT_TRUE(again.socket().send(report));
   ASSERT_TRUE(pump_until(awareness_hub, [&] {
     return awareness_hub.diagnosis().steps_ingested() == 4;
   }));
@@ -393,14 +374,14 @@ TEST(FleetDiagHubLifecycle, PermanentSlotFailureRetiresDiagState) {
   report.spectra.push_back({true, {0, 1}});
 
   for (int session = 0; session < 2; ++session) {
-    ipc::FramedSocket sock;
-    ASSERT_EQ(handshake(awareness_hub, sock, "tv0"), ipc::FrameType::kHelloAck);
-    ASSERT_TRUE(sock.send(report));
+    hub::SuoLink sock;
+    ASSERT_EQ(sock.claim(awareness_hub.path(), "tv0", &awareness_hub), ipc::FrameType::kHelloAck);
+    ASSERT_TRUE(sock.socket().send(report));
     ASSERT_TRUE(pump_until(awareness_hub, [&] {
       return awareness_hub.diagnosis().steps_ingested() ==
              static_cast<std::uint64_t>(session + 1);
     }));
-    sock = ipc::FramedSocket();  // crash
+    sock.socket().close();  // crash
     ASSERT_TRUE(
         pump_until(awareness_hub, [&] { return awareness_hub.connection_count() == 0; }));
   }

@@ -6,7 +6,7 @@
 // the E16 uniform draw cannot reach), the injector overlap merge rule,
 // the resource-eater fault, and the cross-backend differential: a
 // fuzzer-discovered corpus replays verdict-for-verdict and
-// fingerprint-for-fingerprint on every IPC backend at 1/2/4 shards.
+// fingerprint-for-fingerprint through the hub at 1/2/4 shards.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -301,29 +301,26 @@ TEST(ResourceEater, DeferredProcessingIsDetectedAndDrains) {
 
 // A fuzzer-discovered corpus is only a corpus if it replays everywhere:
 // every entry must reproduce its verdict and its exact golden-trace
-// fingerprint on each IPC backend (socketpair, AF_UNIX, epoll hub) at
-// 1, 2 and 4 shards. The kOff run that built the corpus is the
-// reference; composed faults, outage windows and resource eaters are
-// all represented in the first 20 entries.
+// fingerprint over the wire (the epoll hub) at 1, 2 and 4 shards. The
+// kOff run that built the corpus is the reference; composed faults,
+// outage windows and resource eaters are all represented in the first
+// 20 entries.
 TEST(FuzzDifferential, CorpusReplaysAcrossBackendsAndShards) {
   const auto report = tk::FuzzCampaignRunner(small_fuzz(2026, 60)).run();
   ASSERT_GE(report.corpus.size(), 20u);
 
-  for (const tk::IpcMode mode :
-       {tk::IpcMode::kSocketpair, tk::IpcMode::kUnix, tk::IpcMode::kHub}) {
-    for (const std::size_t shards : {1u, 2u, 4u}) {
-      tk::ExecutorConfig cfg;
-      cfg.ipc = mode;
-      cfg.shards = shards;
-      tk::ScenarioExecutor executor(cfg);
-      for (std::size_t i = 0; i < 20; ++i) {
-        const auto& entry = report.corpus[i];
-        const auto replay = executor.run(entry.script);
-        EXPECT_EQ(replay.verdict, entry.verdict)
-            << tk::to_string(mode) << " shards=" << shards << " " << entry.script.name();
-        EXPECT_EQ(replay.trace.fingerprint(), entry.trace_fp)
-            << tk::to_string(mode) << " shards=" << shards << " " << entry.script.name();
-      }
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    tk::ExecutorConfig cfg;
+    cfg.ipc = tk::IpcMode::kHub;
+    cfg.shards = shards;
+    tk::ScenarioExecutor executor(cfg);
+    for (std::size_t i = 0; i < 20; ++i) {
+      const auto& entry = report.corpus[i];
+      const auto replay = executor.run(entry.script);
+      EXPECT_EQ(replay.verdict, entry.verdict)
+          << "hub shards=" << shards << " " << entry.script.name();
+      EXPECT_EQ(replay.trace.fingerprint(), entry.trace_fp)
+          << "hub shards=" << shards << " " << entry.script.name();
     }
   }
 }

@@ -3,10 +3,10 @@
 // HubConnection backpressure policy, the AwarenessHub slot handshake
 // (accept / unknown / busy / backoff rejection), accept storms,
 // hub-driven liveness eviction with exactly-one-outage accounting, the
+// SUO end of a link (hub::SuoLink's idempotent recover ack), the
 // publisher agent end to end, and the campaign differential gate: a
-// multi-SUO campaign through the hub must match the in-process and
-// per-monitor-socket backends verdict for verdict and fingerprint for
-// fingerprint.
+// multi-SUO campaign through the hub must match the in-process backend
+// verdict for verdict and fingerprint for fingerprint.
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -59,23 +59,6 @@ ipc::Frame hello_frame(const std::string& slot) {
   return f;
 }
 
-/// Connect to the hub and run the kHello handshake, pumping the hub
-/// loop between nonblocking receive attempts. Returns the handshake
-/// response type (kShutdown on rejection).
-ipc::FrameType handshake(hub::AwarenessHub& awareness_hub, ipc::FramedSocket& sock,
-                         const std::string& slot) {
-  const int fd = ipc::connect_unix_retry(awareness_hub.path(), 2000);
-  if (fd < 0) return ipc::FrameType::kShutdown;
-  sock = ipc::FramedSocket(fd);
-  if (!sock.send(hello_frame(slot))) return ipc::FrameType::kShutdown;
-  ipc::Frame ack;
-  while (true) {
-    const auto st = sock.recv(ack, 0);
-    if (st == ipc::FramedSocket::RecvStatus::kFrame) return ack.type;
-    if (st != ipc::FramedSocket::RecvStatus::kTimeout) return ipc::FrameType::kShutdown;
-    if (awareness_hub.poll(10) < 0) return ipc::FrameType::kShutdown;
-  }
-}
 
 // ============================================================= event loop
 
@@ -219,8 +202,8 @@ TEST(HubTest, HandshakeAcceptsKnownSlotAndFlipsGate) {
   ASSERT_TRUE(awareness_hub.start());
   EXPECT_FALSE(gate->load());
 
-  ipc::FramedSocket sock;
-  EXPECT_EQ(handshake(awareness_hub, sock, "tv0"), ipc::FrameType::kHelloAck);
+  hub::SuoLink sock;
+  EXPECT_EQ(sock.claim(awareness_hub.path(), "tv0", &awareness_hub), ipc::FrameType::kHelloAck);
   EXPECT_TRUE(gate->load());
   EXPECT_TRUE(awareness_hub.slot_up("tv0"));
   EXPECT_EQ(awareness_hub.connection_count(), 1u);
@@ -229,7 +212,7 @@ TEST(HubTest, HandshakeAcceptsKnownSlotAndFlipsGate) {
   // Orderly goodbye: gate drops, no outage is reported.
   ipc::Frame bye;
   bye.type = ipc::FrameType::kShutdown;
-  sock.send(bye);
+  sock.socket().send(bye);
   ASSERT_TRUE(pump_until(awareness_hub, [&] { return awareness_hub.connection_count() == 0; }));
   EXPECT_FALSE(gate->load());
   EXPECT_TRUE(awareness_hub.link_errors().empty());
@@ -244,13 +227,15 @@ TEST(HubTest, HandshakeRejectsUnknownAndBusySlots) {
   awareness_hub.add_slot("tv0");
   ASSERT_TRUE(awareness_hub.start());
 
-  ipc::FramedSocket owner;
-  ASSERT_EQ(handshake(awareness_hub, owner, "tv0"), ipc::FrameType::kHelloAck);
+  hub::SuoLink owner;
+  ASSERT_EQ(owner.claim(awareness_hub.path(), "tv0", &awareness_hub), ipc::FrameType::kHelloAck);
 
-  ipc::FramedSocket unknown;
-  EXPECT_EQ(handshake(awareness_hub, unknown, "nope"), ipc::FrameType::kShutdown);
-  ipc::FramedSocket duplicate;
-  EXPECT_EQ(handshake(awareness_hub, duplicate, "tv0"), ipc::FrameType::kShutdown);
+  hub::SuoLink unknown;
+  EXPECT_EQ(unknown.claim(awareness_hub.path(), "nope", &awareness_hub),
+            ipc::FrameType::kShutdown);
+  hub::SuoLink duplicate;
+  EXPECT_EQ(duplicate.claim(awareness_hub.path(), "tv0", &awareness_hub),
+            ipc::FrameType::kShutdown);
 
   // The rejections must not have disturbed the established link.
   ASSERT_TRUE(pump_until(awareness_hub, [&] { return awareness_hub.connection_count() == 1; }));
@@ -308,8 +293,8 @@ TEST(HubTest, LivenessMissEvictsOnceAndReportsOneOutage) {
   const auto gate = awareness_hub.add_slot("tv0");
   ASSERT_TRUE(awareness_hub.start());
 
-  ipc::FramedSocket sock;
-  ASSERT_EQ(handshake(awareness_hub, sock, "tv0"), ipc::FrameType::kHelloAck);
+  hub::SuoLink sock;
+  ASSERT_EQ(sock.claim(awareness_hub.path(), "tv0", &awareness_hub), ipc::FrameType::kHelloAck);
   ASSERT_TRUE(gate->load());
 
   // Never answer a probe: the hub must declare the slot dead after the
@@ -326,8 +311,8 @@ TEST(HubTest, LivenessMissEvictsOnceAndReportsOneOutage) {
 
   // A freshly restarted SUO is picked up immediately: the first
   // reconnect attempt after an outage is free.
-  ipc::FramedSocket retry;
-  ASSERT_EQ(handshake(awareness_hub, retry, "tv0"), ipc::FrameType::kHelloAck);
+  hub::SuoLink retry;
+  ASSERT_EQ(retry.claim(awareness_hub.path(), "tv0", &awareness_hub), ipc::FrameType::kHelloAck);
   EXPECT_TRUE(gate->load());
   ASSERT_EQ(awareness_hub.link_errors().size(), 1u) << "reconnect is not an outage";
   awareness_hub.stop();
@@ -351,31 +336,82 @@ TEST(HubTest, CrashLoopPaysBackoffWindow) {
 
   // Crash #1: instant EOF after the handshake. The next attempt is
   // still free (first crash gets the freshly-restarted benefit).
-  ipc::FramedSocket s1;
-  ASSERT_EQ(handshake(awareness_hub, s1, "tv0"), ipc::FrameType::kHelloAck);
-  s1.close();
+  hub::SuoLink s1;
+  ASSERT_EQ(s1.claim(awareness_hub.path(), "tv0", &awareness_hub), ipc::FrameType::kHelloAck);
+  s1.socket().close();
   ASSERT_TRUE(pump_until(awareness_hub, [&] { return awareness_hub.connection_count() == 0; }));
   EXPECT_EQ(awareness_hub.link_errors().size(), 1u);
 
   // Crash #2: the second consecutive unstable session arms the window.
-  ipc::FramedSocket s2;
-  ASSERT_EQ(handshake(awareness_hub, s2, "tv0"), ipc::FrameType::kHelloAck);
-  s2.close();
+  hub::SuoLink s2;
+  ASSERT_EQ(s2.claim(awareness_hub.path(), "tv0", &awareness_hub), ipc::FrameType::kHelloAck);
+  s2.socket().close();
   ASSERT_TRUE(pump_until(awareness_hub, [&] { return awareness_hub.connection_count() == 0; }));
   EXPECT_EQ(awareness_hub.link_errors().size(), 2u);
 
   // Inside the 40ms window the reconnect is rejected...
-  ipc::FramedSocket eager;
-  EXPECT_EQ(handshake(awareness_hub, eager, "tv0"), ipc::FrameType::kShutdown);
+  hub::SuoLink eager;
+  EXPECT_EQ(eager.claim(awareness_hub.path(), "tv0", &awareness_hub), ipc::FrameType::kShutdown);
   EXPECT_FALSE(gate->load());
   EXPECT_GE(awareness_hub.metrics().counter("hub.rejected"), 1u);
 
   // ...and once it passes the slot accepts again.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  ipc::FramedSocket healthy;
-  EXPECT_EQ(handshake(awareness_hub, healthy, "tv0"), ipc::FrameType::kHelloAck);
+  hub::SuoLink healthy;
+  EXPECT_EQ(healthy.claim(awareness_hub.path(), "tv0", &awareness_hub), ipc::FrameType::kHelloAck);
   EXPECT_TRUE(gate->load());
   awareness_hub.stop();
+}
+
+// ============================================================== SUO link
+
+// The hub resends a kRecover whose ack was lost; the SUO end must
+// replay the cached outcome instead of acting twice.
+TEST(SuoLinkTest, RecoverAckReplaysDuplicateTokenWithoutActingTwice) {
+  hub::SuoLink link;
+  int runs = 0;
+  const auto act = [&runs] {
+    ++runs;
+    return hub::RecoverOutcome{runs == 1, "run " + std::to_string(runs)};
+  };
+  ipc::Frame cmd;
+  cmd.type = ipc::FrameType::kRecover;
+  cmd.action = 1;
+  cmd.unit = "tuner";
+  cmd.token = 7;
+
+  const ipc::Frame first = link.recover_ack(cmd, rt::msec(10), act);
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(first.type, ipc::FrameType::kRecoverAck);
+  EXPECT_EQ(first.seq, 1u);
+  EXPECT_EQ(first.time, rt::msec(10));
+  EXPECT_EQ(first.action, cmd.action);
+  EXPECT_EQ(first.token, 7u);
+  EXPECT_EQ(first.unit, "tuner");
+  EXPECT_TRUE(first.ok);
+  EXPECT_EQ(first.detail, "run 1");
+
+  const ipc::Frame again = link.recover_ack(cmd, rt::msec(20), act);
+  EXPECT_EQ(runs, 1) << "a resent token must not act twice";
+  EXPECT_EQ(again.token, 7u);
+  EXPECT_EQ(again.ok, first.ok);
+  EXPECT_EQ(again.detail, first.detail);
+  EXPECT_EQ(again.seq, 2u) << "a replayed ack is still a fresh frame";
+  EXPECT_EQ(link.duplicates(), 1u);
+
+  cmd.token = 8;
+  const ipc::Frame next = link.recover_ack(cmd, rt::msec(30), act);
+  EXPECT_EQ(runs, 2) << "a new token acts again";
+  EXPECT_FALSE(next.ok);
+  EXPECT_EQ(next.detail, "run 2");
+  EXPECT_EQ(link.duplicates(), 1u);
+
+  cmd.token = 0;
+  link.recover_ack(cmd, rt::msec(40), act);
+  const ipc::Frame untokened = link.recover_ack(cmd, rt::msec(40), act);
+  EXPECT_EQ(runs, 4) << "token 0 is never deduplicated";
+  EXPECT_EQ(untokened.detail, "run 4");
+  EXPECT_EQ(link.duplicates(), 1u);
 }
 
 // ============================================================= publisher
@@ -430,43 +466,37 @@ TEST(HubTest, PublisherStreamsToHorizonAndSaysGoodbye) {
 // ============================================================== campaign
 
 // The differential gate for the whole subsystem: the same seeded
-// campaign through (a) the in-process bus, (b) one blocking socket per
-// monitor, and (c) the epoll hub multiplexing every aspect over real
-// AF_UNIX connections into a sharded fleet must agree on every verdict,
-// every detection latency and every golden-trace fingerprint. The
-// fingerprints filter to comparator./model. counters, so hub.* and
-// ipc.* transport metrics are free to differ — semantics are not.
-TEST(HubCampaign, HubMatchesInProcessAndIpcVerdictForVerdict) {
+// campaign through (a) the in-process fleet and (b) the epoll hub
+// multiplexing every aspect over real AF_UNIX connections into a
+// sharded fleet must agree on every verdict, every detection latency
+// and every golden-trace fingerprint. The fingerprints filter to
+// comparator./model. counters, so hub.* and ipc.* transport metrics are
+// free to differ — semantics are not.
+TEST(HubCampaign, HubMatchesInProcessVerdictForVerdict) {
   tk::CampaignConfig base;
   base.seed = 77;
   base.scenarios = 20;
   base.draw.aspects = 8;
   base.draw.horizon = rt::msec(400);
 
-  tk::CampaignConfig sp = base;
-  sp.executor.ipc = tk::IpcMode::kSocketpair;
   tk::CampaignConfig hb = base;
   hb.executor.ipc = tk::IpcMode::kHub;
   hb.executor.shards = 2;
 
   const auto in_process = tk::CampaignRunner(base).run();
-  const auto socketpair = tk::CampaignRunner(sp).run();
   const auto hub_run = tk::CampaignRunner(hb).run();
 
   ASSERT_EQ(in_process.results.size(), 20u);
-  ASSERT_EQ(socketpair.results.size(), 20u);
   ASSERT_EQ(hub_run.results.size(), 20u);
   for (std::size_t i = 0; i < in_process.results.size(); ++i) {
     const auto& ref = in_process.results[i];
-    for (const auto* other : {&socketpair.results[i], &hub_run.results[i]}) {
-      EXPECT_EQ(ref.verdict, other->verdict) << ref.name;
-      EXPECT_EQ(ref.detection_latency, other->detection_latency) << ref.name;
-      EXPECT_EQ(ref.recovered, other->recovered) << ref.name;
-      const auto diff = tk::GoldenTrace::diff(ref.trace, other->trace);
-      EXPECT_TRUE(diff.identical) << ref.name << ": " << diff.describe();
-    }
+    const auto& other = hub_run.results[i];
+    EXPECT_EQ(ref.verdict, other.verdict) << ref.name;
+    EXPECT_EQ(ref.detection_latency, other.detection_latency) << ref.name;
+    EXPECT_EQ(ref.recovered, other.recovered) << ref.name;
+    const auto diff = tk::GoldenTrace::diff(ref.trace, other.trace);
+    EXPECT_TRUE(diff.identical) << ref.name << ": " << diff.describe();
   }
-  EXPECT_EQ(in_process.golden_trace().fingerprint(), socketpair.golden_trace().fingerprint());
   EXPECT_EQ(in_process.golden_trace().fingerprint(), hub_run.golden_trace().fingerprint());
 }
 
@@ -484,9 +514,22 @@ TEST(HubCampaign, KillAndRestartThroughHubQuiescesAndCompletes) {
   const auto result = executor.run(script);
 
   EXPECT_EQ(result.link_outages, 1u);
+  // No fault was planned and the outage itself must not manufacture
+  // comparator errors: commands in the window reach neither the model
+  // nor the system, and the slot gates quiesce comparison.
   EXPECT_EQ(result.verdict, tk::Verdict::kTrueNegative);
   EXPECT_EQ(result.errors_on_target + result.errors_off_target, 0u);
 
+  bool down_traced = false;
+  bool up_traced = false;
+  for (const auto& line : result.trace.lines()) {
+    if (line.find("link down") != std::string::npos) down_traced = true;
+    if (line.find("link up") != std::string::npos) up_traced = true;
+  }
+  EXPECT_TRUE(down_traced);
+  EXPECT_TRUE(up_traced);
+
+  // Determinism: the same outage scenario replays to the same trace.
   tk::ScenarioExecutor executor2(config);
   const auto replay = executor2.run(script);
   EXPECT_EQ(result.trace.fingerprint(), replay.trace.fingerprint());

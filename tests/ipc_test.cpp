@@ -2,8 +2,8 @@
 // bit-flip corruption failing closed), version negotiation, transport
 // metrics, supervision state machine, the socketpair-hosted SuoServer +
 // RemoteSuoClient loop, IControl idempotency across the process
-// boundary, kill-and-restart of a real suo_host child process, and
-// verdict-for-verdict campaign equivalence across transports.
+// boundary and kill-and-restart of a real suo_host child process. The
+// campaign's wire differential lives in hub_test (HubCampaign.*).
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -23,14 +23,11 @@
 #include "ipc/transport.hpp"
 #include "ipc/wire.hpp"
 #include "runtime/rng.hpp"
-#include "testkit/campaign.hpp"
-#include "testkit/scenario.hpp"
 #include "tv/spec_model.hpp"
 
 namespace rt = trader::runtime;
 namespace ipc = trader::ipc;
 namespace core = trader::core;
-namespace tk = trader::testkit;
 namespace tv = trader::tv;
 namespace flt = trader::faults;
 
@@ -974,72 +971,3 @@ TEST(IpcSupervision, SigkilledHostIsDetectedReportedOnceAndReconnected) {
   ipc::unlink_unix(path);
 }
 
-// ================================================================ campaign
-
-TEST(IpcCampaign, TransportsMatchInProcessVerdictForVerdict) {
-  tk::CampaignConfig base;
-  base.seed = 77;
-  base.scenarios = 20;
-  base.draw.aspects = 3;
-  base.draw.horizon = rt::msec(400);
-
-  tk::CampaignConfig sp = base;
-  sp.executor.ipc = tk::IpcMode::kSocketpair;
-  tk::CampaignConfig un = base;
-  un.executor.ipc = tk::IpcMode::kUnix;
-
-  const auto in_process = tk::CampaignRunner(base).run();
-  const auto socketpair = tk::CampaignRunner(sp).run();
-  const auto unix_socket = tk::CampaignRunner(un).run();
-
-  ASSERT_EQ(in_process.results.size(), 20u);
-  ASSERT_EQ(socketpair.results.size(), 20u);
-  ASSERT_EQ(unix_socket.results.size(), 20u);
-  for (std::size_t i = 0; i < in_process.results.size(); ++i) {
-    const auto& ref = in_process.results[i];
-    for (const auto* other : {&socketpair.results[i], &unix_socket.results[i]}) {
-      EXPECT_EQ(ref.verdict, other->verdict) << ref.name;
-      EXPECT_EQ(ref.detection_latency, other->detection_latency) << ref.name;
-      EXPECT_EQ(ref.recovered, other->recovered) << ref.name;
-      const auto diff = tk::GoldenTrace::diff(ref.trace, other->trace);
-      EXPECT_TRUE(diff.identical) << ref.name << ": " << diff.describe();
-    }
-  }
-  EXPECT_EQ(in_process.golden_trace().fingerprint(), socketpair.golden_trace().fingerprint());
-  EXPECT_EQ(in_process.golden_trace().fingerprint(), unix_socket.golden_trace().fingerprint());
-}
-
-TEST(IpcCampaign, KillAndRestartScenarioQuiescesAndCompletes) {
-  tk::ScenarioScript script;
-  script.name("kill-restart").aspects(2).horizon(rt::msec(500));
-  script.every(rt::msec(20), rt::msec(20), rt::msec(480));
-
-  tk::ExecutorConfig config;
-  config.ipc = tk::IpcMode::kSocketpair;
-  config.suo_down_at = rt::msec(120);
-  config.suo_up_at = rt::msec(240);
-
-  tk::ScenarioExecutor executor(config);
-  const auto result = executor.run(script);
-
-  EXPECT_EQ(result.link_outages, 1u);
-  // No fault was planned and the outage itself must not manufacture
-  // comparator errors: commands in the window reach neither the model
-  // nor the system, and the link gate quiesces comparison.
-  EXPECT_EQ(result.verdict, tk::Verdict::kTrueNegative);
-  EXPECT_EQ(result.errors_on_target + result.errors_off_target, 0u);
-
-  bool down_traced = false;
-  bool up_traced = false;
-  for (const auto& line : result.trace.lines()) {
-    if (line.find("link down") != std::string::npos) down_traced = true;
-    if (line.find("link up") != std::string::npos) up_traced = true;
-  }
-  EXPECT_TRUE(down_traced);
-  EXPECT_TRUE(up_traced);
-
-  // Determinism: the same outage scenario replays to the same trace.
-  tk::ScenarioExecutor executor2(config);
-  const auto replay = executor2.run(script);
-  EXPECT_EQ(result.trace.fingerprint(), replay.trace.fingerprint());
-}

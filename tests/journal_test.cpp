@@ -26,6 +26,7 @@
 #include "diagnosis/incremental.hpp"
 #include "fleetdiag/aggregator.hpp"
 #include "gtest/gtest.h"
+#include "hub/agent.hpp"
 #include "hub/hub.hpp"
 #include "hub/recovery.hpp"
 #include "ipc/transport.hpp"
@@ -934,23 +935,10 @@ TEST(JournalHub, CleanStopCheckpointsAndRestartRestoresState) {
     hub::AwarenessHub h(cfg);
     h.add_slot("s0");
     ASSERT_TRUE(h.start());
-    // Loopback publisher: reuse the campaign-side framing via a raw
-    // socket handshake.
-    const int fd = trader::ipc::connect_unix_retry(h.path(), 2000);
-    ASSERT_GE(fd, 0);
-    ipc::FramedSocket sock{fd};
-    ipc::Frame hello;
-    hello.type = ipc::FrameType::kHello;
-    hello.detail = "s0";
-    ASSERT_TRUE(sock.send(hello));
-    ipc::Frame ack;
-    for (;;) {
-      const auto st = sock.recv(ack, 0);
-      if (st == ipc::FramedSocket::RecvStatus::kFrame) break;
-      ASSERT_EQ(st, ipc::FramedSocket::RecvStatus::kTimeout);
-      ASSERT_GE(h.poll(10), 0);
-    }
-    ASSERT_EQ(ack.type, ipc::FrameType::kHelloAck);
+    // Loopback publisher on this thread.
+    hub::SuoLink link;
+    ASSERT_EQ(link.claim(h.path(), "s0", &h), ipc::FrameType::kHelloAck);
+    ipc::FramedSocket& sock = link.socket();
 
     std::uint32_t seq = 0;
     for (int i = 0; i < 5; ++i) {

@@ -23,6 +23,7 @@
 #include "fleetdiag/aggregator.hpp"
 #include "fuzz_findings.hpp"
 #include "gtest/gtest.h"
+#include "hub/agent.hpp"
 #include "hub/hub.hpp"
 #include "hub/recovery.hpp"
 #include "ipc/transport.hpp"
@@ -111,31 +112,6 @@ bool pump_until(hub::AwarenessHub& awareness_hub, Pred done) {
     if (awareness_hub.poll(10) < 0) return false;
   }
   return true;
-}
-
-/// Connect + kHello handshake; `max_version` lets a test pose as an
-/// older peer (the storm-guard's v2 bystander).
-bool handshake(hub::AwarenessHub& awareness_hub, ipc::FramedSocket& sock, const std::string& slot,
-               std::uint8_t max_version = ipc::kProtocolVersion) {
-  const int fd = ipc::connect_unix_retry(awareness_hub.path(), 2000);
-  if (fd < 0) return false;
-  sock = ipc::FramedSocket(fd);
-  ipc::Frame hello;
-  hello.type = ipc::FrameType::kHello;
-  hello.detail = slot;
-  hello.max_version = max_version;
-  if (!sock.send(hello)) return false;
-  ipc::Frame ack;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (std::chrono::steady_clock::now() <= deadline) {
-    const auto st = sock.recv(ack, 0);
-    if (st == ipc::FramedSocket::RecvStatus::kFrame) {
-      return ack.type == ipc::FrameType::kHelloAck;
-    }
-    if (st != ipc::FramedSocket::RecvStatus::kTimeout) return false;
-    if (awareness_hub.poll(10) < 0) return false;
-  }
-  return false;
 }
 
 /// One kSpectrum report frame, same shape as feed_error().
@@ -590,18 +566,23 @@ TEST(RecoveryLoop, StormGuardBudgetsCorrelatedFaultAndSparesV2Peer) {
       [](std::size_t block) { return "comp" + std::to_string(block); });
   ASSERT_TRUE(awareness_hub.start());
 
-  std::vector<ipc::FramedSocket> socks(kSlots);
+  std::vector<hub::SuoLink> links(kSlots);
   for (int i = 0; i < kSlots; ++i) {
-    ASSERT_TRUE(handshake(awareness_hub, socks[i], names[static_cast<std::size_t>(i)]));
+    ASSERT_EQ(links[i].claim(awareness_hub.path(), names[static_cast<std::size_t>(i)],
+                             &awareness_hub, 5000),
+              ipc::FrameType::kHelloAck);
   }
-  ipc::FramedSocket v2sock;
-  ASSERT_TRUE(handshake(awareness_hub, v2sock, "v2peer", /*max_version=*/2));
+  // Pose as an older peer: the storm-guard's v2 bystander.
+  hub::SuoLink v2link;
+  ASSERT_EQ(v2link.claim(awareness_hub.path(), "v2peer", &awareness_hub, 5000, /*max_version=*/2),
+            ipc::FrameType::kHelloAck);
+  ipc::FramedSocket& v2sock = v2link.socket();
 
   std::uint32_t seq = 0;
   std::uint64_t reports = 0;
   const auto feed_all = [&] {
     for (int i = 0; i < kSlots; ++i) {
-      if (!socks[static_cast<std::size_t>(i)].send(spectrum_frame(seq, 7))) return false;
+      if (!links[static_cast<std::size_t>(i)].socket().send(spectrum_frame(seq, 7))) return false;
     }
     if (!v2sock.send(spectrum_frame(seq, 7))) return false;  // v2 streams spectra too
     ++reports;
@@ -626,7 +607,7 @@ TEST(RecoveryLoop, StormGuardBudgetsCorrelatedFaultAndSparesV2Peer) {
       if (!outstanding) return true;
       if (std::chrono::steady_clock::now() > deadline) return false;
       for (int i = 0; i < kSlots; ++i) {
-        auto& sock = socks[static_cast<std::size_t>(i)];
+        auto& sock = links[static_cast<std::size_t>(i)].socket();
         ipc::Frame f;
         while (sock.recv(f, 0) == ipc::FramedSocket::RecvStatus::kFrame) {
           if (f.type != ipc::FrameType::kRecover) continue;
