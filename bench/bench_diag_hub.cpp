@@ -209,7 +209,7 @@ void report() {
 // ------------------------------------------------------- microbenchmarks
 
 void BM_AggregatorIngest(benchmark::State& state) {
-  fd::FleetAggregator agg(fd::AggregatorConfig{10, trader::diagnosis::Coefficient::kOchiai, 8});
+  fd::FleetAggregator agg(fd::AggregatorConfig{10, 8});
   std::vector<ipc::SpectrumStep> steps;
   std::vector<std::uint32_t> blocks;
   for (std::uint32_t b = 0; b < 32; ++b) blocks.push_back(b * 7);
@@ -224,7 +224,7 @@ void BM_AggregatorIngest(benchmark::State& state) {
 BENCHMARK(BM_AggregatorIngest);
 
 void BM_AggregatorTopSuspects(benchmark::State& state) {
-  fd::FleetAggregator agg(fd::AggregatorConfig{10, trader::diagnosis::Coefficient::kOchiai, 1});
+  fd::FleetAggregator agg(fd::AggregatorConfig{10, 1});
   rt::Rng rng(5);
   for (int s = 0; s < 512; ++s) {
     std::vector<std::uint32_t> blocks;

@@ -146,7 +146,7 @@ RecoveryRun run_recovery(std::uint64_t records, bool checkpoint_midway) {
   frame.spectra.push_back({false, {101, 201, 301, 401}});
 
   // Session 1: journal `records` frames; optionally checkpoint at 90%.
-  fd::FleetAggregator agg({10, trader::diagnosis::Coefficient::kOchiai, 64});
+  fd::FleetAggregator agg({10, 64});
   const std::vector<jn::Checkpointable*> parts = {&agg};
   {
     jn::HubJournal journal(cfg, nullptr);
@@ -162,7 +162,7 @@ RecoveryRun run_recovery(std::uint64_t records, bool checkpoint_midway) {
   }
 
   // Session 2: the measured restart.
-  fd::FleetAggregator cold({10, trader::diagnosis::Coefficient::kOchiai, 64});
+  fd::FleetAggregator cold({10, 64});
   const std::vector<jn::Checkpointable*> cold_parts = {&cold};
   jn::HubJournal journal(cfg, nullptr);
   NullSink sink;
@@ -193,7 +193,7 @@ struct CheckpointRun {
 
 CheckpointRun run_checkpoint(std::size_t slots) {
   TempDir dir;
-  fd::FleetAggregator agg({10, trader::diagnosis::Coefficient::kOchiai, 16});
+  fd::FleetAggregator agg({10, 16});
   for (std::size_t k = 0; k < slots; ++k) {
     const std::string slot = "tv" + std::to_string(k);
     for (std::uint32_t r = 0; r < 32; ++r) {
@@ -209,7 +209,7 @@ CheckpointRun run_checkpoint(std::size_t slots) {
   store.write(1, parts, &error);
   const auto t1 = std::chrono::steady_clock::now();
 
-  fd::FleetAggregator cold({10, trader::diagnosis::Coefficient::kOchiai, 16});
+  fd::FleetAggregator cold({10, 16});
   const std::vector<jn::Checkpointable*> cold_parts = {&cold};
   std::uint64_t seq = 0;
   const auto t2 = std::chrono::steady_clock::now();
@@ -328,12 +328,12 @@ BENCHMARK(BM_WalAppend);
 
 void BM_CheckpointCodecRoundtrip(benchmark::State& state) {
   // Pure codec cost of snapshotting one mid-sized diagnosis state.
-  fd::FleetAggregator agg({10, trader::diagnosis::Coefficient::kOchiai, 16});
+  fd::FleetAggregator agg({10, 16});
   for (std::uint32_t r = 0; r < 64; ++r) {
     agg.ingest("tv0", std::vector<ipc::SpectrumStep>{{r % 8 == 0, {r, r + 1}},
                                                      {false, {r + 2}}});
   }
-  fd::FleetAggregator cold({10, trader::diagnosis::Coefficient::kOchiai, 16});
+  fd::FleetAggregator cold({10, 16});
   for (auto _ : state) {
     jn::Encoder enc;
     agg.save_state(enc);

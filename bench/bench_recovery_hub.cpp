@@ -186,7 +186,7 @@ struct StormRun {
 };
 
 StormRun run_storm(std::size_t slots) {
-  fd::FleetAggregator agg(fd::AggregatorConfig{10, trader::diagnosis::Coefficient::kOchiai, 1});
+  fd::FleetAggregator agg(fd::AggregatorConfig{10, 1});
   hub::RecoveryConfig cfg;
   cfg.enabled = true;
   cfg.stable_reports = 1;
@@ -368,7 +368,7 @@ void report() {
 void BM_OrchestratorTickQuietFleet(benchmark::State& state) {
   // Steady-state cost of the actuation pass when nothing is wrong —
   // the price every poll pays once recovery is on.
-  fd::FleetAggregator agg(fd::AggregatorConfig{10, trader::diagnosis::Coefficient::kOchiai, 8});
+  fd::FleetAggregator agg(fd::AggregatorConfig{10, 8});
   hub::RecoveryConfig cfg;
   cfg.enabled = true;
   hub::RecoveryOrchestrator orch(cfg, agg);

@@ -50,7 +50,9 @@
 #      growth/reuse under ASan, and the shared-program multi-thread test
 #      under TSan; the report() of bench_exec, bench_awareness,
 #      bench_scale, bench_printer, bench_mediaplayer, bench_detection,
-#      bench_ipc, bench_hub and bench_diag_hub under ASan; then
+#      bench_ipc, bench_hub, bench_diag_hub and bench_diagnosis (the
+#      offline SflRanker::rank() across all five coefficients) under
+#      ASan; then
 #      bench_exec leaves BENCH_exec.json in the repo root
 #      (steps/sec/core + bytes/monitor per kernel)
 #  12. bench_scale scaling experiment, leaving BENCH_scale.json in the
@@ -245,9 +247,10 @@ cmake --build build-tsan -j "$JOBS" --target exec_test
 # bench_recovery_hub stays out while it can hang on the hub's recovery
 # deadlock (ROADMAP).
 cmake --build build-asan -j "$JOBS" --target bench_exec bench_awareness bench_scale \
-  bench_printer bench_mediaplayer bench_detection bench_ipc bench_hub bench_diag_hub
+  bench_printer bench_mediaplayer bench_detection bench_ipc bench_hub bench_diag_hub \
+  bench_diagnosis
 for bench in bench_exec bench_awareness bench_scale bench_printer bench_mediaplayer \
-  bench_detection bench_ipc bench_hub bench_diag_hub; do
+  bench_detection bench_ipc bench_hub bench_diag_hub bench_diagnosis; do
   (cd build-asan && "./bench/$bench" --benchmark_filter='^$' >/dev/null)
 done
 cmake --build build -j "$JOBS" --target bench_exec

@@ -1,6 +1,8 @@
 #include "diagnosis/incremental.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 
 namespace trader::diagnosis {
 
@@ -29,21 +31,6 @@ void IncrementalSflCounts::add(const std::vector<std::uint32_t>& blocks, bool er
   }
 }
 
-void IncrementalSflCounts::retire(const std::vector<std::uint32_t>& blocks, bool error) {
-  for (const std::uint32_t b : blocks) {
-    if (b >= a11_.size()) continue;
-    std::uint32_t& cell = error ? a11_[b] : a10_[b];
-    if (cell == 0) continue;  // clamped: never retired more than added
-    --cell;
-    if (a11_[b] + a10_[b] == 0) --touched_;
-  }
-  if (error) {
-    if (error_steps_ > 0) --error_steps_;
-  } else {
-    if (pass_steps_ > 0) --pass_steps_;
-  }
-}
-
 SflCounts IncrementalSflCounts::counts(std::size_t block) const {
   SflCounts k;
   if (block < a11_.size()) {
@@ -69,23 +56,70 @@ DiagnosisReport IncrementalSflCounts::report(Coefficient coefficient) const {
   return out;
 }
 
-std::vector<BlockScore> IncrementalSflCounts::top_k(std::size_t k, Coefficient coefficient) const {
-  std::vector<BlockScore> scored;
-  scored.reserve(touched_);
-  for (std::size_t b = 0; b < a11_.size(); ++b) {
-    if (a11_[b] + a10_[b] == 0) continue;
-    scored.push_back(BlockScore{b, similarity(coefficient, counts(b))});
+std::vector<BlockScore> IncrementalSflCounts::top_k(std::size_t k) const {
+  // Every block shares F = error_steps, so Ochiai's a11 / sqrt(F * n)
+  // (n = a11 + a10) orders blocks by the exact key a11^2 / n. Blocks
+  // arrive in ascending id order, so a candidate enters the full list
+  // only by scoring strictly above its last entry. `top` holds the
+  // entries sorted by (score descending, block ascending) — the order
+  // stable_sort gives report() — and at most k + 1 of them.
+  std::vector<BlockScore> top;
+  if (k == 0) return top;
+  top.reserve(std::min(k, touched_) + 1);
+  // Once the list is full, a block is skipped when its key is below the
+  // last entry's by a 1e-9 margin: a11^2 * n_last < lim * n, with
+  // lim = a11_last^2 * (1 - 1e-9). The margin dwarfs the ~4 ulp of
+  // rounding in either score, so a skipped block scores strictly below
+  // the last entry and could never enter. Since n >= a11, the key is at
+  // most a11, so a11 < min_a11 (the margined key, rounded down) already
+  // rules a block out on one integer compare, before a10 is read.
+  double lim = 0.0;
+  double n_last = 0.0;
+  std::uint32_t min_a11 = 0;
+  // Counts of the last block turned away: equal counts give an equal
+  // score, which a later id cannot beat. Starting at (0, 0) makes the
+  // same test skip untouched blocks while the list fills; once it is
+  // full, min_a11 >= 1 does.
+  std::uint32_t rej_a11 = 0;
+  std::uint32_t rej_a10 = 0;
+  bool full = false;
+  const std::size_t span = a11_.size();
+  for (std::size_t b = 0; b < span; ++b) {
+    const std::uint32_t a11 = a11_[b];
+    if (a11 < min_a11) continue;
+    const std::uint32_t a10 = a10_[b];
+    if (a11 == rej_a11 && a10 == rej_a10) continue;
+    if (full) {
+      const double n = static_cast<double>(a11) + static_cast<double>(a10);
+      const double key = static_cast<double>(a11) * static_cast<double>(a11);
+      if (key * n_last < lim * n) {
+        rej_a11 = a11;
+        rej_a10 = a10;
+        continue;
+      }
+    }
+    const double score = similarity(Coefficient::kOchiai, counts(b));
+    if (full && !(score > top.back().score)) {
+      rej_a11 = a11;
+      rej_a10 = a10;
+      continue;
+    }
+    auto at = top.end();
+    while (at != top.begin() && std::prev(at)->score < score) --at;
+    top.insert(at, BlockScore{b, score});
+    if (top.size() > k) top.pop_back();
+    full = top.size() == k;
+    if (full) {
+      const std::size_t last = top.back().block;
+      const double last_a11 = a11_[last];
+      lim = last_a11 * last_a11 * (1.0 - 1e-9);
+      n_last = last_a11 + static_cast<double>(a10_[last]);
+      // At least 1: a zero-score block cannot enter a full list either.
+      min_a11 = std::max<std::uint32_t>(
+          1, static_cast<std::uint32_t>(std::floor(lim / n_last * (1.0 - 1e-9))));
+    }
   }
-  const std::size_t n = std::min(k, scored.size());
-  // Candidates arrive in ascending block order, so breaking score ties
-  // by block id reproduces stable_sort's order for the first n entries.
-  std::partial_sort(scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(n),
-                    scored.end(), [](const BlockScore& a, const BlockScore& b) {
-                      if (a.score != b.score) return a.score > b.score;
-                      return a.block < b.block;
-                    });
-  scored.resize(n);
-  return scored;
+  return top;
 }
 
 void IncrementalSflCounts::merge(const IncrementalSflCounts& other) {
@@ -135,13 +169,18 @@ bool IncrementalSflCounts::load(journal::Decoder& in) {
   for (std::uint32_t b = 0; b < span; ++b) a10_[b] = in.u32();
   error_steps_ = in.u64();
   pass_steps_ = in.u64();
-  if (!in.ok()) {
-    clear();
-    return false;
-  }
+  // No block can have run in more steps than were accounted: top_k()'s
+  // shared-F ordering and counts()' derived a01/a00 both rely on it.
+  bool consistent = in.ok() && error_steps_ <= UINT32_MAX && pass_steps_ <= UINT32_MAX;
   touched_ = 0;
-  for (std::size_t b = 0; b < a11_.size(); ++b) {
+  for (std::size_t b = 0; consistent && b < a11_.size(); ++b) {
+    consistent = a11_[b] <= error_steps_ && a10_[b] <= pass_steps_;
     if (a11_[b] + a10_[b] > 0) ++touched_;
+  }
+  if (!consistent) {
+    clear();
+    in.fail();
+    return false;
   }
   return true;
 }

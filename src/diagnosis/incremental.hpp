@@ -17,7 +17,6 @@
 //   a00[b] = pass_steps  - a10[b]     (passing steps that skipped b)
 //
 // so one report costs O(blocks touched), never O(blocks x steps).
-// retire() is the exact inverse, enabling sliding-window diagnosis.
 // report() reproduces SflRanker::rank() bit-for-bit: same integer
 // counts, same similarity() doubles, same stable descending sort — the
 // equivalence the online/offline differential tests pin.
@@ -38,11 +37,6 @@ class IncrementalSflCounts {
   /// exceed any previous maximum; storage grows to the largest id seen.
   void add(const std::vector<std::uint32_t>& blocks, bool error);
 
-  /// Exact inverse of add() with the same arguments (sliding-window
-  /// retirement). Retiring a spectrum that was never added is clamped
-  /// to zero rather than underflowing.
-  void retire(const std::vector<std::uint32_t>& blocks, bool error);
-
   std::size_t steps() const { return error_steps_ + pass_steps_; }
   std::size_t error_steps() const { return error_steps_; }
   std::size_t pass_steps() const { return pass_steps_; }
@@ -62,11 +56,12 @@ class IncrementalSflCounts {
   /// blocks_considered) to SflRanker::rank() over the same spectra.
   DiagnosisReport report(Coefficient coefficient = Coefficient::kOchiai) const;
 
-  /// First k entries of report().ranking without sorting the tail:
-  /// partial-sort with the tie order stable_sort would produce (score
-  /// descending, block id ascending within a tie).
-  std::vector<BlockScore> top_k(std::size_t k,
-                                Coefficient coefficient = Coefficient::kOchiai) const;
+  /// First k entries of report(kOchiai).ranking, bit-identical: score
+  /// descending, block id ascending within a tie. One scan keeps a
+  /// sorted list of k and computes a block's score only when it could
+  /// enter: since every block shares error_steps, its exact key
+  /// a11^2 / (a11 + a10) rules most blocks out without a sqrt.
+  std::vector<BlockScore> top_k(std::size_t k) const;
 
   /// Fold another accumulator in (fleet-wide union over one id space).
   void merge(const IncrementalSflCounts& other);
@@ -75,8 +70,9 @@ class IncrementalSflCounts {
 
   /// Serialize the full accumulator for the hub's checkpoint files.
   /// load() fully overwrites current state and fails closed (false,
-  /// counts cleared) on any malformed input; `touched_` is recomputed
-  /// rather than trusted from disk.
+  /// counts cleared) on any malformed input, including a block count
+  /// above its step total; `touched_` is recomputed rather than
+  /// trusted from disk.
   void save(journal::Encoder& out) const;
   bool load(journal::Decoder& in);
 

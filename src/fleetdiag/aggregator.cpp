@@ -55,7 +55,7 @@ std::size_t FleetAggregator::ingest_locked(const std::string& slot_name,
     if (slots_gauge_ != nullptr) slots_gauge_->set(static_cast<double>(slots_.size()));
   }
 
-  // Amortized refresh: at most one partial sort per refresh_every
+  // Amortized refresh: at most one top-k scan per refresh_every
   // reports keeps the cached top-k within the staleness budget.
   if (slot.reports - slot.reports_at_refresh >= config_.refresh_every) {
     if (refresh_slot_locked(slot_name, slot)) ++churn_;
@@ -76,7 +76,7 @@ bool FleetAggregator::same_blocks(const std::vector<diagnosis::BlockScore>& a,
 }
 
 bool FleetAggregator::refresh_slot_locked(const std::string& name, Slot& slot) {
-  std::vector<diagnosis::BlockScore> next = slot.counts.top_k(config_.top_k, config_.coefficient);
+  std::vector<diagnosis::BlockScore> next = slot.counts.top_k(config_.top_k);
   slot.reports_at_refresh = slot.reports;
   if (refreshes_ctr_ != nullptr) refreshes_ctr_->inc();
   const bool changed = !same_blocks(next, slot.top);
@@ -90,7 +90,7 @@ bool FleetAggregator::refresh_slot_locked(const std::string& name, Slot& slot) {
 }
 
 bool FleetAggregator::refresh_fleet_locked() {
-  std::vector<diagnosis::BlockScore> next = fleet_.top_k(config_.top_k, config_.coefficient);
+  std::vector<diagnosis::BlockScore> next = fleet_.top_k(config_.top_k);
   fleet_reports_at_refresh_ = fleet_reports_;
   if (refreshes_ctr_ != nullptr) refreshes_ctr_->inc();
   const bool changed = !same_blocks(next, fleet_top_);
@@ -122,7 +122,7 @@ bool FleetAggregator::retire_slot(const std::string& slot_name) {
   slots_.erase(it);
   fleet_.clear();
   for (auto& [name, slot] : slots_) fleet_.merge(slot.counts);
-  fleet_top_ = fleet_.top_k(config_.top_k, config_.coefficient);
+  fleet_top_ = fleet_.top_k(config_.top_k);
   fleet_reports_at_refresh_ = fleet_reports_;
   if (retired_ctr_ != nullptr) {
     retired_ctr_->inc();
@@ -180,12 +180,12 @@ diagnosis::DiagnosisReport FleetAggregator::report(const std::string& slot) cons
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = slots_.find(slot);
   if (it == slots_.end()) return {};
-  return it->second.counts.report(config_.coefficient);
+  return it->second.counts.report();
 }
 
 diagnosis::DiagnosisReport FleetAggregator::fleet_report() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return fleet_.report(config_.coefficient);
+  return fleet_.report();
 }
 
 std::vector<diagnosis::ComponentScore> FleetAggregator::component_ranking(
@@ -287,10 +287,10 @@ bool FleetAggregator::load_state(journal::Decoder& in, std::uint32_t version) {
   // keep their checkpointed values so the convergence gate sees the
   // same history the live run saw.
   for (auto& [name, slot] : slots_) {
-    slot.top = slot.counts.top_k(config_.top_k, config_.coefficient);
+    slot.top = slot.counts.top_k(config_.top_k);
     export_health_locked(name, slot);
   }
-  fleet_top_ = fleet_.top_k(config_.top_k, config_.coefficient);
+  fleet_top_ = fleet_.top_k(config_.top_k);
   if (slots_gauge_ != nullptr) slots_gauge_->set(static_cast<double>(slots_.size()));
   return true;
 }

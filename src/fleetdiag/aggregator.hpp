@@ -9,15 +9,17 @@
 // rate (the LOLA unified runtime-verification + model-based diagnosis
 // direction, run at ArVI fleet scale).
 //
-// Rankings: every slot keeps a cached top-k suspect list maintained by
-// a bounded partial sort (O(touched x log k)); the cache refreshes every
-// `refresh_every` reports, which bounds both the refresh cost amortized
-// per report and the staleness of a live query. Refreshes that change
-// the top-k sequence increment a churn counter — a fleet whose ranking
-// keeps churning has not converged on a suspect yet, and operators can
-// watch that converge through hub.diag.* metrics. report() always
-// computes fresh and is bit-identical to an offline SflRanker::rank()
-// over the same spectra (the online/offline differential the tests pin).
+// Rankings: every slot keeps a cached top-k Ochiai suspect list. A
+// refresh is one scan of the block span that computes a score only for
+// a block that could still enter the list (IncrementalSflCounts::top_k).
+// The cache refreshes every `refresh_every` reports, which bounds both
+// the refresh cost amortized per report and the staleness of a live
+// query. Refreshes that change the top-k sequence increment a churn
+// counter — a fleet whose ranking keeps churning has not converged on a
+// suspect yet, and operators can watch that converge through hub.diag.*
+// metrics. report() always computes fresh and is bit-identical to an
+// offline SflRanker::rank() over the same spectra (the online/offline
+// differential the tests pin).
 //
 // Slot lifecycle mirrors the hub's: state persists across reconnects of
 // the same slot (an outage must not amnesia the diagnosis) and is freed
@@ -45,7 +47,6 @@ namespace trader::fleetdiag {
 struct AggregatorConfig {
   /// Suspects kept per cached ranking (slot and fleet level).
   std::size_t top_k = 10;
-  diagnosis::Coefficient coefficient = diagnosis::Coefficient::kOchiai;
   /// Recompute cached top-k rankings every N ingested reports; a live
   /// query is therefore at most N-1 reports stale. 1 = always fresh.
   std::size_t refresh_every = 1;

@@ -85,8 +85,8 @@ struct HubConfig {
   std::uint8_t min_version = ipc::kMinProtocolVersion;
   std::uint8_t max_version = ipc::kProtocolVersion;
 
-  /// Online diagnosis policy (top-k size, coefficient, refresh cadence)
-  /// for kSpectrum frames folded into the hub-side FleetAggregator.
+  /// Online diagnosis policy (top-k size, refresh cadence) for
+  /// kSpectrum frames folded into the hub-side FleetAggregator.
   fleetdiag::AggregatorConfig diag;
 
   /// Closed-loop recovery actuation policy (off by default: an

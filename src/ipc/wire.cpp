@@ -19,6 +19,18 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
+/// Little-endian u32 into already-sized storage; returns the byte after.
+std::uint8_t* store_u32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  return p + 4;
+}
+
+std::uint32_t load_u32(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+  return v;
+}
+
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
@@ -83,8 +95,7 @@ struct Reader {
   }
   std::uint32_t u32() {
     if (!need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[pos + i]) << (8 * i);
+    const std::uint32_t v = load_u32(p + pos);
     pos += 4;
     return v;
   }
@@ -177,12 +188,19 @@ bool known_type(std::uint8_t t) {
 constexpr std::uint8_t kMaxWireRecoveryAction = 3;
 
 void put_spectra(std::vector<std::uint8_t>& out, const Frame& f) {
-  put_u32(out, f.block_count);
-  put_u32(out, static_cast<std::uint32_t>(f.spectra.size()));
+  // Sized once: u32 universe + u32 step count, then per step an error
+  // byte, a u32 id count and the ids.
+  std::size_t bytes = 8;
+  for (const SpectrumStep& step : f.spectra) bytes += 5 + 4 * step.blocks.size();
+  const std::size_t at = out.size();
+  out.resize(at + bytes);
+  std::uint8_t* p = out.data() + at;
+  p = store_u32(p, f.block_count);
+  p = store_u32(p, static_cast<std::uint32_t>(f.spectra.size()));
   for (const SpectrumStep& step : f.spectra) {
-    put_u8(out, step.error ? 1 : 0);
-    put_u32(out, static_cast<std::uint32_t>(step.blocks.size()));
-    for (const std::uint32_t b : step.blocks) put_u32(out, b);
+    *p++ = step.error ? 1 : 0;
+    p = store_u32(p, static_cast<std::uint32_t>(step.blocks.size()));
+    for (const std::uint32_t b : step.blocks) p = store_u32(p, b);
   }
 }
 
@@ -200,17 +218,19 @@ bool read_spectra(Reader& r, Frame& out) {
     if (err > 1) return false;
     step.error = err == 1;
     const std::uint32_t executed = r.u32();
-    if (r.fail || executed > kMaxFramePayload) return false;
-    step.blocks.reserve(executed);
+    // One bounds check covers every id of the step.
+    if (r.fail || !r.need(std::size_t{executed} * 4)) return false;
+    step.blocks.resize(executed);
+    const std::uint8_t* ids = r.p + r.pos;
     std::uint32_t prev = 0;
     for (std::uint32_t i = 0; i < executed; ++i) {
-      const std::uint32_t b = r.u32();
-      if (r.fail) return false;
+      const std::uint32_t b = load_u32(ids + 4 * std::size_t{i});
       if (b >= out.block_count) return false;
       if (i > 0 && b <= prev) return false;  // strictly ascending
       prev = b;
-      step.blocks.push_back(b);
+      step.blocks[i] = b;
     }
+    r.pos += std::size_t{executed} * 4;
     out.spectra.push_back(std::move(step));
   }
   return !r.fail;
@@ -353,68 +373,71 @@ std::uint8_t negotiate_version(std::uint8_t local_min, std::uint8_t local_max,
 }
 
 std::vector<std::uint8_t> encode_frame(const Frame& f) {
-  std::vector<std::uint8_t> payload;
-  switch (f.type) {
-    case FrameType::kHello:
-    case FrameType::kHelloAck:
-      put_u8(payload, f.min_version);
-      put_u8(payload, f.max_version);
-      put_str(payload, f.detail);
-      break;
-    case FrameType::kInputEvent:
-    case FrameType::kOutputEvent:
-      put_event(payload, f.event);
-      break;
-    case FrameType::kControl:
-      put_str(payload, f.command);
-      put_u32(payload, static_cast<std::uint32_t>(f.args.size()));
-      for (const auto& [key, value] : f.args) {
-        put_str(payload, key);
-        put_value(payload, value);
-      }
-      break;
-    case FrameType::kControlAck:
-      put_str(payload, f.command);
-      put_u8(payload, f.ok ? 1 : 0);
-      put_str(payload, f.detail);
-      break;
-    case FrameType::kHeartbeat:
-    case FrameType::kHeartbeatAck:
-      put_u64(payload, f.nonce);
-      break;
-    case FrameType::kShutdown:
-      put_str(payload, f.detail);
-      break;
-    case FrameType::kSpectrum:
-      put_spectra(payload, f);
-      break;
-    case FrameType::kRecover:
-      put_u8(payload, f.action);
-      put_u64(payload, f.token);
-      put_u32(payload, f.block);
-      put_str(payload, f.unit);
-      break;
-    case FrameType::kRecoverAck:
-      put_u8(payload, f.action);
-      put_u64(payload, f.token);
-      put_u8(payload, f.ok ? 1 : 0);
-      put_str(payload, f.unit);
-      put_str(payload, f.detail);
-      break;
-  }
-  if (payload.size() > kMaxFramePayload) return {};
-
+  // The payload is written straight after the header; its length and
+  // checksum are patched in once it is complete.
   std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + payload.size());
+  out.reserve(kHeaderSize);
   put_u32(out, kMagic);
   put_u8(out, f.version);
   put_u8(out, static_cast<std::uint8_t>(f.type));
   put_u16(out, 0);  // reserved
   put_u32(out, f.seq);
   put_i64(out, f.time);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, fnv1a32(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+  put_u32(out, 0);  // payload length
+  put_u32(out, 0);  // payload checksum
+  switch (f.type) {
+    case FrameType::kHello:
+    case FrameType::kHelloAck:
+      put_u8(out, f.min_version);
+      put_u8(out, f.max_version);
+      put_str(out, f.detail);
+      break;
+    case FrameType::kInputEvent:
+    case FrameType::kOutputEvent:
+      put_event(out, f.event);
+      break;
+    case FrameType::kControl:
+      put_str(out, f.command);
+      put_u32(out, static_cast<std::uint32_t>(f.args.size()));
+      for (const auto& [key, value] : f.args) {
+        put_str(out, key);
+        put_value(out, value);
+      }
+      break;
+    case FrameType::kControlAck:
+      put_str(out, f.command);
+      put_u8(out, f.ok ? 1 : 0);
+      put_str(out, f.detail);
+      break;
+    case FrameType::kHeartbeat:
+    case FrameType::kHeartbeatAck:
+      put_u64(out, f.nonce);
+      break;
+    case FrameType::kShutdown:
+      put_str(out, f.detail);
+      break;
+    case FrameType::kSpectrum:
+      put_spectra(out, f);
+      break;
+    case FrameType::kRecover:
+      put_u8(out, f.action);
+      put_u64(out, f.token);
+      put_u32(out, f.block);
+      put_str(out, f.unit);
+      break;
+    case FrameType::kRecoverAck:
+      put_u8(out, f.action);
+      put_u64(out, f.token);
+      put_u8(out, f.ok ? 1 : 0);
+      put_str(out, f.unit);
+      put_str(out, f.detail);
+      break;
+  }
+  const std::size_t payload_len = out.size() - kHeaderSize;
+  if (payload_len > kMaxFramePayload) return {};
+  std::uint8_t* len_at = out.data() + kHeaderSize - 8;
+  len_at = store_u32(len_at, static_cast<std::uint32_t>(payload_len));
+  store_u32(len_at, fnv1a32(out.data() + kHeaderSize, payload_len));
   return out;
 }
 

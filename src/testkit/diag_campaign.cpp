@@ -333,8 +333,7 @@ DiagnosisScore DiagnosisCampaign::run_scenario(const ScenarioScript& script,
   diagnosis::SyntheticProgram& program = planted.program;
   planted.label(score);
 
-  fleetdiag::FleetAggregator local(
-      fleetdiag::AggregatorConfig{config_.top_k, config_.coefficient, 1});
+  fleetdiag::FleetAggregator local(fleetdiag::AggregatorConfig{config_.top_k, 1});
   if (agg == nullptr) agg = &local;
   const std::string& slot = script.name();
 
@@ -398,8 +397,7 @@ DiagCampaignReport DiagnosisCampaign::run() {
 
 DiagCampaignReport DiagnosisCampaign::run(const std::vector<LabeledScenario>& labeled) {
   DiagCampaignReport report;
-  fleetdiag::FleetAggregator shared(
-      fleetdiag::AggregatorConfig{config_.top_k, config_.coefficient, 1});
+  fleetdiag::FleetAggregator shared(fleetdiag::AggregatorConfig{config_.top_k, 1});
   for (const LabeledScenario& entry : labeled) {
     DiagnosisScore score = run_scenario(entry.script, &shared, &report.spectrum_frames);
     ++report.scenarios;

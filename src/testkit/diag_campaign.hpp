@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "diagnosis/spectrum.hpp"
 #include "diagnosis/synthetic_program.hpp"
 #include "fleetdiag/aggregator.hpp"
 #include "testkit/scenario.hpp"
@@ -87,7 +86,6 @@ struct DiagCampaignConfig {
   /// Program shape per scenario; feature_count is overridden with the
   /// script's aspect count, seed is decorrelated per scenario name.
   diagnosis::SyntheticProgramConfig program;
-  diagnosis::Coefficient coefficient = diagnosis::Coefficient::kOchiai;
   std::size_t top_k = 10;
   /// SpectrumReporter flush cadence (frames per scenario ~ steps/this).
   std::size_t flush_steps = 4;

@@ -3,6 +3,7 @@
 // the headline property — the faulty block ranks first.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -419,43 +420,168 @@ TEST(Incremental, ReportBitIdenticalToBatchRanker) {
   }
 }
 
+namespace {
+
+/// top_k(k) must be the first k entries of report(kOchiai).ranking:
+/// the same blocks and bit-identical scores.
+::testing::AssertionResult top_k_is_report_prefix(const diag::IncrementalSflCounts& acc,
+                                                  std::size_t k) {
+  const auto full = acc.report(diag::Coefficient::kOchiai);
+  const auto top = acc.top_k(k);
+  const std::size_t want = std::min(k, full.ranking.size());
+  if (top.size() != want) {
+    return ::testing::AssertionFailure() << "k=" << k << ": size " << top.size() << " != " << want;
+  }
+  for (std::size_t i = 0; i < want; ++i) {
+    if (top[i].block != full.ranking[i].block || top[i].score != full.ranking[i].score) {
+      return ::testing::AssertionFailure()
+             << "k=" << k << " i=" << i << ": block " << top[i].block << " score "
+             << top[i].score << " != block " << full.ranking[i].block << " score "
+             << full.ranking[i].score;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+using CountPairs = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/// An accumulator with exactly the given per-block (a11, a10) counts
+/// over `error_steps` failing and `pass_steps` passing steps: failing
+/// step s executes every block with a11 > s, passing step s every block
+/// with a10 > s.
+diag::IncrementalSflCounts with_counts(const CountPairs& counts, std::uint32_t error_steps,
+                                       std::uint32_t pass_steps) {
+  diag::IncrementalSflCounts acc;
+  for (std::uint32_t s = 0; s < error_steps + pass_steps; ++s) {
+    const bool error = s < error_steps;
+    const std::uint32_t depth = error ? s : s - error_steps;
+    std::vector<std::uint32_t> ids;
+    for (std::uint32_t b = 0; b < counts.size(); ++b) {
+      if ((error ? counts[b].first : counts[b].second) > depth) ids.push_back(b);
+    }
+    acc.add(ids, error);
+  }
+  return acc;
+}
+
+/// Seeded per-block counts with heavy ties, in one of three modes:
+/// uniform counts; pairs whose exact Ochiai keys a11^2 / (a11 + a10)
+/// coincide, such as (1,0), (2,2), (3,6), (4,12) (key 1) or (1,1),
+/// (2,6), (3,15) (key 1/2); long runs of identical counts.
+CountPairs tied_counts(rt::Rng& rng, std::uint32_t error_steps, std::uint32_t pass_steps) {
+  static const CountPairs kTieFamilies = {{1, 0}, {2, 2}, {3, 6}, {4, 12}, {1, 1}, {2, 6},
+                                          {3, 15}, {0, 1}, {0, 0}, {2, 0}, {4, 4}};
+  const auto draw = [&](bool tied) {
+    for (;;) {
+      const auto pair =
+          tied ? kTieFamilies[static_cast<std::size_t>(rng.uniform_int(
+                     0, static_cast<std::int64_t>(kTieFamilies.size()) - 1))]
+               : std::pair<std::uint32_t, std::uint32_t>{
+                     static_cast<std::uint32_t>(rng.uniform_int(0, error_steps)),
+                     static_cast<std::uint32_t>(rng.uniform_int(0, pass_steps))};
+      if (pair.first <= error_steps && pair.second <= pass_steps) return pair;
+    }
+  };
+  const auto span = static_cast<std::size_t>(rng.uniform_int(1, 80));
+  const std::int64_t mode = rng.uniform_int(0, 2);
+  CountPairs counts;
+  while (counts.size() < span) {
+    const auto pair = draw(mode != 0);
+    const auto run = mode == 2 ? static_cast<std::size_t>(rng.uniform_int(1, 24)) : 1;
+    for (std::size_t i = 0; i < run && counts.size() < span; ++i) counts.push_back(pair);
+  }
+  return counts;
+}
+
+}  // namespace
+
 TEST(Incremental, TopKMatchesFullReportPrefix) {
   rt::Rng rng(73);
   diag::IncrementalSflCounts acc;
   for (const auto& [ids, err] : random_spectra(rng, 30, 40)) acc.add(ids, err);
-
-  const auto full = acc.report(diag::Coefficient::kOchiai);
   for (const std::size_t k : {1u, 3u, 7u, 40u, 100u}) {
-    const auto top = acc.top_k(k, diag::Coefficient::kOchiai);
-    ASSERT_EQ(top.size(), std::min<std::size_t>(k, full.ranking.size()));
-    for (std::size_t i = 0; i < top.size(); ++i) {
-      EXPECT_EQ(top[i].block, full.ranking[i].block) << "k=" << k << " i=" << i;
-      EXPECT_EQ(top[i].score, full.ranking[i].score) << "k=" << k << " i=" << i;
+    EXPECT_TRUE(top_k_is_report_prefix(acc, k));
+  }
+
+  // Seeded sweep of the pruned scan against the full sort: equal exact
+  // keys from different counts, long runs of equal counts, no failing
+  // step at all, and accumulators built by merge().
+  constexpr int kAccumulators = 12000;
+  for (int i = 0; i < kAccumulators; ++i) {
+    const auto error_steps =
+        rng.bernoulli(0.1) ? 0u : static_cast<std::uint32_t>(rng.uniform_int(1, 6));
+    const auto pass_steps = static_cast<std::uint32_t>(rng.uniform_int(0, 16));
+    auto sweep = with_counts(tied_counts(rng, error_steps, pass_steps), error_steps, pass_steps);
+    if (rng.bernoulli(0.25)) {
+      const auto more_errors = static_cast<std::uint32_t>(rng.uniform_int(0, 4));
+      const auto more_passes = static_cast<std::uint32_t>(rng.uniform_int(0, 8));
+      sweep.merge(
+          with_counts(tied_counts(rng, more_errors, more_passes), more_errors, more_passes));
+    }
+    const std::size_t touched = sweep.touched_blocks();
+    const auto random_k =
+        static_cast<std::size_t>(rng.uniform_int(1, static_cast<std::int64_t>(touched) + 3));
+    for (const std::size_t k : {std::size_t{1}, touched, touched + 1, touched + 7, random_k}) {
+      ASSERT_TRUE(top_k_is_report_prefix(sweep, k)) << "accumulator " << i;
     }
   }
 }
 
-TEST(Incremental, RetireIsInverseOfAdd) {
-  rt::Rng rng(74);
-  const auto keep = random_spectra(rng, 20, 16);
-  const auto transient = random_spectra(rng, 10, 16);
+TEST(Incremental, TopKMatchesReportPrefixOnSyntheticProgram) {
+  // The hub's shape: a 60k-block program, four features, one fault.
+  diag::SyntheticProgramConfig cfg;
+  cfg.feature_count = 4;
+  diag::SyntheticProgram prog(cfg);
+  ASSERT_EQ(prog.block_count(), 60000u);
+  prog.set_fault_in_feature(2, 40);
+  obs::BlockCoverageRecorder cov(prog.block_count());
+  rt::Rng rng(77);
+  diag::IncrementalSflCounts acc;
+  for (int step = 0; step < 40; ++step) {
+    const bool error = prog.run_step(static_cast<std::size_t>(rng.uniform_int(0, 3)), cov);
+    std::vector<std::uint32_t> ids(cov.current_touched().begin(), cov.current_touched().end());
+    std::sort(ids.begin(), ids.end());
+    cov.end_step();
+    acc.add(ids, error);
+    if (step % 8 == 7) {
+      for (const std::size_t k : {1u, 10u, 100u}) {
+        ASSERT_TRUE(top_k_is_report_prefix(acc, k)) << "step " << step;
+      }
+    }
+  }
+  EXPECT_GT(acc.error_steps(), 0u);
+  EXPECT_GT(acc.touched_blocks(), 10000u);
+}
 
-  diag::IncrementalSflCounts only_keep;
-  for (const auto& [ids, err] : keep) only_keep.add(ids, err);
+TEST(Incremental, LoadRejectsBlockCountsAboveStepTotals) {
+  // Well-formed encodings of counts that add() could never produce: a
+  // block executed in more failing (or passing) steps than there were.
+  const auto encode = [](std::uint32_t a11, std::uint32_t a10) {
+    trader::journal::Encoder enc;
+    enc.u32(2);  // span
+    enc.u32(a11);
+    enc.u32(0);
+    enc.u32(a10);
+    enc.u32(1);
+    enc.u64(2);  // error_steps
+    enc.u64(1);  // pass_steps
+    return enc;
+  };
+  diag::IncrementalSflCounts acc;
+  const auto good = encode(2, 1);
+  trader::journal::Decoder good_in(good.buffer());
+  ASSERT_TRUE(acc.load(good_in));
+  EXPECT_EQ(acc.steps(), 3u);
+  EXPECT_EQ(acc.touched_blocks(), 2u);
 
-  diag::IncrementalSflCounts churned;
-  for (const auto& [ids, err] : keep) churned.add(ids, err);
-  for (const auto& [ids, err] : transient) churned.add(ids, err);
-  for (const auto& [ids, err] : transient) churned.retire(ids, err);
-
-  EXPECT_EQ(churned.steps(), only_keep.steps());
-  EXPECT_EQ(churned.error_steps(), only_keep.error_steps());
-  const auto a = churned.report(diag::Coefficient::kOchiai);
-  const auto b = only_keep.report(diag::Coefficient::kOchiai);
-  ASSERT_EQ(a.ranking.size(), b.ranking.size());
-  for (std::size_t i = 0; i < a.ranking.size(); ++i) {
-    EXPECT_EQ(a.ranking[i].block, b.ranking[i].block);
-    EXPECT_EQ(a.ranking[i].score, b.ranking[i].score);
+  for (const auto& [a11, a10] : {std::pair{3u, 1u}, std::pair{2u, 2u}}) {
+    const auto bad = encode(a11, a10);
+    trader::journal::Decoder in(bad.buffer());
+    EXPECT_FALSE(acc.load(in)) << "a11=" << a11 << " a10=" << a10;
+    EXPECT_FALSE(in.ok());
+    EXPECT_EQ(acc.steps(), 0u);
+    EXPECT_EQ(acc.block_span(), 0u);
+    EXPECT_EQ(acc.touched_blocks(), 0u);
   }
 }
 

@@ -160,7 +160,7 @@ TEST(FleetDiagAggregator, OnlineMatchesOfflineAfterEveryPrefix) {
   diag::SyntheticProgram program(prog_cfg);
   program.set_fault_in_feature(2);
 
-  fd::FleetAggregator agg(fd::AggregatorConfig{5, diag::Coefficient::kOchiai, 1});
+  fd::FleetAggregator agg(fd::AggregatorConfig{5, 1});
   obs::BlockCoverageRecorder coverage(program.block_count());
   std::vector<bool> errors;
 
@@ -190,7 +190,7 @@ TEST(FleetDiagAggregator, OnlineMatchesOfflineAfterEveryPrefix) {
 }
 
 TEST(FleetDiagAggregator, CachedTopKStalenessBoundedByRefreshEvery) {
-  fd::FleetAggregator agg(fd::AggregatorConfig{3, diag::Coefficient::kOchiai, 4});
+  fd::FleetAggregator agg(fd::AggregatorConfig{3, 4});
 
   for (int i = 0; i < 3; ++i) {
     agg.ingest("suo", {ipc::SpectrumStep{true, {1, 2}}, ipc::SpectrumStep{false, {2, 3}}});
@@ -212,7 +212,7 @@ TEST(FleetDiagAggregator, CachedTopKStalenessBoundedByRefreshEvery) {
 }
 
 TEST(FleetDiagAggregator, RetireSlotFreesStateAndRebuildsFleetView) {
-  fd::FleetAggregator agg(fd::AggregatorConfig{5, diag::Coefficient::kOchiai, 1});
+  fd::FleetAggregator agg(fd::AggregatorConfig{5, 1});
   agg.ingest("a", {ipc::SpectrumStep{true, {1}}, ipc::SpectrumStep{false, {2}}});
   agg.ingest("b", {ipc::SpectrumStep{true, {10}}, ipc::SpectrumStep{false, {11}}});
   EXPECT_EQ(agg.slot_count(), 2u);
@@ -234,7 +234,7 @@ TEST(FleetDiagAggregator, RetireSlotFreesStateAndRebuildsFleetView) {
 
 TEST(FleetDiagAggregator, ExportsHubDiagMetrics) {
   rt::MetricsRegistry metrics;
-  fd::FleetAggregator agg(fd::AggregatorConfig{3, diag::Coefficient::kOchiai, 1}, &metrics);
+  fd::FleetAggregator agg(fd::AggregatorConfig{3, 1}, &metrics);
   agg.ingest("tv0", {ipc::SpectrumStep{true, {1, 2, 3}}, ipc::SpectrumStep{false, {2}}});
 
   const auto snap = metrics.snapshot();
@@ -474,7 +474,7 @@ TEST(FleetDiagPublisher, NoSpectraOnAVersion1Link) {
 // Run under TSan by the scripts/check.sh fleetdiag stage: 2 ingest
 // threads and 2 query threads hammer one aggregator concurrently.
 TEST(FleetDiagConcurrency, ParallelIngestAndRankingQueries) {
-  fd::FleetAggregator agg(fd::AggregatorConfig{5, diag::Coefficient::kOchiai, 3});
+  fd::FleetAggregator agg(fd::AggregatorConfig{5, 3});
   constexpr int kReportsPerSlot = 400;
   std::atomic<bool> stop{false};
 

@@ -556,7 +556,7 @@ TEST(CheckpointState, SflCountsRoundTripThenDivergenceFreeContinuation) {
 }
 
 TEST(CheckpointState, AggregatorRoundTripKeepsRankingsAndChurnHistory) {
-  fd::AggregatorConfig cfg{10, diag::Coefficient::kOchiai, 1};
+  fd::AggregatorConfig cfg{10, 1};
   fd::FleetAggregator live(cfg);
   feed_error(live, "s0", 5, 3);
   feed_error(live, "s1", 9, 2);
@@ -618,7 +618,7 @@ TEST(CheckpointState, OrchestratorRoundTripContinuesLadderIdentically) {
   cfg.escalation.failures_per_level = 1;
   cfg.escalation.window = rt::sec(60);
 
-  fd::AggregatorConfig acfg{10, diag::Coefficient::kOchiai, 1};
+  fd::AggregatorConfig acfg{10, 1};
   fd::FleetAggregator agg_live(acfg);
   hub::RecoveryOrchestrator live(cfg, agg_live);
   std::vector<ipc::Frame> live_cmds;

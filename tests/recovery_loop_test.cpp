@@ -35,7 +35,6 @@
 #include "testkit/recovery_campaign.hpp"
 #include "testkit/scenario.hpp"
 
-namespace diag = trader::diagnosis;
 namespace fd = trader::fleetdiag;
 namespace hub = trader::hub;
 namespace ipc = trader::ipc;
@@ -81,7 +80,7 @@ struct SentFrame {
 /// Orchestrator + aggregator + capturing send fn, wired like the hub
 /// does it but with the transport faked out.
 struct Rig {
-  fd::FleetAggregator agg{fd::AggregatorConfig{10, diag::Coefficient::kOchiai, 1}};
+  fd::FleetAggregator agg{fd::AggregatorConfig{10, 1}};
   hub::RecoveryOrchestrator orch;
   std::vector<SentFrame> sent;
 
@@ -685,7 +684,7 @@ TEST(RecoveryLoop, GoldenTraceFingerprintsExcludeRecoveryMetrics) {
   // shard-differential fingerprints — while remaining addressable for
   // operators who ask for them explicitly.
   rt::MetricsRegistry metrics;
-  fd::FleetAggregator agg(fd::AggregatorConfig{10, diag::Coefficient::kOchiai, 1});
+  fd::FleetAggregator agg(fd::AggregatorConfig{10, 1});
   hub::RecoveryConfig cfg = fast_config();
   hub::RecoveryOrchestrator orch(cfg, agg, &metrics);
   orch.set_send([](const std::string&, const ipc::Frame&) { return true; });
@@ -716,7 +715,7 @@ TEST(RecoveryConcurrency, IngestActuateAckAndQueryRaceSafely) {
   // virtual-time ticks, ack delivery, and introspection queries.
   // scripts/check.sh runs this under TSan; the assertions here are
   // sanity only — the sanitizer is the real oracle.
-  fd::FleetAggregator agg(fd::AggregatorConfig{10, diag::Coefficient::kOchiai, 1});
+  fd::FleetAggregator agg(fd::AggregatorConfig{10, 1});
   hub::RecoveryConfig cfg = fast_config();
   cfg.cooldown = rt::msec(10);
   cfg.flap_threshold = 1000;  // keep slots actionable for the whole run
