@@ -50,9 +50,11 @@
 #      growth/reuse under ASan, and the shared-program multi-thread test
 #      under TSan; the report() of bench_exec, bench_awareness,
 #      bench_scale, bench_printer, bench_mediaplayer, bench_detection,
-#      bench_ipc, bench_hub, bench_diag_hub and bench_diagnosis (the
-#      offline SflRanker::rank() across all five coefficients) under
-#      ASan; then
+#      bench_ipc, bench_hub, bench_diag_hub, bench_diagnosis (the
+#      offline SflRanker::rank() across all five coefficients),
+#      bench_stress, bench_loadbalance and bench_recovery (the last
+#      three drive the Scheduler/EventBus event path under real TV
+#      simulations) under ASan; then
 #      bench_exec leaves BENCH_exec.json in the repo root
 #      (steps/sec/core + bytes/monitor per kernel)
 #  12. bench_scale scaling experiment, leaving BENCH_scale.json in the
@@ -248,9 +250,10 @@ cmake --build build-tsan -j "$JOBS" --target exec_test
 # deadlock (ROADMAP).
 cmake --build build-asan -j "$JOBS" --target bench_exec bench_awareness bench_scale \
   bench_printer bench_mediaplayer bench_detection bench_ipc bench_hub bench_diag_hub \
-  bench_diagnosis
+  bench_diagnosis bench_stress bench_loadbalance bench_recovery
 for bench in bench_exec bench_awareness bench_scale bench_printer bench_mediaplayer \
-  bench_detection bench_ipc bench_hub bench_diag_hub bench_diagnosis; do
+  bench_detection bench_ipc bench_hub bench_diag_hub bench_diagnosis bench_stress \
+  bench_loadbalance bench_recovery; do
   (cd build-asan && "./bench/$bench" --benchmark_filter='^$' >/dev/null)
 done
 cmake --build build -j "$JOBS" --target bench_exec

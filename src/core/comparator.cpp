@@ -15,8 +15,8 @@ void Comparator::set_metrics(runtime::MetricsRegistry* metrics) {
 }
 
 void Comparator::on_fresh_observation(const std::string& observable, runtime::SimTime now) {
-  auto oc = config_.lookup(observable);
-  if (!oc || !oc->event_based) return;
+  const ObservableConfig* oc = config_.lookup(observable);
+  if (oc == nullptr || !oc->event_based) return;
   compare_one(*oc, now);
 }
 
@@ -32,9 +32,9 @@ void Comparator::compare_one(const ObservableConfig& oc, runtime::SimTime now) {
     ++stats_.suppressed;
     return;
   }
-  const auto expected = executor_.expected(oc.name);
-  const auto observed = observer_.observed(oc.name);
-  if (!expected || !observed) {
+  const Expectation* expected = executor_.expected(oc.name);
+  const Observation* observed = observer_.observed(oc.name);
+  if (expected == nullptr || observed == nullptr) {
     ++stats_.skipped;
     return;
   }

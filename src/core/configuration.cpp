@@ -13,11 +13,11 @@ std::string ErrorReport::describe() const {
   return os.str();
 }
 
-std::optional<ObservableConfig> Configuration::lookup(const std::string& observable) const {
+const ObservableConfig* Configuration::lookup(const std::string& observable) const {
   for (const auto& oc : config_.observables) {
-    if (oc.name == observable) return oc;
+    if (oc.name == observable) return &oc;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 void Configuration::set_observable(ObservableConfig oc) {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,8 +47,9 @@ class Configuration : public IControl {
 
   const AwarenessConfig& awareness() const { return config_; }
 
-  /// IConfigInfo: policy for one observable (nullopt = not monitored).
-  std::optional<ObservableConfig> lookup(const std::string& observable) const;
+  /// IConfigInfo: policy for one observable (nullptr = not monitored).
+  /// Valid until the next set_observable().
+  const ObservableConfig* lookup(const std::string& observable) const;
 
   /// Replace or add a per-observable policy at run time.
   void set_observable(ObservableConfig oc);

@@ -30,10 +30,9 @@ void ModelExecutor::drain(runtime::SimTime now) {
   }
 }
 
-std::optional<Expectation> ModelExecutor::expected(const std::string& observable) const {
+const Expectation* ModelExecutor::expected(const std::string& observable) const {
   auto it = table_.find(observable);
-  if (it == table_.end()) return std::nullopt;
-  return it->second;
+  return it == table_.end() ? nullptr : &it->second;
 }
 
 }  // namespace trader::core

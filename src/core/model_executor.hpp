@@ -5,7 +5,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "core/interfaces.hpp"
@@ -31,8 +30,9 @@ class ModelExecutor : public IControl {
   /// Let model timers fire (called from the periodic awareness tick).
   void advance(runtime::SimTime now);
 
-  /// ISpecInfo: the model's expected value for an observable.
-  std::optional<Expectation> expected(const std::string& observable) const;
+  /// ISpecInfo: the model's expected value for an observable, or
+  /// nullptr when the model has not produced one yet.
+  const Expectation* expected(const std::string& observable) const;
 
   /// IEnableCompare pass-through.
   bool comparison_enabled(const std::string& observable) const {

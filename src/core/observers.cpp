@@ -2,11 +2,28 @@
 
 namespace trader::core {
 
+namespace {
+
+/// The non-empty string "key" field that names the model event, or
+/// nullptr when the event's own name and fields are used.
+const std::string* input_key(const runtime::Event& ev) {
+  auto it = ev.fields.find("key");
+  const auto* key = it == ev.fields.end() ? nullptr : std::get_if<std::string>(&it->second);
+  return key != nullptr && !key->empty() ? key : nullptr;
+}
+
+/// default_output_mapper's value: the "value" field, or nullptr.
+const runtime::Value* output_value(const runtime::Event& ev) {
+  auto it = ev.fields.find("value");
+  return it == ev.fields.end() ? nullptr : &it->second;
+}
+
+}  // namespace
+
 std::optional<statemachine::SmEvent> default_input_mapper(const runtime::Event& ev) {
   statemachine::SmEvent sm;
-  const std::string key = ev.str_field("key");
-  if (!key.empty()) {
-    sm.name = key;
+  if (const std::string* key = input_key(ev)) {
+    sm.name = *key;
   } else {
     sm.name = ev.name;
     sm.params = ev.fields;
@@ -16,8 +33,8 @@ std::optional<statemachine::SmEvent> default_input_mapper(const runtime::Event& 
 
 std::optional<std::pair<std::string, runtime::Value>> default_output_mapper(
     const runtime::Event& ev) {
-  auto v = ev.field("value");
-  if (!v) return std::nullopt;
+  const runtime::Value* v = output_value(ev);
+  if (v == nullptr) return std::nullopt;
   return std::make_pair(ev.name, *v);
 }
 
@@ -29,12 +46,33 @@ InputObserver::InputObserver(runtime::Scheduler& sched, runtime::EventBus& bus,
     : sched_(sched),
       bus_(bus),
       topic_(std::move(topic)),
-      mapper_(mapper ? std::move(mapper) : default_input_mapper),
+      mapper_(std::move(mapper)),
       sink_(std::move(sink)),
-      channel_(sched, runtime::Rng(0x1111), channel, [this](const runtime::Event& ev) {
-        auto sm = mapper_(ev);
-        if (sm && sink_) sink_(*sm, sched_.now());
-      }) {}
+      channel_(sched, runtime::Rng(0x1111), channel,
+               [this](runtime::Event& ev) { deliver(ev); }) {}
+
+void InputObserver::deliver(runtime::Event& ev) {
+  if (mapper_) {
+    if (auto sm = mapper_(ev); sm && sink_) sink_(*sm, sched_.now());
+    return;
+  }
+  // default_input_mapper without the copy: the model event borrows the
+  // name and fields from the channel's slot and hands them back, so the
+  // slot keeps its storage for the next event.
+  statemachine::SmEvent sm;
+  const std::string* key = input_key(ev);
+  if (key != nullptr) {
+    sm.name = *key;
+  } else {
+    sm.name.swap(ev.name);
+    sm.params.swap(ev.fields);
+  }
+  if (sink_) sink_(sm, sched_.now());
+  if (key == nullptr) {
+    ev.name.swap(sm.name);
+    ev.fields.swap(sm.params);
+  }
+}
 
 void InputObserver::start(runtime::SimTime) {
   sub_ = bus_.subscribe(topic_, [this](const runtime::Event& ev) {
@@ -53,7 +91,7 @@ OutputObserver::OutputObserver(runtime::Scheduler& sched, runtime::EventBus& bus
     : sched_(sched),
       bus_(bus),
       topics_(std::move(topics)),
-      mapper_(mapper ? std::move(mapper) : default_output_mapper),
+      mapper_(std::move(mapper)),
       channel_(sched, runtime::Rng(0x2222), channel,
                [this](const runtime::Event& ev) { deliver(ev); }) {}
 
@@ -72,16 +110,23 @@ void OutputObserver::stop() {
 }
 
 void OutputObserver::deliver(const runtime::Event& ev) {
-  auto mapped = mapper_(ev);
-  if (!mapped) return;
-  table_[mapped->first] = Observation{mapped->second, sched_.now()};
-  if (fresh_) fresh_(mapped->first, sched_.now());
+  if (!mapper_) {
+    if (const runtime::Value* v = output_value(ev)) record(ev.name, *v);
+  } else if (auto mapped = mapper_(ev)) {
+    record(mapped->first, mapped->second);
+  }
 }
 
-std::optional<Observation> OutputObserver::observed(const std::string& observable) const {
+void OutputObserver::record(const std::string& observable, const runtime::Value& value) {
+  Observation& o = table_[observable];
+  o.value = value;
+  o.at = sched_.now();
+  if (fresh_) fresh_(observable, sched_.now());
+}
+
+const Observation* OutputObserver::observed(const std::string& observable) const {
   auto it = table_.find(observable);
-  if (it == table_.end()) return std::nullopt;
-  return it->second;
+  return it == table_.end() ? nullptr : &it->second;
 }
 
 }  // namespace trader::core

@@ -53,10 +53,12 @@ class InputObserver : public IControl {
   std::uint64_t observed_events() const { return observed_; }
 
  private:
+  void deliver(runtime::Event& ev);
+
   runtime::Scheduler& sched_;
   runtime::EventBus& bus_;
   std::string topic_;
-  InputMapper mapper_;
+  InputMapper mapper_;  ///< Empty: default_input_mapper, without a copy.
   Sink sink_;
   runtime::LatencyChannel channel_;
   runtime::Subscription sub_;
@@ -85,18 +87,20 @@ class OutputObserver : public IControl {
 
   void on_fresh(FreshHandler h) { fresh_ = std::move(h); }
 
-  /// The observed-value table (IOutputEvent consumer side).
-  std::optional<Observation> observed(const std::string& observable) const;
+  /// The observed-value table (IOutputEvent consumer side); nullptr
+  /// when `observable` has not been observed yet.
+  const Observation* observed(const std::string& observable) const;
 
   std::uint64_t observed_events() const { return observed_; }
 
  private:
   void deliver(const runtime::Event& ev);
+  void record(const std::string& observable, const runtime::Value& value);
 
   runtime::Scheduler& sched_;
   runtime::EventBus& bus_;
   std::vector<std::string> topics_;
-  OutputMapper mapper_;
+  OutputMapper mapper_;  ///< Empty: default_output_mapper, applied in place.
   runtime::LatencyChannel channel_;
   std::vector<runtime::Subscription> subs_;
   FreshHandler fresh_;

@@ -45,8 +45,8 @@ void ShardedFleet::Shard::publish(const runtime::Event& ev) {
     return;
   }
   for (std::size_t dest : it->second) {
-    fleet_.shards_[dest]->mailbox_.push(runtime::MailboxEntry{
-        ev, sched_.now(), static_cast<std::uint32_t>(index_), route_seq_});
+    fleet_.shards_[dest]->mailbox_.push(ev, sched_.now(), static_cast<std::uint32_t>(index_),
+                                        route_seq_);
     if (dest != index_) cross_shard_out_->inc();
   }
   ++route_seq_;
@@ -162,8 +162,7 @@ void ShardedFleet::publish(const runtime::Event& ev) {
   }
   external_events_metric_.inc();
   for (std::size_t dest : it->second) {
-    shards_[dest]->mailbox_.push(
-        runtime::MailboxEntry{ev, now_, runtime::Mailbox::kExternalSource, external_seq_});
+    shards_[dest]->mailbox_.push(ev, now_, runtime::Mailbox::kExternalSource, external_seq_);
   }
   ++external_seq_;
 }
@@ -173,9 +172,8 @@ void ShardedFleet::route_from_bus(Shard& source, const runtime::Event& ev) {
   if (it == routes_.end()) return;
   for (std::size_t dest : it->second) {
     if (dest == source.index_) continue;  // local subscribers already served
-    shards_[dest]->mailbox_.push(runtime::MailboxEntry{
-        ev, source.sched_.now(), static_cast<std::uint32_t>(source.index_),
-        source.route_seq_});
+    shards_[dest]->mailbox_.push(ev, source.sched_.now(),
+                                 static_cast<std::uint32_t>(source.index_), source.route_seq_);
     source.cross_shard_out_->inc();
   }
   ++source.route_seq_;
@@ -234,10 +232,11 @@ void ShardedFleet::step_shard(Shard& shard) {
 
 void ShardedFleet::drain_mailbox(Shard& shard) {
   shard.routing_suppressed_ = true;
+  // Each event is delivered from its mailbox slot, which keeps its
+  // storage for the next epoch's pushes.
   for (auto& entry : shard.mailbox_.drain()) {
-    runtime::Event ev = std::move(entry.event);
-    ev.timestamp = shard.sched_.now();
-    shard.bus_.publish(ev);
+    entry.event.timestamp = shard.sched_.now();
+    shard.bus_.publish(entry.event);
   }
   shard.routing_suppressed_ = false;
 }

@@ -37,11 +37,11 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/monitor.hpp"
@@ -179,7 +179,7 @@ class ShardedFleet {
 
   ShardedFleetConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::map<std::string, std::vector<std::size_t>> routes_;  // topic -> owner shards
+  std::unordered_map<std::string, std::vector<std::size_t>> routes_;  // topic -> owner shards
   runtime::MetricsRegistry fleet_metrics_;
   runtime::Counter& epochs_metric_;
   runtime::Counter& external_events_metric_;

@@ -19,12 +19,23 @@ void LatencyChannel::send(const Event& ev) {
     at = std::max(at, last_delivery_);
     last_delivery_ = at;
   }
-  Event copy = ev;
-  sched_.schedule_at(at, [this, copy = std::move(copy)]() mutable {
-    ++delivered_;
-    copy.timestamp = sched_.now();
-    sink_(copy);
-  });
+  // [this, slot] fits std::function's inline buffer: no allocation.
+  const EventSlots::Index slot = sched_.in_flight().put(ev);
+  sched_.schedule_at(at, [this, slot] { deliver(slot); });
+}
+
+void LatencyChannel::deliver(EventSlots::Index slot) {
+  EventSlots& slots = sched_.in_flight();
+  Event& ev = slots[slot];
+  ++delivered_;
+  ev.timestamp = sched_.now();
+  try {
+    sink_(ev);
+  } catch (...) {
+    slots.release(slot);
+    throw;
+  }
+  slots.release(slot);
 }
 
 }  // namespace trader::runtime

@@ -29,12 +29,16 @@ struct ChannelConfig {
 /// One-way, event-carrying channel with latency/jitter/loss.
 class LatencyChannel {
  public:
-  using Sink = std::function<void(const Event&)>;
+  /// Receives each delivered event. The event sits in its in-flight
+  /// slot, which is recycled once the sink returns, so the sink may
+  /// borrow from it (and should hand back what it borrowed).
+  using Sink = std::function<void(Event&)>;
 
   LatencyChannel(Scheduler& sched, Rng rng, ChannelConfig config, Sink sink)
       : sched_(sched), rng_(rng), config_(config), sink_(std::move(sink)) {}
 
-  /// Enqueue an event for delayed delivery.
+  /// Enqueue an event for delayed delivery. The event is copied into
+  /// the scheduler's in-flight slots; the queued task holds the slot.
   void send(const Event& ev);
 
   /// Change the link parameters mid-run (fault injection hook).
@@ -46,6 +50,8 @@ class LatencyChannel {
   std::uint64_t dropped() const { return dropped_; }
 
  private:
+  void deliver(EventSlots::Index slot);
+
   Scheduler& sched_;
   Rng rng_;
   ChannelConfig config_;

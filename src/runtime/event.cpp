@@ -83,6 +83,19 @@ std::string Event::str_field(const std::string& key, const std::string& dflt) co
   return dflt;
 }
 
+EventSlots::Index EventSlots::put(const Event& ev) {
+  if (free_.empty()) {
+    slots_.push_back(ev);
+    // Every slot fits on the free list, so release() never allocates.
+    if (free_.capacity() < slots_.size()) free_.reserve(2 * slots_.size());
+    return static_cast<Index>(slots_.size() - 1);
+  }
+  const Index i = free_.back();
+  free_.pop_back();
+  slots_[i] = ev;
+  return i;
+}
+
 std::string Event::describe() const {
   std::ostringstream os;
   os << "[" << timestamp << "us] " << topic << "/" << name;

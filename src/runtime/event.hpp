@@ -8,10 +8,12 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
 #include <string>
 #include <variant>
+#include <vector>
 
 #include "runtime/sim_time.hpp"
 
@@ -56,6 +58,27 @@ struct Event {
 
   /// One-line rendering for logs.
   std::string describe() const;
+};
+
+/// Recycled storage for events in flight between a send and its
+/// delivery. put() copies into a free slot, reusing the strings and
+/// field nodes a previous event left there, so a steady stream of
+/// similar events allocates nothing; the slot count is the largest
+/// number of events ever held at once. A slot's address is stable
+/// until it is released, even while later puts grow the store.
+class EventSlots {
+ public:
+  using Index = std::uint32_t;
+
+  /// Copy `ev` into a free slot and return its index.
+  Index put(const Event& ev);
+  Event& operator[](Index i) { return slots_[i]; }
+  /// Return a slot to the free list; its storage stays for the next put.
+  void release(Index i) { free_.push_back(i); }
+
+ private:
+  std::deque<Event> slots_;
+  std::vector<Index> free_;
 };
 
 }  // namespace trader::runtime

@@ -7,16 +7,18 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "runtime/event.hpp"
 
 namespace trader::runtime {
 
-/// Subscription handle for unsubscribing.
+/// Subscription handle for unsubscribing. It knows its topic, so
+/// unsubscribing costs one topic's subscribers, not the whole bus.
 class Subscription {
  public:
   Subscription() = default;
@@ -25,12 +27,20 @@ class Subscription {
 
  private:
   friend class EventBus;
-  explicit Subscription(std::uint64_t id) : id_(id) {}
+  Subscription(std::uint64_t id, std::uint32_t topic) : id_(id), topic_(topic) {}
   std::uint64_t id_ = 0;
+  std::uint32_t topic_ = 0;  ///< Index into the bus's topic table.
 };
 
 /// Synchronous topic bus. Delivery order is subscription order, which
 /// keeps simulations deterministic.
+///
+/// A handler may (un)subscribe during delivery. The delivery in progress
+/// is unaffected: a subscriber added meanwhile does not see the event,
+/// and one removed meanwhile still does. Publishing copies nothing; an
+/// edit made while any delivery runs goes to a copy of the topic's list
+/// (copy-on-write), and the list being walked is kept until the
+/// outermost publish returns.
 class EventBus {
  public:
   using Handler = std::function<void(const Event&)>;
@@ -38,8 +48,8 @@ class EventBus {
   /// Subscribe to an exact topic. The empty topic subscribes to all.
   Subscription subscribe(const std::string& topic, Handler handler);
 
-  /// Remove a subscription. Safe against stale handles.
-  void unsubscribe(Subscription sub);
+  /// Remove a subscription. Stale and repeated handles are no-ops.
+  void unsubscribe(const Subscription& sub);
 
   /// Deliver an event to topic subscribers, then wildcard subscribers.
   void publish(const Event& ev);
@@ -55,8 +65,18 @@ class EventBus {
     std::uint64_t id;
     Handler handler;
   };
+  using Handlers = std::vector<Entry>;
 
-  std::map<std::string, std::vector<Entry>> topics_;
+  void deliver(const std::string& topic, const Event& ev);
+  /// The list to edit: in place, or a fresh copy while a delivery runs.
+  Handlers& writable(Handlers& list);
+
+  // Topics are never erased, and a deque keeps a Handlers& valid while
+  // later subscriptions add topics.
+  std::unordered_map<std::string, std::uint32_t> index_;
+  std::deque<Handlers> topics_;
+  std::vector<Handlers> retired_;  ///< Lists replaced mid-delivery.
+  std::uint32_t depth_ = 0;        ///< Nested publish() calls.
   std::uint64_t next_id_ = 1;
   std::uint64_t published_ = 0;
 };

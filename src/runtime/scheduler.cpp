@@ -4,9 +4,21 @@
 
 namespace trader::runtime {
 
+void Scheduler::push(Entry e) {
+  queue_.push_back(std::move(e));
+  std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
+}
+
+Scheduler::Entry Scheduler::pop() {
+  std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
+  Entry e = std::move(queue_.back());
+  queue_.pop_back();
+  return e;
+}
+
 TaskHandle Scheduler::schedule_at(SimTime at, Callback cb) {
   const std::uint64_t id = next_id_++;
-  queue_.push(Entry{std::max(at, now_), next_seq_++, id, std::move(cb), 0});
+  push(Entry{std::max(at, now_), next_seq_++, id, std::move(cb), 0});
   return TaskHandle{id};
 }
 
@@ -16,7 +28,7 @@ TaskHandle Scheduler::schedule_after(SimDuration delay, Callback cb) {
 
 TaskHandle Scheduler::schedule_every(SimDuration period, Callback cb) {
   const std::uint64_t id = next_id_++;
-  queue_.push(Entry{now_ + period, next_seq_++, id, std::move(cb), period});
+  push(Entry{now_ + period, next_seq_++, id, std::move(cb), period});
   return TaskHandle{id};
 }
 
@@ -31,20 +43,29 @@ bool Scheduler::is_cancelled(std::uint64_t id) const {
 void Scheduler::fire(Entry e) {
   now_ = e.at;
   ++executed_;
-  if (e.period > 0) {
-    // Re-arm before running so the callback can cancel its own handle.
-    Entry next = e;
-    next.at = now_ + e.period;
-    next.seq = next_seq_++;
-    queue_.push(next);
+  if (e.period == 0) {
+    e.cb();
+    return;
   }
-  e.cb();
+  // Re-arm in place: the next firing's sequence number is taken before
+  // the callback runs, so it orders exactly as if it had been queued
+  // then, and the callback moves back into the queue afterwards — also
+  // when it throws. A callback that cancels its own handle is dropped
+  // when the re-armed entry comes up.
+  e.at = now_ + e.period;
+  e.seq = next_seq_++;
+  try {
+    e.cb();
+  } catch (...) {
+    push(std::move(e));
+    throw;
+  }
+  push(std::move(e));
 }
 
 bool Scheduler::step() {
   while (!queue_.empty()) {
-    Entry e = queue_.top();
-    queue_.pop();
+    Entry e = pop();
     if (is_cancelled(e.id)) {
       // Drop cancelled one-shots and periodics alike; periodics were
       // re-armed only when fired, so no further cleanup is needed.
@@ -57,9 +78,8 @@ bool Scheduler::step() {
 }
 
 void Scheduler::run_until(SimTime t) {
-  while (!queue_.empty() && queue_.top().at <= t) {
-    Entry e = queue_.top();
-    queue_.pop();
+  while (!queue_.empty() && queue_.front().at <= t) {
+    Entry e = pop();
     if (is_cancelled(e.id)) continue;
     fire(std::move(e));
   }

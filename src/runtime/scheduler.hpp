@@ -8,9 +8,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
+#include "runtime/event.hpp"
 #include "runtime/sim_time.hpp"
 
 namespace trader::runtime {
@@ -71,6 +71,11 @@ class Scheduler {
   /// Total callbacks executed, for overhead accounting.
   std::uint64_t executed() const { return executed_; }
 
+  /// Storage for the events that channels on this scheduler hold
+  /// between send and delivery; a queued delivery carries only a slot
+  /// index, and the slots outlive every task still in the queue.
+  EventSlots& in_flight() { return in_flight_; }
+
  private:
   struct Entry {
     SimTime at;
@@ -86,13 +91,16 @@ class Scheduler {
   };
 
   bool is_cancelled(std::uint64_t id) const;
+  void push(Entry e);
+  Entry pop();
   void fire(Entry e);
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_id_ = 1;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
+  EventSlots in_flight_;      // declared first: destroyed after the queue
+  std::vector<Entry> queue_;  // min-heap on (at, seq); entries leave it by move
   std::vector<std::uint64_t> cancelled_;
 };
 

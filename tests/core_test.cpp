@@ -84,9 +84,9 @@ TEST(Configuration, LookupAndOverride) {
   core::AwarenessConfig cfg;
   cfg.observables.push_back(core::ObservableConfig{"a", 1.0, 2, true, true});
   core::Configuration config(cfg);
-  ASSERT_TRUE(config.lookup("a").has_value());
+  ASSERT_NE(config.lookup("a"), nullptr);
   EXPECT_EQ(config.lookup("a")->max_consecutive, 2);
-  EXPECT_FALSE(config.lookup("b").has_value());
+  EXPECT_EQ(config.lookup("b"), nullptr);
   config.set_observable(core::ObservableConfig{"a", 5.0, 3, true, true});
   EXPECT_EQ(config.lookup("a")->max_consecutive, 3);
   config.set_observable(core::ObservableConfig{"b", 0.0, 1, true, true});
@@ -170,9 +170,9 @@ TEST(Observers, OutputObserverKeepsLatestAndNotifies) {
   sched.run_all();
   EXPECT_EQ(fresh, 2);
   const auto seen = obs.observed("volume");
-  ASSERT_TRUE(seen.has_value());
+  ASSERT_NE(seen, nullptr);
   EXPECT_EQ(std::get<std::int64_t>(seen->value), 20);
-  EXPECT_FALSE(obs.observed("other").has_value());
+  EXPECT_EQ(obs.observed("other"), nullptr);
 }
 
 // --------------------------------------------------------------- ModelExecutor
@@ -181,10 +181,10 @@ TEST(ModelExecutor, MaintainsExpectationTable) {
   auto def = counter_model();
   core::ModelExecutor exec(std::make_unique<core::ModelInstance>(core::compile_model(def)));
   exec.start(0);
-  EXPECT_FALSE(exec.expected("count").has_value());
+  EXPECT_EQ(exec.expected("count"), nullptr);
   exec.on_input(sm::SmEvent::named("inc"), 10);
-  auto e = exec.expected("count");
-  ASSERT_TRUE(e.has_value());
+  const auto* e = exec.expected("count");
+  ASSERT_NE(e, nullptr);
   EXPECT_EQ(std::get<std::int64_t>(e->value), 1);
   EXPECT_EQ(e->at, 10);
   exec.on_input(sm::SmEvent::named("inc"), 20);

@@ -1,0 +1,168 @@
+// Allocation budget of the monitored event path.
+//
+// Every event a fleet monitors travels ShardedFleet::publish -> Mailbox
+// -> EventBus -> LatencyChannel -> Scheduler -> observers -> model step
+// -> comparator. This binary replaces the global operator new with a
+// counting one and drives the fleet_epoch-shaped stream (4096 monitors
+// on one ModelProgram, 2048 set/level pairs per 10 ms epoch) through a
+// one-shard and a four-shard fleet. After a warm-up, the steady state
+// must make at most two heap allocations per published event, and no
+// comparison may deviate.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "core/monitor_builder.hpp"
+#include "core/sharded_fleet.hpp"
+#include "runtime/rng.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+
+namespace core = trader::core;
+namespace rt = trader::runtime;
+namespace sm = trader::statemachine;
+
+constexpr rt::SimDuration kEpoch = rt::msec(10);
+constexpr std::size_t kMonitors = 4096;
+constexpr std::size_t kPairsPerEpoch = 2048;
+constexpr std::size_t kPoolEpochs = 8;
+
+/// "set" carries the value the SUO is about to show; the model emits it
+/// as the expectation of "level", which the matching output must equal.
+sm::StateMachineDef level_model() {
+  sm::StateMachineDef def("level");
+  const auto s = def.add_state("S");
+  def.add_internal(s, "set", nullptr, [](sm::ActionEnv& env) {
+    const auto it = env.event.params.find("v");
+    if (it != env.event.params.end()) env.emit("level", {{"value", it->second}});
+  });
+  return def;
+}
+
+std::vector<std::vector<rt::Event>> make_pool(std::uint64_t seed) {
+  rt::Rng rng(seed);
+  std::vector<std::vector<rt::Event>> pool(kPoolEpochs);
+  for (auto& epoch : pool) {
+    for (std::size_t p = 0; p < kPairsPerEpoch; ++p) {
+      const auto m = static_cast<std::size_t>(rng.uniform_int(0, kMonitors - 1));
+      const std::int64_t v = rng.uniform_int(0, 1000000);
+      rt::Event in;
+      in.topic = "in." + std::to_string(m);
+      in.name = "set";
+      in.fields["v"] = v;
+      rt::Event out;
+      out.topic = "out." + std::to_string(m);
+      out.name = "level";
+      out.fields["value"] = v;
+      epoch.push_back(std::move(in));
+      epoch.push_back(std::move(out));
+    }
+  }
+  return pool;
+}
+
+std::unique_ptr<core::ShardedFleet> make_fleet(std::size_t shards) {
+  core::ShardedFleetConfig cfg;
+  cfg.shards = shards;
+  cfg.epoch = kEpoch;
+  cfg.seed = 11;
+  auto fleet = std::make_unique<core::ShardedFleet>(cfg);
+  const core::ModelProgramPtr program = core::compile_model(level_model());
+  for (std::size_t m = 0; m < kMonitors; ++m) {
+    core::ObservableConfig oc;
+    oc.name = "level";
+    oc.time_based = false;
+    core::MonitorBuilder b;
+    b.with_program(program)
+        .input_topic("in." + std::to_string(m))
+        .output_topic("out." + std::to_string(m))
+        .observe(oc)
+        .startup_grace(0);
+    fleet->add_monitor("m" + std::to_string(m), std::move(b));
+  }
+  fleet->start();
+  return fleet;
+}
+
+struct Measured {
+  std::uint64_t events = 0;
+  std::uint64_t allocations = 0;
+};
+
+Measured drive(core::ShardedFleet& fleet, const std::vector<std::vector<rt::Event>>& pool,
+               std::size_t first_epoch, std::size_t epochs) {
+  Measured m;
+  const std::uint64_t before = g_allocations.load();
+  for (std::size_t e = first_epoch; e < first_epoch + epochs; ++e) {
+    const auto& batch = pool[e % pool.size()];
+    for (const rt::Event& ev : batch) fleet.publish(ev);
+    fleet.run_until(fleet.now() + kEpoch);
+    m.events += batch.size();
+  }
+  m.allocations = g_allocations.load() - before;
+  return m;
+}
+
+void expect_steady_state_budget(std::size_t shards) {
+  const auto pool = make_pool(11);
+  auto fleet = make_fleet(shards);
+  // Warm-up: every recycled buffer reaches its working size.
+  drive(*fleet, pool, 0, 2 * kPoolEpochs);
+  const Measured m = drive(*fleet, pool, 2 * kPoolEpochs, 2 * kPoolEpochs);
+  fleet->run_until(fleet->now() + kEpoch);
+
+  const double per_event = static_cast<double>(m.allocations) / static_cast<double>(m.events);
+  ::testing::Test::RecordProperty("allocations_per_event", std::to_string(per_event));
+  std::printf("[ info ] %zu shard(s): %.3f allocations per event (%llu over %llu events)\n",
+              shards, per_event, static_cast<unsigned long long>(m.allocations),
+              static_cast<unsigned long long>(m.events));
+  EXPECT_LE(per_event, 2.0);
+
+  const rt::MetricsSnapshot snap = fleet->metrics();
+  EXPECT_GT(snap.counter("comparator.comparisons"), 0u);
+  EXPECT_EQ(snap.counter("comparator.deviations"), 0u);
+  EXPECT_EQ(snap.counter("fleet.unrouted_events"), 0u);
+}
+
+TEST(EventPathAllocations, OneShardSteadyStateStaysWithinBudget) {
+  expect_steady_state_budget(1);
+}
+
+TEST(EventPathAllocations, FourShardSteadyStateStaysWithinBudget) {
+  expect_steady_state_budget(4);
+}
+
+}  // namespace

@@ -108,14 +108,56 @@ TEST(Mailbox, DrainsInSendTimeSourceSequenceOrder) {
   box.push(entry(10, 0, 9));
   box.push(entry(10, 0, 3));
   box.push(entry(20, 0, 1));
-  const auto drained = box.drain();
-  ASSERT_EQ(drained.size(), 5u);
-  EXPECT_EQ(drained[0].event.name, "10/0/3");
-  EXPECT_EQ(drained[1].event.name, "10/0/9");
-  EXPECT_EQ(drained[2].event.name, "10/2/5");
-  EXPECT_EQ(drained[3].event.name, "20/0/1");
-  EXPECT_EQ(drained[4].event.name, "20/1/0");
+  {
+    // The view borrows the box's slots until it goes out of scope.
+    const auto drained = box.drain();
+    ASSERT_EQ(drained.size(), 5u);
+    EXPECT_EQ(drained[0].event.name, "10/0/3");
+    EXPECT_EQ(drained[1].event.name, "10/0/9");
+    EXPECT_EQ(drained[2].event.name, "10/2/5");
+    EXPECT_EQ(drained[3].event.name, "20/0/1");
+    EXPECT_EQ(drained[4].event.name, "20/1/0");
+  }
   EXPECT_TRUE(box.drain().empty());  // drain empties the box
+}
+
+TEST(Mailbox, RecycledSlotHoldsOnlyTheNewEventsFields) {
+  rt::Mailbox box;
+  rt::Event three;
+  three.topic = "t";
+  three.fields["a"] = std::int64_t{1};
+  three.fields["b"] = std::string("two");
+  three.fields["c"] = 3.0;
+  box.push(three, 0, 0, 0);
+  EXPECT_EQ(box.drain().size(), 1u);
+  rt::Event one;
+  one.topic = "t";
+  one.fields["z"] = true;
+  box.push(one, 10, 0, 1);  // lands in the slot the three-field event left
+  const auto drained = box.drain();
+  ASSERT_EQ(drained.size(), 1u);
+  ASSERT_EQ(drained[0].event.fields.size(), 1u);
+  EXPECT_EQ(drained[0].event.fields.begin()->first, "z");
+  EXPECT_EQ(drained[0].sent_at, 10);
+  EXPECT_EQ(drained[0].seq, 1u);
+}
+
+TEST(Mailbox, PushDuringDrainWaitsForTheNextDrain) {
+  rt::Mailbox box;
+  rt::Event ev;
+  ev.name = "first";
+  box.push(ev, 0, 0, 0);
+  std::vector<std::string> seen;
+  for (auto& e : box.drain()) {
+    seen.push_back(e.event.name);
+    rt::Event late;
+    late.name = "late";
+    box.push(late, 0, 0, 1);  // e.g. a handler publishing mid-drain
+    EXPECT_EQ(e.event.name, "first");  // the slot being delivered is untouched
+  }
+  for (auto& e : box.drain()) seen.push_back(e.event.name);
+  EXPECT_EQ(seen, (std::vector<std::string>{"first", "late"}));
+  EXPECT_EQ(box.pushed(), 2u);
 }
 
 // ------------------------------------------------------------ MonitorBuilder
