@@ -54,7 +54,8 @@
 #      offline SflRanker::rank() across all five coefficients),
 #      bench_stress, bench_loadbalance and bench_recovery (the last
 #      three drive the Scheduler/EventBus event path under real TV
-#      simulations) under ASan; then
+#      simulations), bench_fuzz and bench_journal (WAL replay decodes
+#      the journaled wire frames) under ASan; then
 #      bench_exec leaves BENCH_exec.json in the repo root
 #      (steps/sec/core + bytes/monitor per kernel)
 #  12. bench_scale scaling experiment, leaving BENCH_scale.json in the
@@ -250,10 +251,10 @@ cmake --build build-tsan -j "$JOBS" --target exec_test
 # deadlock (ROADMAP).
 cmake --build build-asan -j "$JOBS" --target bench_exec bench_awareness bench_scale \
   bench_printer bench_mediaplayer bench_detection bench_ipc bench_hub bench_diag_hub \
-  bench_diagnosis bench_stress bench_loadbalance bench_recovery
+  bench_diagnosis bench_stress bench_loadbalance bench_recovery bench_fuzz bench_journal
 for bench in bench_exec bench_awareness bench_scale bench_printer bench_mediaplayer \
   bench_detection bench_ipc bench_hub bench_diag_hub bench_diagnosis bench_stress \
-  bench_loadbalance bench_recovery; do
+  bench_loadbalance bench_recovery bench_fuzz bench_journal; do
   (cd build-asan && "./bench/$bench" --benchmark_filter='^$' >/dev/null)
 done
 cmake --build build -j "$JOBS" --target bench_exec

@@ -62,7 +62,13 @@ class ModelInstance : public IModelImpl {
   bool comparison_enabled(const std::string& observable) const override {
     const auto& vars = batch_->vars(id_);
     if (vars.get_bool("nocompare", false)) return false;
-    return !vars.get_bool("nocompare:" + observable, false);
+    // The key is rebuilt in a kept buffer: a fresh "nocompare:" + name
+    // would allocate on every comparison once it outgrows SSO. The
+    // buffer is per thread, not per instance, so large fleets do not
+    // carry one per monitor.
+    static thread_local std::string key;
+    key.assign("nocompare:").append(observable);
+    return !vars.get_bool(key, false);
   }
   std::string state_name() const override { return batch_->active_leaf(id_); }
 

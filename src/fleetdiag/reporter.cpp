@@ -16,8 +16,18 @@ void SpectrumReporter::hit(std::uint32_t block) {
   touched_.push_back(block);
 }
 
+namespace {
+
+/// Hits usually arrive in id order (SyntheticProgram walks its blocks
+/// ascending), so the check is the common cost and the sort the rare one.
+void sort_ids(std::vector<std::uint32_t>& ids) {
+  if (!std::is_sorted(ids.begin(), ids.end())) std::sort(ids.begin(), ids.end());
+}
+
+}  // namespace
+
 void SpectrumReporter::end_step(bool error) {
-  std::sort(touched_.begin(), touched_.end());
+  sort_ids(touched_);
   for (const std::uint32_t b : touched_) current_[b] = false;
   std::vector<std::uint32_t> blocks;
   blocks.swap(touched_);
@@ -31,7 +41,7 @@ void SpectrumReporter::end_step_from(const observation::BlockCoverageRecorder& c
   for (const std::size_t b : coverage.current_touched()) {
     if (b < config_.block_count) blocks.push_back(static_cast<std::uint32_t>(b));
   }
-  std::sort(blocks.begin(), blocks.end());
+  sort_ids(blocks);
   add_step(std::move(blocks), error);
 }
 

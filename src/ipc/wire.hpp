@@ -13,7 +13,7 @@
 //   8      4    sequence number
 //   12     8    virtual timestamp (microseconds, signed)
 //   20     4    payload length (<= kMaxFramePayload)
-//   24     4    payload checksum (FNV-1a 32 over the payload bytes)
+//   24     4    payload checksum (CRC32C over the payload bytes)
 //   28     ...  payload
 //
 // Strings are u32 length + bytes; runtime::Value is a 1-byte tag (the
@@ -136,11 +136,16 @@ struct Frame {
   std::string unit;                               ///< kRecover / kRecoverAck component.
 };
 
-/// FNV-1a 32-bit over a byte range — the checksum every frame payload
-/// carries. Exposed because the hub's WAL and checkpoint files reuse
-/// the same integrity primitive: one discipline on the wire and on
-/// disk, one set of tests pinning it.
-std::uint32_t fnv1a32(const std::uint8_t* data, std::size_t n);
+/// CRC32C (Castagnoli: reflected polynomial 0x82F63B78, init and
+/// xorout ~0) over a byte range — the checksum every frame payload
+/// carries. It detects every burst error of up to 32 bits. On x86-64
+/// CPUs with SSE4.2 it runs on the `crc32` instruction (chosen once, at
+/// the first call); elsewhere it is crc32c_reference().
+std::uint32_t crc32c(const std::uint8_t* data, std::size_t n);
+
+/// Byte-wise 256-entry table CRC32C: the portable fallback of crc32c()
+/// and the reference the tests hold the hardware path to.
+std::uint32_t crc32c_reference(const std::uint8_t* data, std::size_t n);
 
 /// Encode a frame. Returns an empty vector when the payload would
 /// exceed kMaxFramePayload (the caller counts an encode error — an

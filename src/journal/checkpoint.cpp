@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "ipc/wire.hpp"
 #include "journal/wal.hpp"
 
 namespace trader::journal {
@@ -135,7 +134,7 @@ bool CheckpointStore::write(std::uint64_t wal_seq,
   Encoder file;
   file.u32(kCheckpointMagic);
   file.u32(kCheckpointFormat);
-  file.u32(ipc::fnv1a32(body.buffer().data(), body.size()));
+  file.u32(fnv1a32(body.buffer().data(), body.size()));
   file.u32(static_cast<std::uint32_t>(body.size()));
   file.raw(body.buffer().data(), body.size());
 
@@ -191,7 +190,7 @@ bool CheckpointStore::load_latest(const std::vector<Checkpointable*>& parts,
       continue;
     }
     const std::uint8_t* body = bytes.data() + kHeaderBytes;
-    if (ipc::fnv1a32(body, body_len) != checksum) {
+    if (fnv1a32(body, body_len) != checksum) {
       ++stats_.load_failures;
       continue;
     }

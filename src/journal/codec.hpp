@@ -11,8 +11,8 @@
 // byte blobs, and a fail-closed decoder — one malformed field poisons
 // the decoder and every subsequent read returns zero, so a torn or
 // corrupted record can never leak partial state into restored hubs.
-// Integrity (checksums) is layered above by the WAL / checkpoint file
-// formats; this codec only defines field layout.
+// Integrity is layered above by the WAL / checkpoint file formats,
+// which both seal their bodies with fnv1a32() below.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +21,18 @@
 #include <vector>
 
 namespace trader::journal {
+
+/// FNV-1a 32-bit over a byte range: the checksum of every WAL record
+/// and checkpoint body. It is the journal's own on-disk format, kept
+/// byte-for-byte stable; wire frames carry CRC32C (ipc::crc32c).
+inline std::uint32_t fnv1a32(const std::uint8_t* data, std::size_t n) {
+  std::uint32_t h = 0x811c9dc5u;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= data[i];
+    h *= 0x01000193u;
+  }
+  return h;
+}
 
 /// Append-only little-endian field writer.
 class Encoder {

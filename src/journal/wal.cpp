@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "ipc/wire.hpp"
 #include "journal/codec.hpp"
 
 namespace trader::journal {
@@ -120,7 +119,7 @@ int parse_record(const std::uint8_t* data, std::size_t size, std::size_t off,
     return 0;
   }
   const std::uint8_t* body = data + off + kWalRecordHeader;
-  if (ipc::fnv1a32(body, body_len) != checksum) {
+  if (fnv1a32(body, body_len) != checksum) {
     *why = "checksum mismatch";
     return -1;
   }
@@ -242,7 +241,7 @@ std::uint64_t WalWriter::append(WalRecordType type, const std::string& slot,
     return 0;
   }
   const std::uint32_t checksum =
-      ipc::fnv1a32(body.buffer().data(), body.size());
+      fnv1a32(body.buffer().data(), body.size());
   Encoder rec;
   rec.u32(kWalMagic);
   rec.u32(checksum);

@@ -7,9 +7,11 @@
 // *before* it is applied, so a restarted hub can re-fold the exact
 // input stream and arrive at bit-identical state (replay.hpp).
 //
-// On-disk format, reusing the wire protocol's integrity discipline
-// (ipc/wire.hpp — explicit little-endian, FNV-1a 32 checksums,
-// fail-closed parsing):
+// On-disk format, in the wire protocol's discipline (ipc/wire.hpp —
+// explicit little-endian, checksummed, fail-closed parsing) but with
+// the journal's own checksum: FNV-1a 32 (journal/codec.hpp), kept so
+// the on-disk format stays byte-for-byte stable. The wire frames that
+// kFrame records carry keep their own CRC32C, checked again at replay.
 //
 //   segment file:  wal-<first_seq, 20-digit decimal>.log
 //   record:        u32 magic "WALR"

@@ -61,18 +61,19 @@ constexpr std::size_t kPairsPerEpoch = 2048;
 constexpr std::size_t kPoolEpochs = 8;
 
 /// "set" carries the value the SUO is about to show; the model emits it
-/// as the expectation of "level", which the matching output must equal.
-sm::StateMachineDef level_model() {
+/// as the expectation of `observable`, which the matching output must
+/// equal.
+sm::StateMachineDef level_model(const std::string& observable) {
   sm::StateMachineDef def("level");
   const auto s = def.add_state("S");
-  def.add_internal(s, "set", nullptr, [](sm::ActionEnv& env) {
+  def.add_internal(s, "set", nullptr, [observable](sm::ActionEnv& env) {
     const auto it = env.event.params.find("v");
-    if (it != env.event.params.end()) env.emit("level", {{"value", it->second}});
+    if (it != env.event.params.end()) env.emit(observable, {{"value", it->second}});
   });
   return def;
 }
 
-std::vector<std::vector<rt::Event>> make_pool(std::uint64_t seed) {
+std::vector<std::vector<rt::Event>> make_pool(std::uint64_t seed, const std::string& observable) {
   rt::Rng rng(seed);
   std::vector<std::vector<rt::Event>> pool(kPoolEpochs);
   for (auto& epoch : pool) {
@@ -85,7 +86,7 @@ std::vector<std::vector<rt::Event>> make_pool(std::uint64_t seed) {
       in.fields["v"] = v;
       rt::Event out;
       out.topic = "out." + std::to_string(m);
-      out.name = "level";
+      out.name = observable;
       out.fields["value"] = v;
       epoch.push_back(std::move(in));
       epoch.push_back(std::move(out));
@@ -94,16 +95,17 @@ std::vector<std::vector<rt::Event>> make_pool(std::uint64_t seed) {
   return pool;
 }
 
-std::unique_ptr<core::ShardedFleet> make_fleet(std::size_t shards) {
+std::unique_ptr<core::ShardedFleet> make_fleet(std::size_t shards,
+                                               const std::string& observable) {
   core::ShardedFleetConfig cfg;
   cfg.shards = shards;
   cfg.epoch = kEpoch;
   cfg.seed = 11;
   auto fleet = std::make_unique<core::ShardedFleet>(cfg);
-  const core::ModelProgramPtr program = core::compile_model(level_model());
+  const core::ModelProgramPtr program = core::compile_model(level_model(observable));
   for (std::size_t m = 0; m < kMonitors; ++m) {
     core::ObservableConfig oc;
-    oc.name = "level";
+    oc.name = observable;
     oc.time_based = false;
     core::MonitorBuilder b;
     b.with_program(program)
@@ -136,9 +138,9 @@ Measured drive(core::ShardedFleet& fleet, const std::vector<std::vector<rt::Even
   return m;
 }
 
-void expect_steady_state_budget(std::size_t shards) {
-  const auto pool = make_pool(11);
-  auto fleet = make_fleet(shards);
+double steady_state_allocations_per_event(std::size_t shards, const std::string& observable) {
+  const auto pool = make_pool(11, observable);
+  auto fleet = make_fleet(shards, observable);
   // Warm-up: every recycled buffer reaches its working size.
   drive(*fleet, pool, 0, 2 * kPoolEpochs);
   const Measured m = drive(*fleet, pool, 2 * kPoolEpochs, 2 * kPoolEpochs);
@@ -146,8 +148,8 @@ void expect_steady_state_budget(std::size_t shards) {
 
   const double per_event = static_cast<double>(m.allocations) / static_cast<double>(m.events);
   ::testing::Test::RecordProperty("allocations_per_event", std::to_string(per_event));
-  std::printf("[ info ] %zu shard(s): %.3f allocations per event (%llu over %llu events)\n",
-              shards, per_event, static_cast<unsigned long long>(m.allocations),
+  std::printf("[ info ] %zu shard(s), \"%s\": %.3f allocations per event (%llu over %llu events)\n",
+              shards, observable.c_str(), per_event, static_cast<unsigned long long>(m.allocations),
               static_cast<unsigned long long>(m.events));
   EXPECT_LE(per_event, 2.0);
 
@@ -155,14 +157,24 @@ void expect_steady_state_budget(std::size_t shards) {
   EXPECT_GT(snap.counter("comparator.comparisons"), 0u);
   EXPECT_EQ(snap.counter("comparator.deviations"), 0u);
   EXPECT_EQ(snap.counter("fleet.unrouted_events"), 0u);
+  return per_event;
 }
 
 TEST(EventPathAllocations, OneShardSteadyStateStaysWithinBudget) {
-  expect_steady_state_budget(1);
+  steady_state_allocations_per_event(1, "level");
 }
 
 TEST(EventPathAllocations, FourShardSteadyStateStaysWithinBudget) {
-  expect_steady_state_budget(4);
+  steady_state_allocations_per_event(4, "level");
+}
+
+TEST(EventPathAllocations, ObservableNameLengthCostsNoAllocation) {
+  // "level" fits the small-string buffer even with a "nocompare:"
+  // prefix; "sound_level" (the TV model's name) does not. Neither may
+  // cost a heap allocation per comparison.
+  const double short_name = steady_state_allocations_per_event(1, "level");
+  const double long_name = steady_state_allocations_per_event(1, "sound_level");
+  EXPECT_DOUBLE_EQ(long_name, short_name);
 }
 
 }  // namespace

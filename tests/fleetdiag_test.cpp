@@ -147,6 +147,55 @@ TEST(FleetDiagReporter, EndStepFromRecorderSortsTouchedBlocks) {
   EXPECT_TRUE(frames[0].spectra[0].error);
 }
 
+TEST(FleetDiagReporter, HitOrderNeverChangesTheEncodedFrame) {
+  // Both sealing paths skip the sort when the ids already ascend; fed the
+  // same step shuffled and ascending, all four must encode to one frame.
+  constexpr std::uint32_t kBlocks = 5000;
+  rt::Rng rng(18);
+  std::vector<std::uint32_t> ascending;
+  for (std::uint32_t b = 0; b < kBlocks; ++b) {
+    if (rng.uniform_int(0, 9) == 0) ascending.push_back(b);
+  }
+  std::vector<std::uint32_t> shuffled = ascending;
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    const auto j = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+    std::swap(shuffled[i - 1], shuffled[j]);
+  }
+  shuffled.push_back(shuffled.front());  // a repeated hit is deduplicated
+  ASSERT_FALSE(std::is_sorted(shuffled.begin(), shuffled.end()));
+
+  fd::ReporterConfig config;
+  config.block_count = kBlocks;
+  const auto encode = [&](const std::vector<std::uint32_t>& hits, bool via_recorder) {
+    fd::SpectrumReporter reporter(config);
+    if (via_recorder) {
+      obs::BlockCoverageRecorder coverage(kBlocks);
+      for (const std::uint32_t b : hits) coverage.hit(b);
+      reporter.end_step_from(coverage, true);
+    } else {
+      for (const std::uint32_t b : hits) reporter.hit(b);
+      reporter.end_step(true);
+    }
+    std::uint32_t seq = 0;
+    const auto frames = reporter.flush(seq);
+    EXPECT_EQ(frames.size(), 1u);
+    return frames.empty() ? std::vector<std::uint8_t>{} : ipc::encode_frame(frames[0]);
+  };
+
+  const auto expected = encode(ascending, true);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(encode(shuffled, true), expected) << "end_step_from, shuffled";
+  EXPECT_EQ(encode(ascending, false), expected) << "hit/end_step, ascending";
+  EXPECT_EQ(encode(shuffled, false), expected) << "hit/end_step, shuffled";
+
+  ipc::FrameDecoder decoder;
+  decoder.feed(expected.data(), expected.size());
+  ipc::Frame decoded;
+  ASSERT_EQ(decoder.next(decoded), ipc::DecodeStatus::kOk);
+  ASSERT_EQ(decoded.spectra.size(), 1u);
+  EXPECT_EQ(decoded.spectra[0].blocks, ascending);
+}
+
 // ============================================================ aggregator
 
 TEST(FleetDiagAggregator, OnlineMatchesOfflineAfterEveryPrefix) {

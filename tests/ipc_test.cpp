@@ -35,6 +35,19 @@ namespace {
 
 // ------------------------------------------------------------------ helpers
 
+/// Re-seal a hand-edited encoding: fix the payload length the header
+/// announces (offset 20) and the payload checksum (offset 24), so the
+/// decoder judges the edited structure rather than the integrity check.
+std::vector<std::uint8_t> reseal(std::vector<std::uint8_t> bytes) {
+  const auto len = static_cast<std::uint32_t>(bytes.size() - ipc::kHeaderSize);
+  const std::uint32_t sum = ipc::crc32c(bytes.data() + ipc::kHeaderSize, len);
+  for (int i = 0; i < 4; ++i) {
+    bytes[20 + i] = static_cast<std::uint8_t>(len >> (8 * i));
+    bytes[24 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+  }
+  return bytes;
+}
+
 std::vector<ipc::Frame> sample_frames() {
   std::vector<ipc::Frame> frames;
 
@@ -313,6 +326,70 @@ TEST(IpcWire, BitFlipCorruptionFailsClosed) {
   }
 }
 
+TEST(IpcWire, Crc32cCheckValue) {
+  const std::string check = "123456789";
+  const auto* p = reinterpret_cast<const std::uint8_t*>(check.data());
+  EXPECT_EQ(ipc::crc32c(p, check.size()), 0xE3069283u);
+  EXPECT_EQ(ipc::crc32c_reference(p, check.size()), 0xE3069283u);
+  EXPECT_EQ(ipc::crc32c(p, 0), 0u);
+}
+
+TEST(IpcWire, DispatchedCrc32cMatchesTableReference) {
+  // The hardware path reads eight bytes at a time from any alignment;
+  // every length 0-300 at every start offset 0-7 crosses its tail loop.
+  rt::Rng rng(32);
+  std::vector<std::uint8_t> buf(64 * 1024 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t n = 0; n <= 300; ++n) {
+      ASSERT_EQ(ipc::crc32c(buf.data() + off, n), ipc::crc32c_reference(buf.data() + off, n))
+          << "offset " << off << " length " << n;
+    }
+  }
+  EXPECT_EQ(ipc::crc32c(buf.data() + 3, 64 * 1024),
+            ipc::crc32c_reference(buf.data() + 3, 64 * 1024));
+}
+
+TEST(IpcWire, EveryBurstUpTo32BitsInASpectrumPayloadIsRejected) {
+  // A 64 KiB spectrum frame (the closed loop's shape). CRC32C detects
+  // every burst of up to 32 bits; flip bursts of each length, with
+  // random interior bits, at sampled bit offsets across the payload.
+  ipc::Frame f;
+  f.type = ipc::FrameType::kSpectrum;
+  f.block_count = 40000;
+  ipc::SpectrumStep step;
+  step.error = true;
+  for (std::uint32_t b = 0; step.blocks.size() < 16380; b += 2) step.blocks.push_back(b);
+  f.spectra.push_back(step);
+  const auto clean = ipc::encode_frame(f);
+  ASSERT_FALSE(clean.empty());
+  const std::size_t payload_bits = (clean.size() - ipc::kHeaderSize) * 8;
+  ASSERT_GT(payload_bits, 8u * 65000u);
+
+  rt::Rng rng(2008);
+  std::vector<std::size_t> starts = {0, payload_bits - 32};
+  while (starts.size() < 24) {
+    starts.push_back(static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(payload_bits) - 33)));
+  }
+  for (std::size_t len = 1; len <= 32; ++len) {
+    for (const std::size_t start : starts) {
+      auto corrupt = clean;
+      for (std::size_t k = 0; k < len; ++k) {
+        const bool edge = k == 0 || k + 1 == len;  // a burst starts and ends flipped
+        if (!edge && rng.uniform_int(0, 1) == 0) continue;
+        const std::size_t bit = start + k;
+        corrupt[ipc::kHeaderSize + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      }
+      ipc::FrameDecoder decoder;
+      decoder.feed(corrupt.data(), corrupt.size());
+      ipc::Frame out;
+      ASSERT_EQ(decoder.next(out), ipc::DecodeStatus::kBadChecksum)
+          << len << "-bit burst at payload bit " << start;
+    }
+  }
+}
+
 TEST(IpcWire, OversizedPayloadRejectedOnBothSides) {
   ipc::Frame big;
   big.type = ipc::FrameType::kShutdown;
@@ -353,14 +430,7 @@ TEST(IpcWire, MalformedSpectrumPayloadFailsClosed) {
       bytes[ipc::kHeaderSize + payload_off + static_cast<std::size_t>(i)] =
           static_cast<std::uint8_t>(value >> (8 * i));
     }
-    // Re-seal the payload checksum (FNV-1a 32) at header offset 24.
-    std::uint32_t h = 0x811c9dc5u;
-    for (std::size_t i = ipc::kHeaderSize; i < bytes.size(); ++i) {
-      h ^= bytes[i];
-      h *= 0x01000193u;
-    }
-    for (int i = 0; i < 4; ++i) bytes[24 + i] = static_cast<std::uint8_t>(h >> (8 * i));
-    return bytes;
+    return reseal(std::move(bytes));
   };
   const auto expect_malformed = [](const std::vector<std::uint8_t>& bytes, const char* what) {
     ipc::FrameDecoder decoder;
@@ -373,13 +443,7 @@ TEST(IpcWire, MalformedSpectrumPayloadFailsClosed) {
   {
     auto bytes = clean;  // error byte 2 (single byte, not a u32 write)
     bytes[ipc::kHeaderSize + 8] = 2;
-    std::uint32_t h = 0x811c9dc5u;
-    for (std::size_t i = ipc::kHeaderSize; i < bytes.size(); ++i) {
-      h ^= bytes[i];
-      h *= 0x01000193u;
-    }
-    for (int i = 0; i < 4; ++i) bytes[24 + i] = static_cast<std::uint8_t>(h >> (8 * i));
-    expect_malformed(bytes, "error byte > 1");
+    expect_malformed(reseal(std::move(bytes)), "error byte > 1");
   }
   expect_malformed(corrupt_at(17, 2), "non-ascending block ids");
   expect_malformed(corrupt_at(17, 10), "block id >= block_count");
@@ -401,18 +465,6 @@ TEST(IpcWire, MalformedRecoverPayloadFailsClosed) {
   // actuatable ladder rungs (give-up is hub-local, never on wire), ack
   // ok bytes are 0/1, and both frames must consume the payload exactly.
   // A hostile or corrupted peer poisons its decoder, never actuates.
-  const auto reseal = [](std::vector<std::uint8_t> bytes) {
-    std::uint32_t h = 0x811c9dc5u;  // FNV-1a 32 over the payload
-    for (std::size_t i = ipc::kHeaderSize; i < bytes.size(); ++i) {
-      h ^= bytes[i];
-      h *= 0x01000193u;
-    }
-    for (int i = 0; i < 4; ++i) bytes[24 + i] = static_cast<std::uint8_t>(h >> (8 * i));
-    // Fix the payload length the header announces (trailing-byte cases).
-    const auto len = static_cast<std::uint32_t>(bytes.size() - ipc::kHeaderSize);
-    for (int i = 0; i < 4; ++i) bytes[20 + i] = static_cast<std::uint8_t>(len >> (8 * i));
-    return bytes;
-  };
   const auto expect_malformed = [](const std::vector<std::uint8_t>& bytes, const char* what) {
     ipc::FrameDecoder decoder;
     decoder.feed(bytes.data(), bytes.size());

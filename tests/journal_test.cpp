@@ -805,6 +805,43 @@ TEST(HubJournal, UndecodableFramePayloadFailsRecoveryClosed) {
   EXPECT_EQ(sink.frames, 0u);
 }
 
+TEST(HubJournal, FrameSealedWithTheJournalChecksumFailsRecoveryClosed) {
+  // Frames carry CRC32C; the WAL record around them carries FNV-1a. A
+  // frame sealed with FNV-1a (as wire frames once were) sits in a valid
+  // record, and recovery must refuse it rather than replay it.
+  ipc::Frame spectrum;
+  spectrum.type = ipc::FrameType::kSpectrum;
+  spectrum.block_count = 64;
+  spectrum.spectra.push_back({true, {3, 9, 27}});
+  const std::vector<std::uint8_t> current = ipc::encode_frame(spectrum);
+  ASSERT_FALSE(current.empty());
+  std::vector<std::uint8_t> fnv_sealed = current;
+  const std::uint32_t fnv =
+      jn::fnv1a32(current.data() + ipc::kHeaderSize, current.size() - ipc::kHeaderSize);
+  for (int i = 0; i < 4; ++i) fnv_sealed[24 + i] = static_cast<std::uint8_t>(fnv >> (8 * i));
+
+  for (const bool old_frame : {false, true}) {
+    TempDir dir;
+    {
+      const std::vector<std::uint8_t>& frame = old_frame ? fnv_sealed : current;
+      jn::WalWriter w;
+      ASSERT_TRUE(w.open(dir.path, 1, 1 << 20, jn::FsyncPolicy::kNone));
+      ASSERT_EQ(w.append(jn::WalRecordType::kFrame, "s0", rt::msec(1), frame.data(),
+                         frame.size()),
+                1u);
+      w.close();
+    }
+    jn::JournalConfig cfg;
+    cfg.enabled = true;
+    cfg.dir = dir.path;
+    jn::HubJournal journal(cfg, nullptr);
+    CountingSink sink;
+    const jn::JournalRecoveryInfo info = journal.recover({}, sink);
+    EXPECT_EQ(info.ok, !old_frame) << info.error;
+    EXPECT_EQ(sink.frames, old_frame ? 0u : 1u);
+  }
+}
+
 TEST(HubJournal, CheckpointRetiresCoveredSegments) {
   TempDir dir;
   jn::JournalConfig cfg;
