@@ -1,14 +1,14 @@
-// E16: the cost of the process boundary (src/ipc).
+// E17a: the raw cost of the process boundary (src/ipc).
 //
 // The paper's awareness framework observes the SUO "with minimal
 // probe effect"; moving the SUO out of process trades shared-memory
 // observation for a wire. This bench quantifies that trade on the two
-// transports the repo ships:
+// transports the repo ships, below the hub (E17) that multiplexes them:
 //   (a) frame throughput — how many observable-update frames per
 //       second one link carries (encode -> kernel stream -> decode);
-//   (b) lockstep round-trip time — the p50/p99 latency of one
-//       heartbeat exchange against a live SuoServer, the same exchange
-//       the RemoteSuoClient uses to advance virtual time.
+//   (b) round-trip time — the p50/p99 latency of one kHeartbeat ->
+//       kHeartbeatAck exchange against an echo thread, the exchange
+//       the hub's liveness probes make with every SUO.
 // Results land in BENCH_ipc.json for scripts/check.sh.
 #include "bench_common.hpp"
 
@@ -18,16 +18,11 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <thread>
 #include <vector>
 
-#include "ipc/remote_suo.hpp"
-#include "ipc/suo_server.hpp"
 #include "ipc/transport.hpp"
 #include "ipc/wire.hpp"
-#include "runtime/event_bus.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace rt = trader::runtime;
 namespace ipc = trader::ipc;
@@ -110,38 +105,44 @@ struct RttRun {
   double mean_us = 0.0;
 };
 
-/// Heartbeat round-trips against a live SuoServer on a worker thread —
-/// the exact exchange that paces lockstep virtual-time advancement.
+/// Heartbeat round-trips against an echo thread that answers each
+/// kHeartbeat with a kHeartbeatAck carrying its nonce.
 RttRun run_rtt(Transport transport, int rounds) {
-  auto [server_sock, client_sock] = make_pair_on(transport);
-  ipc::SuoServer server;
-  std::thread host([&server, s = std::move(server_sock)]() mutable { server.serve(s); });
-
-  rt::Scheduler sched;
-  rt::EventBus bus;
-  ipc::RemoteSuoClient client(sched, bus,
-                              [fd = client_sock.release(), used = std::make_shared<bool>(false)]() {
-                                if (*used) return -1;
-                                *used = true;
-                                return fd;
-                              });
-  client.initialize();
-  client.start(sched.now());
+  auto [echo_sock, probe_sock] = make_pair_on(transport);
+  std::thread echo([&echo_sock = echo_sock]() {
+    ipc::Frame in;
+    while (echo_sock.recv(in, 2000) == ipc::FramedSocket::RecvStatus::kFrame) {
+      ipc::Frame ack;
+      ack.type = ipc::FrameType::kHeartbeatAck;
+      ack.seq = in.seq;
+      ack.nonce = in.nonce;
+      if (!echo_sock.send(ack)) break;
+    }
+  });
 
   std::vector<double> samples_us;
   samples_us.reserve(static_cast<std::size_t>(rounds));
+  ipc::Frame probe;
+  probe.type = ipc::FrameType::kHeartbeat;
   for (int i = 0; i < rounds; ++i) {
+    probe.seq = static_cast<std::uint32_t>(i);
+    probe.nonce = static_cast<std::uint64_t>(i);
+    ipc::Frame ack;
     const auto t0 = std::chrono::steady_clock::now();
-    client.heartbeat();
+    if (!probe_sock.send(probe) ||
+        probe_sock.recv(ack, 2000) != ipc::FramedSocket::RecvStatus::kFrame) {
+      break;
+    }
     const auto t1 = std::chrono::steady_clock::now();
     samples_us.push_back(
         std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(t1 - t0).count());
   }
-  client.shutdown_remote();
-  host.join();
+  probe_sock.close();
+  echo.join();
 
-  std::sort(samples_us.begin(), samples_us.end());
   RttRun run;
+  if (samples_us.empty()) return run;
+  std::sort(samples_us.begin(), samples_us.end());
   run.p50_us = samples_us[samples_us.size() / 2];
   run.p99_us = samples_us[samples_us.size() * 99 / 100];
   double sum = 0.0;
@@ -151,7 +152,7 @@ RttRun run_rtt(Transport transport, int rounds) {
 }
 
 void report() {
-  banner("E16", "the cost of the process boundary (out-of-process SUO)");
+  banner("E17a", "the raw cost of the process boundary (out-of-process SUO)");
 
   const int frames = 200000;
   const int rounds = 2000;

@@ -20,6 +20,7 @@
 
 #include "hub/agent.hpp"
 #include "hub/hub.hpp"
+#include "hub/link_gate.hpp"
 #include "tv/spec_model.hpp"
 
 namespace {
@@ -62,6 +63,7 @@ int main(int argc, char** argv) {
     auto gate = hub.add_slot(slot);
     core::MonitorBuilder builder;
     builder.model(tv::build_tv_spec_model())
+        .wrap_model(hub::link_gated(gate))  // quiesce comparison while the SUO is down
         .input_topic(slot + "/tv.input")
         .output_topic(slot + "/tv.output")
         .comparison_period(runtime::msec(50))

@@ -15,11 +15,12 @@
 #      FUZZ_corpus.json (corpus + coverage map + minimized findings) in
 #      the repo root
 #   6. ipc: the wire codec property tests (round-trip, truncation,
-#      bit-flip) and the SIGKILL/reconnect supervision of a real
-#      suo_host child under ASan — the lockstep out-of-process SUO path
-#      with leak checking on
+#      bit-flip, reserved type numbers), the transport and the
+#      supervision state machine under ASan with leak checking on
 #   7. hub: the epoll event loop (timer catch-up, backpressure, accept
-#      storm, crash-loop backoff), the SUO end of a link (slot claim,
+#      storm, crash-loop backoff), the slot handshake (version, unknown
+#      and busy rejection), kill -9 of a real publisher child and its
+#      restarted successor, the SUO end of a link (slot claim,
 #      idempotent recover ack) and the campaign's one wire — the
 #      in-process vs hub differential and the kill-restart scenario —
 #      under ASan, plus the hub campaign under TSan (the loop thread vs
@@ -55,13 +56,15 @@
 #      bench_stress, bench_loadbalance and bench_recovery (the last
 #      three drive the Scheduler/EventBus event path under real TV
 #      simulations), bench_fuzz and bench_journal (WAL replay decodes
-#      the journaled wire frames) under ASan; then
+#      the journaled wire frames), bench_perception and bench_priowarn
+#      under ASan; then
 #      bench_exec leaves BENCH_exec.json in the repo root
 #      (steps/sec/core + bytes/monitor per kernel)
 #  12. bench_scale scaling experiment, leaving BENCH_scale.json in the
 #      repo root (per-shard-count throughput + merged metrics snapshot)
-#  13. bench_ipc transport experiment, leaving BENCH_ipc.json in the
-#      repo root (frames/sec + RTT percentiles per transport)
+#  13. bench_ipc raw transport experiment, leaving BENCH_ipc.json in
+#      the repo root (frames/sec + heartbeat RTT percentiles per
+#      transport)
 #  14. bench_hub fleet-ingest experiment, leaving BENCH_hub.json in the
 #      repo root (frames/sec + ingest latency vs connection count)
 #  15. bench_fuzz fuzzing experiment, leaving BENCH_fuzz.json in the
@@ -157,18 +160,20 @@ test -s FUZZ_corpus.json
 echo "fuzz headline:"
 grep -E 'corpus:|detection floor' FUZZ_report.txt
 
-stage "ipc: codec properties + kill -9 supervision under ASan"
+stage "ipc: codec properties + transport + supervisor under ASan"
 cmake --build build-asan -j "$JOBS" --target ipc_test
-# Wire-level fuzzing (round-trip, truncation, bit-flip) plus kill -9
-# supervision. The campaign's wire differential runs in the hub stage.
-./build-asan/tests/ipc_test --gtest_filter='IpcWire.*:IpcSupervision.*'
+# Wire-level fuzzing (round-trip, truncation, bit-flip, the reserved
+# type numbers), the framed transport and the supervisor state machine.
+# The kill -9 of a real SUO process and the campaign's wire
+# differential run in the hub stage.
+./build-asan/tests/ipc_test --gtest_filter='IpcWire.*:IpcTransport.*:IpcSupervisor.*'
 
 stage "hub: epoll loop + multi-SUO campaign under ASan and TSan"
 cmake --build build-asan -j "$JOBS" --target hub_test
 # The whole suite under ASan: event-loop timer semantics (fixed-rate
 # catch-up), backpressure eviction, accept storm, crash-loop backoff,
-# liveness accounting, the SUO link's recover-ack cache and the 8-SUO
-# differential campaign.
+# liveness accounting, kill -9 of a forked publisher process, the SUO
+# link's recover-ack cache and the 8-SUO differential campaign.
 ./build-asan/tests/hub_test
 # Under TSan the loop thread coexists with fleet shard threads and the
 # publisher test thread — the scored hub campaign must stay race-free.
@@ -244,17 +249,19 @@ cmake --build build-asan -j "$JOBS" --target exec_test
 cmake --build build-tsan -j "$JOBS" --target exec_test
 ./build-tsan/tests/exec_test \
   --gtest_filter='BatchExecutor.SharedProgramAcrossThreadsIsRaceFree'
-# The report() of every bench that drives the model engine or the wire,
-# under ASan (the empty filter skips the microbenchmarks). They run
+# The report() of every bench but one under ASan (the empty filter
+# skips the microbenchmarks). They run
 # inside build-asan so their BENCH_*.json stay out of the repo root.
 # bench_recovery_hub stays out while it can hang on the hub's recovery
 # deadlock (ROADMAP).
 cmake --build build-asan -j "$JOBS" --target bench_exec bench_awareness bench_scale \
   bench_printer bench_mediaplayer bench_detection bench_ipc bench_hub bench_diag_hub \
-  bench_diagnosis bench_stress bench_loadbalance bench_recovery bench_fuzz bench_journal
+  bench_diagnosis bench_stress bench_loadbalance bench_recovery bench_fuzz bench_journal \
+  bench_perception bench_priowarn
 for bench in bench_exec bench_awareness bench_scale bench_printer bench_mediaplayer \
   bench_detection bench_ipc bench_hub bench_diag_hub bench_diagnosis bench_stress \
-  bench_loadbalance bench_recovery bench_fuzz bench_journal; do
+  bench_loadbalance bench_recovery bench_fuzz bench_journal bench_perception \
+  bench_priowarn; do
   (cd build-asan && "./bench/$bench" --benchmark_filter='^$' >/dev/null)
 done
 cmake --build build -j "$JOBS" --target bench_exec
@@ -271,7 +278,7 @@ test -s BENCH_scale.json
 echo "BENCH_scale.json written:"
 head -12 BENCH_scale.json
 
-stage "bench_ipc: transport experiment -> BENCH_ipc.json"
+stage "bench_ipc: raw transport experiment -> BENCH_ipc.json"
 ./build/bench/bench_ipc --benchmark_filter='BM_EncodeOutputEvent' \
   --benchmark_min_time=0.05
 test -s BENCH_ipc.json

@@ -45,7 +45,7 @@ class IControl {
 ///
 /// ModelInstance (core/model_program.hpp) adapts one slot of the
 /// compiled ModelProgram's BatchExecutor; decorators such as
-/// ipc::LinkGatedModel wrap it.
+/// hub::LinkGatedModel wrap it.
 class IModelImpl {
  public:
   virtual ~IModelImpl() = default;

@@ -1,9 +1,8 @@
 // The SUO side of a hub link.
 //
-// Where src/ipc's SuoServer *answers* a monitor that drives virtual
-// time in lockstep, a hub publisher *pushes*: it connects out to the
-// AwarenessHub, claims a slot with kHello and streams what it observes
-// while answering the hub's probes and recovery commands. This is the
+// A hub publisher *pushes*: it connects out to the AwarenessHub,
+// claims a slot with kHello and streams what it observes while
+// answering the hub's probes and recovery commands. This is the
 // ArVI-style topology — many instrumented systems feeding one central
 // monitor — and it is what a real fielded SUO would run: no knowledge
 // of the fleet, just "send what you observe, answer pings, act on

@@ -265,8 +265,9 @@ void AwarenessHub::on_frame(Peer* peer, const ipc::Frame& f) {
       peer->conn->close(CloseReason::kPeerClosed);
       break;
     default:
-      // kHello after handshake, kControl/kControlAck toward the hub:
-      // protocol violations on this link direction.
+      // kHello after handshake, or a hub-to-SUO type (kHelloAck,
+      // kRecover) arriving from the SUO: protocol violations on this
+      // link direction.
       reject(peer, std::string("unexpected ") + ipc::to_string(f.type));
       break;
   }

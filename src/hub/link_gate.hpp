@@ -1,6 +1,6 @@
 // Link-gated model wrapper: graceful degradation without core changes.
 //
-// While the remote SUO is unreachable, observations go stale; comparing
+// While a hub slot's SUO is unreachable, observations go stale; comparing
 // a live model against a frozen observation table would flood the error
 // stream with false alarms — exactly the §4.3 over-eager-comparator
 // failure mode. The paper's escape hatch already exists in the core
@@ -10,8 +10,8 @@
 // any model and forces comparison_enabled() to false while the shared
 // link gate is down, so the Comparator quiesces (counting suppressions)
 // instead of reporting nonsense — and the outage itself is reported
-// exactly once through the Controller's error tap by the supervision
-// layer.
+// exactly once by the hub's slot supervision (AwarenessHub::add_slot
+// hands out the gate and flips it on handshake and teardown).
 #pragma once
 
 #include <atomic>
@@ -20,7 +20,7 @@
 
 #include "core/interfaces.hpp"
 
-namespace trader::ipc {
+namespace trader::hub {
 
 class LinkGatedModel : public core::IModelImpl {
  public:
@@ -42,15 +42,13 @@ class LinkGatedModel : public core::IModelImpl {
   }
   std::string state_name() const override { return inner_->state_name(); }
 
-  core::IModelImpl& inner() { return *inner_; }
-
  private:
   std::unique_ptr<core::IModelImpl> inner_;
   std::shared_ptr<const std::atomic<bool>> link_up_;
 };
 
 /// MonitorBuilder::wrap_model decorator that gates the built model on
-/// `link_up`: builder.model(def).wrap_model(link_gated(client.gate())).
+/// `link_up`: builder.model(def).wrap_model(link_gated(hub.add_slot(name))).
 inline auto link_gated(std::shared_ptr<const std::atomic<bool>> link_up) {
   return [link_up = std::move(link_up)](std::unique_ptr<core::IModelImpl> model)
              -> std::unique_ptr<core::IModelImpl> {
@@ -58,4 +56,4 @@ inline auto link_gated(std::shared_ptr<const std::atomic<bool>> link_up) {
   };
 }
 
-}  // namespace trader::ipc
+}  // namespace trader::hub

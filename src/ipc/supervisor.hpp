@@ -14,8 +14,8 @@
 //     | backoff spent    v
 //   kConnecting <----- kDown          max_attempts spent -> kFailed
 //
-// It owns no sockets and no threads: callers (RemoteSuoClient, the
-// hub's slots) feed it events and ask it how long to back off.
+// It owns no sockets and no threads: its caller (one per AwarenessHub
+// slot) feeds it events and asks it how long to back off.
 // Backoff is capped exponential with deterministic seeded jitter, so
 // reconnect behaviour is reproducible in tests while still decorrelated
 // across real fleet members.

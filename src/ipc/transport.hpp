@@ -1,8 +1,9 @@
 // Framed socket transport for the SUO link.
 //
 // Two deployment shapes, one code path:
-//   * AF_UNIX filesystem sockets — the paper's real process boundary
-//     (suo_host in one process, the monitor in another);
+//   * AF_UNIX sockets (filesystem or '@' abstract paths) — the paper's
+//     real process boundary (a SUO publisher in one process, the
+//     AwarenessHub in another);
 //   * socketpair(AF_UNIX) — both ends in one process, so tier-1 tests
 //     stay hermetic and fast while still exercising the real kernel
 //     stream path and the full encode/decode machinery.
@@ -65,15 +66,6 @@ class FramedSocket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
-  /// Relinquish ownership of the fd without closing it (handing a
-  /// pre-connected socket to a RemoteSuoClient connector).
-  int release() {
-    const int fd = fd_;
-    fd_ = -1;
-    decoder_.reset();
-    return fd;
-  }
-
   /// Resolve ipc.* instruments in `m` (nullptr detaches).
   void set_metrics(runtime::MetricsRegistry* m);
 
@@ -127,7 +119,7 @@ int accept_unix(int listen_fd, int timeout_ms);
 int connect_unix(const std::string& path);
 
 /// Connect with retries until `timeout_ms` elapses — covers the race
-/// between spawning a suo_host and its listener coming up.
+/// between spawning a listening process and its listener coming up.
 int connect_unix_retry(const std::string& path, int timeout_ms);
 
 /// Remove a filesystem socket path (no-op for abstract '@' paths).

@@ -221,9 +221,13 @@ bool read_event(Reader& r, runtime::Event& ev) {
   return !r.fail;
 }
 
+/// The reserved gap (5, 6) between kOutputEvent and kHeartbeat is not a
+/// known type.
 bool known_type(std::uint8_t t) {
-  return t >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         t <= static_cast<std::uint8_t>(FrameType::kRecoverAck);
+  return (t >= static_cast<std::uint8_t>(FrameType::kHello) &&
+          t <= static_cast<std::uint8_t>(FrameType::kOutputEvent)) ||
+         (t >= static_cast<std::uint8_t>(FrameType::kHeartbeat) &&
+          t <= static_cast<std::uint8_t>(FrameType::kRecoverAck));
 }
 
 /// Recovery actions are strict: give-up (4) is a hub-local verdict and
@@ -300,25 +304,6 @@ bool decode_payload(FrameType type, const std::uint8_t* p, std::size_t n, Frame&
       // publisher's virtual clock (watermarks, auto-advance).
       out.event.timestamp = out.time;
       break;
-    case FrameType::kControl: {
-      out.command = r.str();
-      const std::uint32_t argc = r.u32();
-      if (r.fail || argc > kMaxFramePayload) return false;
-      for (std::uint32_t i = 0; i < argc && !r.fail; ++i) {
-        std::string key = r.str();
-        runtime::Value value = r.value();
-        if (!r.fail) out.args.emplace(std::move(key), std::move(value));
-      }
-      break;
-    }
-    case FrameType::kControlAck: {
-      out.command = r.str();
-      const std::uint8_t ok = r.u8();
-      if (ok > 1) return false;
-      out.ok = ok == 1;
-      out.detail = r.str();
-      break;
-    }
     case FrameType::kHeartbeat:
     case FrameType::kHeartbeatAck:
       out.nonce = r.u64();
@@ -363,10 +348,6 @@ const char* to_string(FrameType t) {
       return "input-event";
     case FrameType::kOutputEvent:
       return "output-event";
-    case FrameType::kControl:
-      return "control";
-    case FrameType::kControlAck:
-      return "control-ack";
     case FrameType::kHeartbeat:
       return "heartbeat";
     case FrameType::kHeartbeatAck:
@@ -439,19 +420,6 @@ std::vector<std::uint8_t> encode_frame(const Frame& f) {
     case FrameType::kInputEvent:
     case FrameType::kOutputEvent:
       put_event(out, f.event);
-      break;
-    case FrameType::kControl:
-      put_str(out, f.command);
-      put_u32(out, static_cast<std::uint32_t>(f.args.size()));
-      for (const auto& [key, value] : f.args) {
-        put_str(out, key);
-        put_value(out, value);
-      }
-      break;
-    case FrameType::kControlAck:
-      put_str(out, f.command);
-      put_u8(out, f.ok ? 1 : 0);
-      put_str(out, f.detail);
       break;
     case FrameType::kHeartbeat:
     case FrameType::kHeartbeatAck:

@@ -1,9 +1,12 @@
 // Wire protocol for the out-of-process SUO link.
 //
 // The paper's awareness framework runs the System Under Observation as
-// a separate Linux process connected over Unix domain sockets (Fig. 2);
-// this module defines the byte-level contract that crosses that
-// boundary. Frames are length-prefixed and versioned:
+// a separate Linux process connected over Unix domain sockets (Fig. 2).
+// In this repo that boundary is the hub link: a SUO claims a slot of
+// the AwarenessHub (src/hub) and pushes its events, spectra and
+// recovery acks; the hub probes it and sends recovery commands. This
+// module defines the byte-level contract that crosses that boundary.
+// Frames are length-prefixed and versioned:
 //
 //   offset size field
 //   0      4    magic 0x54524452 ("TRDR", little-endian)
@@ -23,7 +26,8 @@
 // recovery actuation on a remote SUO). Peers negotiate the version
 // through the kHello [min,max] range exchange and only send feature
 // frames on links that negotiated the matching minimum
-// (kSpectrumMinVersion / kRecoverMinVersion).
+// (kSpectrumMinVersion / kRecoverMinVersion). Type numbers 5 and 6
+// are reserved and decode as kBadType.
 // Decoding fails closed: any malformed
 // header or payload poisons the decoder until reset() — a frame is
 // either delivered whole and checksum-clean or not at all, so a
@@ -35,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -60,16 +63,16 @@ inline constexpr std::size_t kHeaderSize = 28;
 /// before any allocation happens (flood protection).
 inline constexpr std::size_t kMaxFramePayload = 64 * 1024;
 
-/// Frame taxonomy of the SUO link.
+/// Frame taxonomy of the SUO link. Type numbers 5 and 6 are reserved:
+/// they carried the retired lockstep kControl / kControlAck pair, and a
+/// frame that still uses them fails closed with kBadType.
 enum class FrameType : std::uint8_t {
-  kHello = 1,      ///< Client -> server: version range + peer name.
-  kHelloAck,       ///< Server -> client: negotiated version.
+  kHello = 1,      ///< SUO -> hub: version range + slot name.
+  kHelloAck,       ///< Hub -> SUO: negotiated version.
   kInputEvent,     ///< SUO input event (user action observed).
   kOutputEvent,    ///< SUO observable update.
-  kControl,        ///< Control / recovery command toward the SUO.
-  kControlAck,     ///< Command completion (the lockstep sync point).
-  kHeartbeat,      ///< Liveness probe (client -> server).
-  kHeartbeatAck,   ///< Liveness echo (server -> client).
+  kHeartbeat = 7,  ///< Liveness probe (either direction).
+  kHeartbeatAck,   ///< Liveness echo.
   kShutdown,       ///< Orderly teardown or handshake rejection.
   kSpectrum,       ///< SUO -> hub: batched SFL spectra (since v2).
   kRecover,        ///< Hub -> SUO: targeted recovery command (since v3).
@@ -121,9 +124,7 @@ struct Frame {
   runtime::SimTime time = 0;
 
   runtime::Event event;                           ///< kInputEvent / kOutputEvent.
-  std::string command;                            ///< kControl / kControlAck.
-  std::map<std::string, runtime::Value> args;     ///< kControl arguments.
-  bool ok = true;                                 ///< kControlAck status.
+  bool ok = true;                                 ///< kRecoverAck status.
   std::string detail;                             ///< Ack detail / hello peer / shutdown reason.
   std::uint8_t min_version = kMinProtocolVersion; ///< kHello / kHelloAck.
   std::uint8_t max_version = kProtocolVersion;    ///< kHello / kHelloAck.

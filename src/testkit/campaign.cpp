@@ -12,7 +12,7 @@
 #include "faults/injector.hpp"
 #include "hub/agent.hpp"
 #include "hub/hub.hpp"
-#include "ipc/link_gate.hpp"
+#include "hub/link_gate.hpp"
 #include "runtime/event_bus.hpp"
 #include "runtime/scheduler.hpp"
 #include "statemachine/definition.hpp"
@@ -42,7 +42,7 @@ core::MonitorBuilder counter_monitor(std::size_t k, const ExecutorConfig& config
   builder.with_program(program);  // one table set across aspects AND scenarios
   // The model is wrapped in a LinkGatedModel so comparisons quiesce
   // while the SUO is unreachable (the §4.3 graceful-degradation policy).
-  builder.wrap_model(ipc::link_gated(std::move(gate)));
+  builder.wrap_model(hub::link_gated(std::move(gate)));
   builder.input_topic("in." + std::to_string(k))
       .output_topic("out." + std::to_string(k))
       .threshold("count", 0.0, config.max_consecutive)

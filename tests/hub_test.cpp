@@ -1,14 +1,17 @@
 // Tests for src/hub: the epoll EventLoop (timer semantics including
 // fixed-rate catch-up after a stalled iteration, cross-thread wake),
 // HubConnection backpressure policy, the AwarenessHub slot handshake
-// (accept / unknown / busy / backoff rejection), accept storms,
-// hub-driven liveness eviction with exactly-one-outage accounting, the
-// SUO end of a link (hub::SuoLink's idempotent recover ack), the
+// (accept / version / unknown / busy / backoff rejection), accept storms,
+// hub-driven liveness eviction with exactly-one-outage accounting, a
+// SIGKILLed publisher process and its restarted successor, the SUO end
+// of a link (hub::SuoLink's idempotent recover ack), the
 // publisher agent end to end, and the campaign differential gate: a
 // multi-SUO campaign through the hub must match the in-process backend
 // verdict for verdict and fingerprint for fingerprint.
+#include <signal.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -58,6 +61,33 @@ ipc::Frame hello_frame(const std::string& slot) {
   f.detail = slot;
   return f;
 }
+
+/// A forked child process running run_hub_publisher(). If the test has
+/// not reaped it by scope exit, it is SIGKILLed and reaped then, so no
+/// process outlives its test.
+struct PublisherChild {
+  pid_t pid = -1;
+
+  explicit PublisherChild(const hub::PublisherConfig& config) {
+    pid = ::fork();
+    if (pid == 0) ::_exit(hub::run_hub_publisher(config));
+  }
+  PublisherChild(const PublisherChild&) = delete;
+  PublisherChild& operator=(const PublisherChild&) = delete;
+  ~PublisherChild() {
+    if (pid <= 0) return;
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+  }
+
+  /// Reap the child; returns its waitpid status.
+  int wait() {
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    pid = -1;
+    return status;
+  }
+};
 
 
 // ============================================================= event loop
@@ -237,10 +267,28 @@ TEST(HubTest, HandshakeRejectsUnknownAndBusySlots) {
   EXPECT_EQ(duplicate.claim(awareness_hub.path(), "tv0", &awareness_hub),
             ipc::FrameType::kShutdown);
 
+  // A peer whose version range [200, 210] misses the hub's is refused
+  // before its slot is even looked up.
+  ipc::FramedSocket skewed(ipc::connect_unix_retry(awareness_hub.path(), 2000));
+  ASSERT_TRUE(skewed.valid());
+  ipc::Frame hello = hello_frame("tv0");
+  hello.version = 200;
+  hello.min_version = 200;
+  hello.max_version = 210;
+  ASSERT_TRUE(skewed.send(hello));
+  ASSERT_TRUE(pump_until(awareness_hub, [&] {
+    return awareness_hub.metrics().counter("hub.rejected") == 3;
+  }));
+  ipc::Frame refusal;
+  ASSERT_EQ(skewed.recv(refusal, 1000), ipc::FramedSocket::RecvStatus::kFrame);
+  EXPECT_EQ(refusal.type, ipc::FrameType::kShutdown);
+  EXPECT_EQ(refusal.detail, "version mismatch");
+
   // The rejections must not have disturbed the established link.
   ASSERT_TRUE(pump_until(awareness_hub, [&] { return awareness_hub.connection_count() == 1; }));
   EXPECT_TRUE(awareness_hub.slot_up("tv0"));
-  EXPECT_EQ(awareness_hub.metrics().counter("hub.rejected"), 2u);
+  EXPECT_EQ(awareness_hub.metrics().counter("hub.rejected"), 3u);
+  EXPECT_TRUE(awareness_hub.link_errors().empty());
   awareness_hub.stop();
 }
 
@@ -315,6 +363,55 @@ TEST(HubTest, LivenessMissEvictsOnceAndReportsOneOutage) {
   ASSERT_EQ(retry.claim(awareness_hub.path(), "tv0", &awareness_hub), ipc::FrameType::kHelloAck);
   EXPECT_TRUE(gate->load());
   ASSERT_EQ(awareness_hub.link_errors().size(), 1u) << "reconnect is not an outage";
+  awareness_hub.stop();
+}
+
+// A real SUO process dies hard, with no goodbye frame: the hub must see
+// the EOF, report the outage exactly once and drop the slot's gate, and
+// a restarted process must reclaim the slot without a second outage.
+TEST(HubTest, SigkilledPublisherIsReportedOnceAndItsSlotReclaimed) {
+  hub::HubConfig config;
+  config.probe_liveness = false;  // the crash is seen as EOF, not as probe misses
+  hub::AwarenessHub awareness_hub(config);
+  const auto gate = awareness_hub.add_slot("tv0");
+  ASSERT_TRUE(awareness_hub.start());
+  ASSERT_EQ(awareness_hub.path().front(), '@') << "abstract path: nothing left on disk";
+
+  hub::PublisherConfig pub;
+  pub.hub_path = awareness_hub.path();
+  pub.name = "tv0";
+  pub.horizon = rt::sec(3600);  // streams until killed
+  pub.pace_us = 1000;
+  PublisherChild doomed(pub);
+  ASSERT_GT(doomed.pid, 0);
+  ASSERT_TRUE(pump_until(awareness_hub, [&] { return awareness_hub.events_ingested() > 0; }));
+  ASSERT_TRUE(gate->load());
+
+  ASSERT_EQ(::kill(doomed.pid, SIGKILL), 0);
+  EXPECT_TRUE(WIFSIGNALED(doomed.wait()));
+  ASSERT_TRUE(pump_until(awareness_hub, [&] { return awareness_hub.connection_count() == 0; }));
+  EXPECT_FALSE(gate->load());
+  ASSERT_EQ(awareness_hub.link_errors().size(), 1u);
+  EXPECT_EQ(awareness_hub.link_errors()[0].observable, "hub.link/tv0");
+  EXPECT_EQ(awareness_hub.metrics().counter("hub.outages"), 1u);
+
+  // The restarted process claims the slot, streams to its horizon and
+  // says goodbye.
+  const std::uint64_t ingested_before = awareness_hub.events_ingested();
+  pub.horizon = rt::msec(400);
+  pub.pace_us = 0;
+  PublisherChild restarted(pub);
+  ASSERT_GT(restarted.pid, 0);
+  ASSERT_TRUE(pump_until(awareness_hub, [&] {
+    return awareness_hub.metrics().counter("hub.accepted") == 2 &&
+           awareness_hub.connection_count() == 0;
+  }));
+  const int status = restarted.wait();
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the restarted publisher must run to its horizon";
+  EXPECT_GT(awareness_hub.events_ingested(), ingested_before);
+  EXPECT_EQ(awareness_hub.link_errors().size(), 1u) << "a reclaim is not an outage";
+  EXPECT_EQ(awareness_hub.metrics().counter("hub.outages"), 1u);
   awareness_hub.stop();
 }
 
