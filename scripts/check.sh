@@ -133,7 +133,7 @@ cmake --build build-asan -j "$JOBS"
 stage "TSan: sharded fleet soak"
 cmake -B build-tsan -S . -DTRADER_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target system_soak_test sharded_fleet_test
-./build-tsan/tests/sharded_fleet_test --gtest_filter='ShardedFleet.*:Lifecycle.*'
+./build-tsan/tests/sharded_fleet_test --gtest_filter='ShardedFleet.*:Lifecycle.*:Mailbox.*:FleetRouting.*'
 ./build-tsan/tests/system_soak_test --gtest_filter='SystemSoak.ShardedFleetSoak*'
 
 stage "campaign: seeded fault-injection campaign under ASan"

@@ -14,26 +14,45 @@ void Comparator::set_metrics(runtime::MetricsRegistry* metrics) {
   errors_metric_ = &metrics->counter("comparator.errors");
 }
 
-void Comparator::on_fresh_observation(const std::string& observable, runtime::SimTime now) {
-  const ObservableConfig* oc = config_.lookup(observable);
-  if (oc == nullptr || !oc->event_based) return;
-  compare_one(*oc, now);
+void Comparator::index_policies() {
+  const auto& observables = config_.awareness().observables;
+  for (ObservableId id = 0; id < table_.size(); ++id) table_.row(id).policy = -1;
+  policy_ids_.clear();
+  for (std::size_t p = 0; p < observables.size(); ++p) {
+    const ObservableId id = table_.intern(observables[p].name);
+    policy_ids_.push_back(id);
+    auto& policy = table_.row(id).policy;
+    if (policy < 0) policy = static_cast<std::int32_t>(p);  // the first wins, as in lookup()
+  }
+  indexed_version_ = config_.version();
+}
+
+void Comparator::on_fresh_observation(ObservableId observable, runtime::SimTime now) {
+  if (indexed_version_ != config_.version()) index_policies();
+  // Names first seen after the last indexing have no policy.
+  const std::int32_t policy = table_.row(observable).policy;
+  if (policy < 0) return;
+  const ObservableConfig& oc = config_.awareness().observables[static_cast<std::size_t>(policy)];
+  if (!oc.event_based) return;
+  compare_one(oc, observable, now);
 }
 
 void Comparator::compare_all(runtime::SimTime now) {
-  for (const auto& oc : config_.awareness().observables) {
-    if (oc.time_based) compare_one(oc, now);
+  if (indexed_version_ != config_.version()) index_policies();
+  const auto& observables = config_.awareness().observables;
+  for (std::size_t p = 0; p < observables.size(); ++p) {
+    if (observables[p].time_based) compare_one(observables[p], policy_ids_[p], now);
   }
 }
 
-void Comparator::compare_one(const ObservableConfig& oc, runtime::SimTime now) {
+void Comparator::compare_one(const ObservableConfig& oc, ObservableId id, runtime::SimTime now) {
   if (now < grace_until_) return;
   if (!executor_.comparison_enabled(oc.name)) {
     ++stats_.suppressed;
     return;
   }
-  const Expectation* expected = executor_.expected(oc.name);
-  const Observation* observed = observer_.observed(oc.name);
+  const Expectation* expected = executor_.expected(id);
+  const Observation* observed = observer_.observed(id);
   if (expected == nullptr || observed == nullptr) {
     ++stats_.skipped;
     return;
@@ -41,7 +60,7 @@ void Comparator::compare_one(const ObservableConfig& oc, runtime::SimTime now) {
   ++stats_.comparisons;
   if (comparisons_metric_ != nullptr) comparisons_metric_->inc();
 
-  auto& ep = episodes_[oc.name];
+  DeviationEpisode& ep = table_.row(id).episode;
   const double dev = runtime::deviation(expected->value, observed->value);
   if (dev <= oc.threshold) {
     ep.consecutive = 0;
@@ -66,8 +85,8 @@ void Comparator::compare_one(const ObservableConfig& oc, runtime::SimTime now) {
 }
 
 bool Comparator::in_deviation(const std::string& observable) const {
-  auto it = episodes_.find(observable);
-  return it != episodes_.end() && it->second.consecutive > 0;
+  const ObservableId id = table_.find(observable);
+  return id != ObservableTable::kNone && table_.row(id).episode.consecutive > 0;
 }
 
 }  // namespace trader::core

@@ -13,12 +13,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "core/configuration.hpp"
 #include "core/model_executor.hpp"
+#include "core/observable_table.hpp"
 #include "core/observers.hpp"
 #include "runtime/metrics.hpp"
 
@@ -35,9 +35,10 @@ struct ComparatorStats {
 
 class Comparator : public IControl {
  public:
+  /// `observables` is the table `executor` and `observer` share.
   Comparator(const Configuration& config, const ModelExecutor& executor,
-             const OutputObserver& observer)
-      : config_(config), executor_(executor), observer_(observer) {}
+             const OutputObserver& observer, ObservableTable& observables)
+      : config_(config), executor_(executor), observer_(observer), table_(observables) {}
 
   void start(runtime::SimTime now) override { grace_until_ = now + config_.awareness().startup_grace; }
 
@@ -48,7 +49,7 @@ class Comparator : public IControl {
   void set_metrics(runtime::MetricsRegistry* metrics);
 
   /// Event-based comparison: a fresh observation of `observable` arrived.
-  void on_fresh_observation(const std::string& observable, runtime::SimTime now);
+  void on_fresh_observation(ObservableId observable, runtime::SimTime now);
 
   /// Time-based comparison of every monitored observable.
   void compare_all(runtime::SimTime now);
@@ -60,23 +61,22 @@ class Comparator : public IControl {
   bool in_deviation(const std::string& observable) const;
 
  private:
-  struct EpisodeState {
-    int consecutive = 0;
-    bool reported = false;
-    runtime::SimTime first_deviation = -1;
-  };
-
-  void compare_one(const ObservableConfig& oc, runtime::SimTime now);
+  void compare_one(const ObservableConfig& oc, ObservableId id, runtime::SimTime now);
+  /// Intern the configured names and map each id to its policy. Runs
+  /// again whenever set_observable() has changed the configuration.
+  void index_policies();
 
   const Configuration& config_;
   const ModelExecutor& executor_;
   const OutputObserver& observer_;
+  ObservableTable& table_;
+  std::uint64_t indexed_version_ = ~std::uint64_t{0};
+  std::vector<ObservableId> policy_ids_;  ///< Id of each configured observable.
   IErrorNotify* notify_ = nullptr;
   runtime::Counter* comparisons_metric_ = nullptr;
   runtime::Counter* deviations_metric_ = nullptr;
   runtime::Counter* errors_metric_ = nullptr;
   runtime::SimTime grace_until_ = 0;
-  std::map<std::string, EpisodeState> episodes_;
   ComparatorStats stats_;
   std::vector<ErrorReport> errors_;
 };

@@ -21,6 +21,7 @@ const ObservableConfig* Configuration::lookup(const std::string& observable) con
 }
 
 void Configuration::set_observable(ObservableConfig oc) {
+  ++version_;
   for (auto& existing : config_.observables) {
     if (existing.name == oc.name) {
       existing = std::move(oc);

@@ -8,7 +8,7 @@
 // reported." Plus the comparison frequency for time-based comparison.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -54,11 +54,16 @@ class Configuration : public IControl {
   /// Replace or add a per-observable policy at run time.
   void set_observable(ObservableConfig oc);
 
+  /// Bumped by every set_observable(), so readers that index the
+  /// policies know when to index them again.
+  std::uint64_t version() const { return version_; }
+
   /// All monitored observable names.
   std::vector<std::string> observable_names() const;
 
  private:
   AwarenessConfig config_;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace trader::core

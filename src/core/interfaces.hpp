@@ -55,8 +55,11 @@ class IModelImpl {
   virtual bool dispatch(const statemachine::SmEvent& ev, runtime::SimTime now) = 0;
   /// Let model-internal timers fire up to `now`.
   virtual void advance_time(runtime::SimTime now) = 0;
-  /// Model outputs produced since the last drain.
-  virtual std::vector<statemachine::ModelOutput> drain_outputs() = 0;
+  /// Move the model outputs produced since the last drain into `out`,
+  /// replacing its contents. `out` may lend its storage to the model's
+  /// next outputs, so a caller that keeps one buffer drains without
+  /// allocating.
+  virtual void drain_outputs(std::vector<statemachine::ModelOutput>& out) = 0;
   /// IEnableCompare: the model may suppress comparison of an observable
   /// while the system is legitimately "between modes" (§4.3).
   virtual bool comparison_enabled(const std::string& observable) const {

@@ -23,16 +23,18 @@ void ModelExecutor::advance(runtime::SimTime now) {
 }
 
 void ModelExecutor::drain(runtime::SimTime now) {
-  for (const auto& out : model_->drain_outputs()) {
+  // One drain buffer per thread, not per monitor: a shard's executors
+  // run on one thread and a drain never nests. The storage it lends the
+  // model comes back from the next model drained, so draining allocates
+  // nothing once warm.
+  static thread_local std::vector<statemachine::ModelOutput> outputs;
+  model_->drain_outputs(outputs);
+  for (auto& out : outputs) {
     auto it = out.fields.find("value");
     if (it == out.fields.end()) continue;
-    table_[out.name] = Expectation{it->second, now};
+    const ObservableId id = table_->intern(out.name);
+    table_->row(id).expected = Expectation{std::move(it->second), now};
   }
-}
-
-const Expectation* ModelExecutor::expected(const std::string& observable) const {
-  auto it = table_.find(observable);
-  return it == table_.end() ? nullptr : &it->second;
 }
 
 }  // namespace trader::core

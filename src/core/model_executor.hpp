@@ -3,24 +3,25 @@
 // the expected-value table the Comparator reads (ISpecInfo).
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/interfaces.hpp"
+#include "core/observable_table.hpp"
 #include "runtime/metrics.hpp"
 
 namespace trader::core {
 
-/// Expected value of one observable according to the model.
-struct Expectation {
-  runtime::Value value;
-  runtime::SimTime at = -1;
-};
-
 class ModelExecutor : public IControl {
  public:
-  explicit ModelExecutor(std::unique_ptr<IModelImpl> model) : model_(std::move(model)) {}
+  /// `observables` is the monitor's shared table (see ObservableTable);
+  /// a standalone executor keeps its own.
+  explicit ModelExecutor(std::unique_ptr<IModelImpl> model,
+                         ObservableTable* observables = nullptr)
+      : model_(std::move(model)),
+        own_table_(observables == nullptr ? std::make_unique<ObservableTable>() : nullptr),
+        table_(observables != nullptr ? observables : own_table_.get()) {}
 
   void start(runtime::SimTime now) override;
 
@@ -31,8 +32,17 @@ class ModelExecutor : public IControl {
   void advance(runtime::SimTime now);
 
   /// ISpecInfo: the model's expected value for an observable, or
-  /// nullptr when the model has not produced one yet.
-  const Expectation* expected(const std::string& observable) const;
+  /// nullptr when the model has not produced one yet. Valid until the
+  /// monitor meets an observable it has not seen before.
+  const Expectation* expected(const std::string& observable) const {
+    const ObservableId id = table_->find(observable);
+    return id == ObservableTable::kNone ? nullptr : expected(id);
+  }
+  /// The same by id: no lookup.
+  const Expectation* expected(ObservableId id) const {
+    const auto& e = table_->row(id).expected;
+    return e ? &*e : nullptr;
+  }
 
   /// IEnableCompare pass-through.
   bool comparison_enabled(const std::string& observable) const {
@@ -53,7 +63,8 @@ class ModelExecutor : public IControl {
   void drain(runtime::SimTime now);
 
   std::unique_ptr<IModelImpl> model_;
-  std::map<std::string, Expectation> table_;
+  std::unique_ptr<ObservableTable> own_table_;  ///< Standalone executors only.
+  ObservableTable* table_;
   runtime::Counter* inputs_metric_ = nullptr;
   std::uint64_t inputs_ = 0;
 };

@@ -56,8 +56,8 @@ class ModelInstance : public IModelImpl {
     return batch_->dispatch(id_, ev, now);
   }
   void advance_time(runtime::SimTime now) override { batch_->advance_time(id_, now); }
-  std::vector<statemachine::ModelOutput> drain_outputs() override {
-    return batch_->drain_outputs(id_);
+  void drain_outputs(std::vector<statemachine::ModelOutput>& out) override {
+    batch_->drain_outputs(id_, out);
   }
   bool comparison_enabled(const std::string& observable) const override {
     const auto& vars = batch_->vars(id_);

@@ -93,17 +93,17 @@ AwarenessMonitor::AwarenessMonitor(runtime::Scheduler& sched, runtime::EventBus&
                                    std::unique_ptr<IModelImpl> model, MonitorSpec spec)
     : sched_(sched),
       configuration_(spec.config),
-      executor_(std::move(model)),
+      executor_(std::move(model), &observables_),
       input_(sched, bus, spec.input_topic, spec.config.input_channel,
              std::move(spec.input_mapper),
              [this](const statemachine::SmEvent& ev, runtime::SimTime now) {
                executor_.on_input(ev, now);
              }),
       output_(sched, bus, spec.output_topics, spec.config.output_channel,
-              std::move(spec.output_mapper)),
-      comparator_(configuration_, executor_, output_),
+              std::move(spec.output_mapper), &observables_),
+      comparator_(configuration_, executor_, output_, observables_),
       controller_(sched, configuration_, executor_, input_, output_, comparator_) {
-  output_.on_fresh([this](const std::string& observable, runtime::SimTime now) {
+  output_.on_fresh([this](ObservableId observable, runtime::SimTime now) {
     comparator_.on_fresh_observation(observable, now);
   });
 }

@@ -122,6 +122,7 @@ class AwarenessMonitor {
 
  private:
   runtime::Scheduler& sched_;
+  ObservableTable observables_;  ///< Shared by executor, observer and comparator.
   Configuration configuration_;
   ModelExecutor executor_;
   InputObserver input_;

@@ -10,13 +10,14 @@
 #pragma once
 
 #include <functional>
-#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/interfaces.hpp"
+#include "core/observable_table.hpp"
 #include "runtime/channel.hpp"
 #include "runtime/event_bus.hpp"
 #include "runtime/scheduler.hpp"
@@ -65,22 +66,19 @@ class InputObserver : public IControl {
   std::uint64_t observed_ = 0;
 };
 
-/// Latest observed value of one observable.
-struct Observation {
-  runtime::Value value;
-  runtime::SimTime at = -1;
-};
-
 /// Observes SUO output events; maintains the observed-value table the
 /// Comparator reads, and notifies it for event-based comparison.
 class OutputObserver : public IControl {
  public:
-  /// Called on each fresh observation (event-based comparison trigger).
-  using FreshHandler = std::function<void(const std::string& observable, runtime::SimTime)>;
+  /// Called on each fresh observation (event-based comparison trigger)
+  /// with the observable's id in the observer's ObservableTable.
+  using FreshHandler = std::function<void(ObservableId observable, runtime::SimTime)>;
 
+  /// `observables` is the monitor's shared table (see ObservableTable);
+  /// a standalone observer keeps its own.
   OutputObserver(runtime::Scheduler& sched, runtime::EventBus& bus,
                  std::vector<std::string> topics, runtime::ChannelConfig channel,
-                 OutputMapper mapper);
+                 OutputMapper mapper, ObservableTable* observables = nullptr);
 
   void start(runtime::SimTime now) override;
   void stop() override;
@@ -88,8 +86,17 @@ class OutputObserver : public IControl {
   void on_fresh(FreshHandler h) { fresh_ = std::move(h); }
 
   /// The observed-value table (IOutputEvent consumer side); nullptr
-  /// when `observable` has not been observed yet.
-  const Observation* observed(const std::string& observable) const;
+  /// when `observable` has not been observed yet. Valid until the
+  /// monitor meets an observable it has not seen before.
+  const Observation* observed(const std::string& observable) const {
+    const ObservableId id = table_->find(observable);
+    return id == ObservableTable::kNone ? nullptr : observed(id);
+  }
+  /// The same by id: no lookup.
+  const Observation* observed(ObservableId id) const {
+    const auto& o = table_->row(id).observed;
+    return o ? &*o : nullptr;
+  }
 
   std::uint64_t observed_events() const { return observed_; }
 
@@ -104,7 +111,8 @@ class OutputObserver : public IControl {
   runtime::LatencyChannel channel_;
   std::vector<runtime::Subscription> subs_;
   FreshHandler fresh_;
-  std::map<std::string, Observation> table_;
+  std::unique_ptr<ObservableTable> own_table_;  ///< Standalone observers only.
+  ObservableTable* table_;
   std::uint64_t observed_ = 0;
 };
 

@@ -39,17 +39,37 @@ ShardedFleet::Shard::Shard(ShardedFleet& fleet, std::size_t index, std::uint64_t
 }
 
 void ShardedFleet::Shard::publish(const runtime::Event& ev) {
-  auto it = fleet_.routes_.find(ev.topic);
-  if (it == fleet_.routes_.end()) {
+  const RouteTable::Route* route = fleet_.routes_.find(ev.topic);
+  if (route == nullptr) {
     fleet_.unrouted_events_metric_.inc();
     return;
   }
-  for (std::size_t dest : it->second) {
-    fleet_.shards_[dest]->mailbox_.push(ev, sched_.now(), static_cast<std::uint32_t>(index_),
-                                        route_seq_);
-    if (dest != index_) cross_shard_out_->inc();
-  }
+  route->for_each_owner([&](const RouteOwner& owner) {
+    fleet_.shards_[owner.shard]->mailbox_.push(ev, sched_.now(),
+                                               static_cast<std::uint32_t>(index_), route_seq_,
+                                               owner.topic);
+    if (owner.shard != index_) cross_shard_out_->inc();
+  });
   ++route_seq_;
+}
+
+// ----------------------------------------------------------------- RouteTable
+
+void ShardedFleet::RouteTable::add(const std::string& topic, RouteOwner owner) {
+  const runtime::SymbolTable::Id id = topics_.intern(topic);
+  if (id == routes_.size()) {
+    routes_.push_back(Route{owner, {}});
+    return;
+  }
+  Route& route = routes_[id];
+  if (route.first.shard == owner.shard) return;
+  for (const RouteOwner& o : route.more) {
+    if (o.shard == owner.shard) return;
+  }
+  if (owner.shard < route.first.shard) std::swap(owner, route.first);
+  const auto pos = std::find_if(route.more.begin(), route.more.end(),
+                                [&](const RouteOwner& o) { return o.shard > owner.shard; });
+  route.more.insert(pos, owner);
 }
 
 // --------------------------------------------------------------- ShardedFleet
@@ -112,11 +132,8 @@ AwarenessMonitor& ShardedFleet::add_monitor(const std::string& aspect, MonitorBu
 }
 
 void ShardedFleet::add_route(const std::string& topic, std::size_t shard_index) {
-  auto& owners = routes_[topic];
-  if (std::find(owners.begin(), owners.end(), shard_index) == owners.end()) {
-    owners.push_back(shard_index);
-    std::sort(owners.begin(), owners.end());
-  }
+  Shard& owner = *shards_.at(shard_index);
+  routes_.add(topic, RouteOwner{static_cast<std::uint32_t>(shard_index), owner.bus_.topic(topic)});
 }
 
 std::size_t ShardedFleet::monitor_count() const {
@@ -155,27 +172,29 @@ void ShardedFleet::stop() {
 }
 
 void ShardedFleet::publish(const runtime::Event& ev) {
-  auto it = routes_.find(ev.topic);
-  if (it == routes_.end()) {
+  const RouteTable::Route* route = routes_.find(ev.topic);
+  if (route == nullptr) {
     unrouted_events_metric_.inc();
     return;
   }
   external_events_metric_.inc();
-  for (std::size_t dest : it->second) {
-    shards_[dest]->mailbox_.push(ev, now_, runtime::Mailbox::kExternalSource, external_seq_);
-  }
+  route->for_each_owner([&](const RouteOwner& owner) {
+    shards_[owner.shard]->mailbox_.push(ev, now_, runtime::Mailbox::kExternalSource,
+                                        external_seq_, owner.topic);
+  });
   ++external_seq_;
 }
 
 void ShardedFleet::route_from_bus(Shard& source, const runtime::Event& ev) {
-  auto it = routes_.find(ev.topic);
-  if (it == routes_.end()) return;
-  for (std::size_t dest : it->second) {
-    if (dest == source.index_) continue;  // local subscribers already served
-    shards_[dest]->mailbox_.push(ev, source.sched_.now(),
-                                 static_cast<std::uint32_t>(source.index_), source.route_seq_);
+  const RouteTable::Route* route = routes_.find(ev.topic);
+  if (route == nullptr) return;
+  route->for_each_owner([&](const RouteOwner& owner) {
+    if (owner.shard == source.index_) return;  // local subscribers already served
+    shards_[owner.shard]->mailbox_.push(ev, source.sched_.now(),
+                                        static_cast<std::uint32_t>(source.index_),
+                                        source.route_seq_, owner.topic);
     source.cross_shard_out_->inc();
-  }
+  });
   ++source.route_seq_;
 }
 
@@ -233,10 +252,11 @@ void ShardedFleet::step_shard(Shard& shard) {
 void ShardedFleet::drain_mailbox(Shard& shard) {
   shard.routing_suppressed_ = true;
   // Each event is delivered from its mailbox slot, which keeps its
-  // storage for the next epoch's pushes.
+  // storage for the next epoch's pushes. Every push named the topic's
+  // index on this shard's bus, so delivery looks nothing up.
   for (auto& entry : shard.mailbox_.drain()) {
     entry.event.timestamp = shard.sched_.now();
-    shard.bus_.publish(entry.event);
+    shard.bus_.publish(entry.topic, entry.event);
   }
   shard.routing_suppressed_ = false;
 }

@@ -41,7 +41,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/monitor.hpp"
@@ -49,6 +48,7 @@
 #include "runtime/mailbox.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/rng.hpp"
+#include "runtime/symbol_table.hpp"
 
 namespace trader::core {
 
@@ -127,7 +127,8 @@ class ShardedFleet {
   AwarenessMonitor& add_monitor(const std::string& aspect, MonitorBuilder builder);
 
   /// Route `topic` to a shard that has no monitor subscribed to it
-  /// (tests or custom subscribers on shard(i).bus()).
+  /// (tests or custom subscribers on shard(i).bus()). Like add_monitor,
+  /// call it between run_* calls only.
   void add_route(const std::string& topic, std::size_t shard_index);
 
   /// Fleet-wide recovery hook. Called synchronously on the thread
@@ -171,6 +172,44 @@ class ShardedFleet {
   runtime::MetricsSnapshot metrics() const;
 
  private:
+  /// One owner of a routed topic: the shard, and the topic's index on
+  /// that shard's bus, so the owner delivers without a lookup.
+  struct RouteOwner {
+    std::uint32_t shard;
+    runtime::EventBus::TopicIndex topic;
+  };
+
+  /// topic -> owner shards, one string lookup per published event:
+  /// topic ids from a SymbolTable index a dense array of routes. A
+  /// route keeps its first owner inline, so the usual single-owner
+  /// topic needs no further heap hop. Grows in add_route(); read-only
+  /// while shards run.
+  class RouteTable {
+   public:
+    struct Route {
+      RouteOwner first;
+      std::vector<RouteOwner> more;  ///< Owners after `first`, by shard index.
+
+      template <class F>
+      void for_each_owner(F&& f) const {
+        f(first);
+        for (const RouteOwner& o : more) f(o);
+      }
+    };
+
+    /// The route of `topic`, or nullptr when no shard owns it.
+    const Route* find(const std::string& topic) const {
+      const runtime::SymbolTable::Id id = topics_.find(topic);
+      return id == runtime::SymbolTable::kNone ? nullptr : &routes_[id];
+    }
+    /// Make `owner` an owner of `topic`; a repeated shard is a no-op.
+    void add(const std::string& topic, RouteOwner owner);
+
+   private:
+    runtime::SymbolTable topics_;
+    std::vector<Route> routes_;  ///< By topic id.
+  };
+
   void worker_loop(Shard& shard);
   void run_epoch(runtime::SimTime target);
   void step_shard(Shard& shard);
@@ -179,7 +218,7 @@ class ShardedFleet {
 
   ShardedFleetConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unordered_map<std::string, std::vector<std::size_t>> routes_;  // topic -> owner shards
+  RouteTable routes_;
   runtime::MetricsRegistry fleet_metrics_;
   runtime::Counter& epochs_metric_;
   runtime::Counter& external_events_metric_;

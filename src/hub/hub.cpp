@@ -416,7 +416,9 @@ void AwarenessHub::on_close(Peer* peer, CloseReason reason) {
 void AwarenessHub::slot_down(Slot& slot, bool orderly) {
   if (journal_ != nullptr) journal_->append_slot_down(slot.name, orderly, fleet_.now());
   const bool was_up = slot.gate->exchange(false, std::memory_order_relaxed);
-  slot.supervisor.on_disconnected();
+  // The supervisor counts the same outages as hub.outages: none for a
+  // goodbye or the hub's own teardown.
+  slot.supervisor.on_disconnected(orderly);
   // Crash-loop accounting. The supervisor resets its attempt counter on
   // every successful connect, so left alone the "first attempt is free"
   // rule would make every reconnect free — a SUO that dies right after
@@ -484,7 +486,8 @@ bool AwarenessHub::recover_from_journal() {
   // restart: force every slot down so gates quiesce and reconnects are
   // accepted immediately. The restart is the hub's fault, not the
   // slots' — no backoff charge, no crash-loop accounting, no outage
-  // report (link_errors_ is process-scoped by design).
+  // report (link_errors_ is process-scoped by design) and no supervisor
+  // outage either.
   for (auto& [name, slot] : slots_) {
     slot->gate->store(false, std::memory_order_relaxed);
     slot->conn = nullptr;
@@ -494,7 +497,7 @@ bool AwarenessHub::recover_from_journal() {
     slot->unstable_downs = 0;
     slot->probe_outstanding = false;
     slot->acked_since_probe = true;
-    if (slot->supervisor.up()) slot->supervisor.on_disconnected();
+    if (slot->supervisor.up()) slot->supervisor.on_disconnected(/*orderly=*/true);
     recovery_.slot_down(name);
   }
   if (recovery_info_.from_checkpoint || recovery_info_.replayed_records > 0) {
@@ -519,13 +522,13 @@ void AwarenessHub::replay_slot_up(const std::string& slot_name, std::uint8_t ver
   recovery_.slot_up(slot_name, version);
 }
 
-void AwarenessHub::replay_slot_down(const std::string& slot_name, bool /*orderly*/) {
+void AwarenessHub::replay_slot_down(const std::string& slot_name, bool orderly) {
   const auto it = slots_.find(slot_name);
   if (it == slots_.end()) return;
   Slot& slot = *it->second;
   slot.gate->store(false, std::memory_order_relaxed);
   slot.negotiated_version = 0;
-  if (slot.supervisor.up()) slot.supervisor.on_disconnected();
+  if (slot.supervisor.up()) slot.supervisor.on_disconnected(orderly);
   recovery_.slot_down(slot_name);
   // Backoff windows, crash-loop charges and outage reports are
   // wall-clock scoped and deliberately NOT part of the replayed state;

@@ -33,8 +33,8 @@ class LinkGatedModel : public core::IModelImpl {
     return inner_->dispatch(ev, now);
   }
   void advance_time(runtime::SimTime now) override { inner_->advance_time(now); }
-  std::vector<statemachine::ModelOutput> drain_outputs() override {
-    return inner_->drain_outputs();
+  void drain_outputs(std::vector<statemachine::ModelOutput>& out) override {
+    inner_->drain_outputs(out);
   }
   bool comparison_enabled(const std::string& observable) const override {
     if (link_up_ != nullptr && !link_up_->load(std::memory_order_relaxed)) return false;

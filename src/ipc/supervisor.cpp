@@ -42,9 +42,9 @@ void ProcessSupervisor::on_connected() {
   misses_ = 0;
 }
 
-void ProcessSupervisor::on_disconnected() {
+void ProcessSupervisor::on_disconnected(bool orderly) {
   if (state_ == LinkState::kFailed) return;
-  if (up()) {
+  if (up() && !orderly) {
     ++outages_;
     if (outages_metric_ != nullptr) outages_metric_->inc();
   }

@@ -70,10 +70,11 @@ class ProcessSupervisor {
   /// A connection (or reconnection) completed its handshake.
   void on_connected();
 
-  /// The transport failed (EOF, write error, protocol error, timeout on
-  /// a lockstep ack). Counts one outage per up->down transition, which
-  /// is what keeps a dead SUO from flooding the error tap.
-  void on_disconnected();
+  /// The link went down. A failure (EOF, write error, protocol error,
+  /// missed heartbeats) counts one outage per up->down transition,
+  /// which is what keeps a dead SUO from flooding the error tap. An
+  /// orderly goodbye (`orderly`) takes the link down without an outage.
+  void on_disconnected(bool orderly = false);
 
   /// A heartbeat ack arrived: clears the miss streak.
   void on_heartbeat_ack();

@@ -147,15 +147,29 @@ struct Reader {
 
 // ---------------------------------------------------------------- checksum
 
-constexpr std::array<std::uint32_t, 256> kCrc32cTable = [] {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: kCrc32cTables[0] is the classic byte-wise
+/// table, and kCrc32cTables[k][b] is the CRC of byte b followed by k
+/// zero bytes, so one round folds eight bytes with eight lookups.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32cTables = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c >> 1) ^ ((c & 1u) != 0 ? 0x82F63B78u : 0u);
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }();
+
+/// Little-endian 32-bit load from any alignment.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 #if defined(__x86_64__)
 /// Eight bytes per `crc32` instruction, then the tail byte by byte.
@@ -186,8 +200,15 @@ Crc32cFn pick_crc32c() {
 }  // namespace
 
 std::uint32_t crc32c_reference(const std::uint8_t* p, std::size_t n) {
+  const auto& t = kCrc32cTables;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) c = kCrc32cTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return ~c;
 }
 

@@ -144,8 +144,9 @@ struct Frame {
 /// the first call); elsewhere it is crc32c_reference().
 std::uint32_t crc32c(const std::uint8_t* data, std::size_t n);
 
-/// Byte-wise 256-entry table CRC32C: the portable fallback of crc32c()
-/// and the reference the tests hold the hardware path to.
+/// Table-driven CRC32C (slicing-by-8: eight bytes per round, then the
+/// tail byte by byte): the portable fallback of crc32c() and the
+/// reference the tests hold the hardware path to.
 std::uint32_t crc32c_reference(const std::uint8_t* data, std::size_t n);
 
 /// Encode a frame. Returns an empty vector when the payload would

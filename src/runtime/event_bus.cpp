@@ -4,12 +4,19 @@
 
 namespace trader::runtime {
 
+EventBus::EventBus() { topic(std::string()); }
+
+EventBus::TopicIndex EventBus::topic(const std::string& topic) {
+  const TopicIndex index = index_.intern(topic);
+  if (index == topics_.size()) topics_.emplace_back();
+  return index;
+}
+
 Subscription EventBus::subscribe(const std::string& topic, Handler handler) {
-  const auto [it, added] = index_.try_emplace(topic, static_cast<std::uint32_t>(topics_.size()));
-  if (added) topics_.emplace_back();
+  const TopicIndex index = this->topic(topic);
   const std::uint64_t id = next_id_++;
-  writable(topics_[it->second]).push_back(Entry{id, std::move(handler)});
-  return Subscription{id, it->second};
+  writable(topics_[index]).push_back(Entry{id, std::move(handler)});
+  return Subscription{id, index};
 }
 
 void EventBus::unsubscribe(const Subscription& sub) {
@@ -32,16 +39,20 @@ EventBus::Handlers& EventBus::writable(Handlers& list) {
   return list;
 }
 
-void EventBus::deliver(const std::string& topic, const Event& ev) {
-  auto it = index_.find(topic);
-  if (it == index_.end()) return;
-  const Handlers& list = topics_[it->second];
+void EventBus::deliver(TopicIndex index, const Event& ev) {
+  const Handlers& list = topics_[index];
   // Walk the buffer as it is now; edits meanwhile go to a copy.
   const Entry* const end = list.data() + list.size();
   for (const Entry* e = list.data(); e != end; ++e) e->handler(ev);
 }
 
 void EventBus::publish(const Event& ev) {
+  // A topic nobody ever subscribed to reaches the wildcard list only.
+  const TopicIndex index = index_.find(ev.topic);
+  publish(index == SymbolTable::kNone ? kWildcard : index, ev);
+}
+
+void EventBus::publish(TopicIndex index, const Event& ev) {
   ++published_;
   ++depth_;
   struct Done {
@@ -50,8 +61,8 @@ void EventBus::publish(const Event& ev) {
       if (--bus.depth_ == 0) bus.retired_.clear();
     }
   } done{*this};
-  deliver(ev.topic, ev);
-  if (!ev.topic.empty()) deliver(std::string(), ev);
+  if (index != kWildcard) deliver(index, ev);
+  deliver(kWildcard, ev);
 }
 
 std::size_t EventBus::subscriber_count() const {

@@ -10,10 +10,10 @@
 #include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "runtime/event.hpp"
+#include "runtime/symbol_table.hpp"
 
 namespace trader::runtime {
 
@@ -44,6 +44,18 @@ class Subscription {
 class EventBus {
  public:
   using Handler = std::function<void(const Event&)>;
+  using TopicIndex = SymbolTable::Id;
+
+  /// Index of the wildcard (empty) topic, whose subscribers see every
+  /// event after the topic's own subscribers.
+  static constexpr TopicIndex kWildcard = 0;
+
+  EventBus();
+
+  /// The index of `topic`, added with no subscribers when new. Indices
+  /// are stable for the bus's lifetime, so a router resolves a topic
+  /// once and publishes by index afterwards.
+  TopicIndex topic(const std::string& topic);
 
   /// Subscribe to an exact topic. The empty topic subscribes to all.
   Subscription subscribe(const std::string& topic, Handler handler);
@@ -53,6 +65,9 @@ class EventBus {
 
   /// Deliver an event to topic subscribers, then wildcard subscribers.
   void publish(const Event& ev);
+  /// The same, for an event whose topic was resolved by topic(): no
+  /// lookup. `index` must be topic(ev.topic).
+  void publish(TopicIndex index, const Event& ev);
 
   /// Number of events published over the bus lifetime.
   std::uint64_t published() const { return published_; }
@@ -67,13 +82,14 @@ class EventBus {
   };
   using Handlers = std::vector<Entry>;
 
-  void deliver(const std::string& topic, const Event& ev);
+  void deliver(TopicIndex index, const Event& ev);
   /// The list to edit: in place, or a fresh copy while a delivery runs.
   Handlers& writable(Handlers& list);
 
   // Topics are never erased, and a deque keeps a Handlers& valid while
-  // later subscriptions add topics.
-  std::unordered_map<std::string, std::uint32_t> index_;
+  // later subscriptions add topics. topics_[i] holds the subscribers of
+  // the topic with id i in index_; the wildcard "" is interned first.
+  SymbolTable index_;
   std::deque<Handlers> topics_;
   std::vector<Handlers> retired_;  ///< Lists replaced mid-delivery.
   std::uint32_t depth_ = 0;        ///< Nested publish() calls.

@@ -19,7 +19,8 @@ void Mailbox::push(MailboxEntry entry) {
   claim() = std::move(entry);
 }
 
-void Mailbox::push(const Event& ev, SimTime sent_at, std::uint32_t source, std::uint64_t seq) {
+void Mailbox::push(const Event& ev, SimTime sent_at, std::uint32_t source, std::uint64_t seq,
+                   std::uint32_t topic) {
   std::lock_guard<std::mutex> lock(mu_);
   pushed_.fetch_add(1, std::memory_order_relaxed);
   MailboxEntry& slot = claim();
@@ -27,6 +28,7 @@ void Mailbox::push(const Event& ev, SimTime sent_at, std::uint32_t source, std::
   slot.sent_at = sent_at;
   slot.source = source;
   slot.seq = seq;
+  slot.topic = topic;
 }
 
 Mailbox::Drained Mailbox::drain() {

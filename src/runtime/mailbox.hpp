@@ -30,10 +30,16 @@ namespace trader::runtime {
 
 /// One in-flight cross-shard event.
 struct MailboxEntry {
+  /// `topic` value of an entry whose bus topic index is not known.
+  static constexpr std::uint32_t kUnresolvedTopic = 0xffffffffu;
+
   Event event;
   SimTime sent_at = 0;      ///< Virtual time at the publishing shard.
   std::uint32_t source = 0; ///< Shard index, or Mailbox::kExternalSource.
   std::uint64_t seq = 0;    ///< Per-source monotonic sequence.
+  /// The event's topic index on the owning shard's EventBus, resolved
+  /// once by the router so delivery needs no lookup.
+  std::uint32_t topic = kUnresolvedTopic;
 };
 
 class Mailbox {
@@ -46,7 +52,8 @@ class Mailbox {
   /// Multi-producer push (any thread).
   void push(MailboxEntry entry);
   /// Multi-producer push that copies `ev` into a recycled slot.
-  void push(const Event& ev, SimTime sent_at, std::uint32_t source, std::uint64_t seq);
+  void push(const Event& ev, SimTime sent_at, std::uint32_t source, std::uint64_t seq,
+            std::uint32_t topic = MailboxEntry::kUnresolvedTopic);
 
   /// Single-consumer drain: the pending entries, sorted in place into
   /// deterministic (sent_at, source, seq) order. The box counts as empty

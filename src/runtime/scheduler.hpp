@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -15,23 +16,33 @@
 
 namespace trader::runtime {
 
-/// Handle for cancelling a scheduled callback.
+/// Handle for cancelling a scheduled callback: the task's slot and the
+/// slot's generation when the task was scheduled. A slot is reused once
+/// its task is done, under the next generation, so a stale handle
+/// cancels nothing.
 class TaskHandle {
  public:
   TaskHandle() = default;
 
-  bool valid() const { return id_ != 0; }
+  bool valid() const { return generation_ != 0; }
 
  private:
   friend class Scheduler;
-  explicit TaskHandle(std::uint64_t id) : id_(id) {}
-  std::uint64_t id_ = 0;
+  TaskHandle(std::uint32_t slot, std::uint32_t generation) : slot_(slot), generation_(generation) {}
+  std::uint32_t slot_ = 0;
+  std::uint32_t generation_ = 0;
 };
 
 /// A deterministic discrete-event scheduler.
 ///
 /// Events scheduled for the same instant fire in FIFO order of
 /// scheduling, which keeps runs reproducible across platforms.
+///
+/// The queue is a min-heap of small (time, sequence, slot) keys; the
+/// callbacks stay put in a slab of task slots whose addresses survive
+/// growth, so a callback may schedule more tasks while it runs.
+/// Cancelling marks the slot, and its key is dropped when it comes up
+/// (or when dead keys outnumber live ones, whichever is first).
 class Scheduler {
  public:
   using Callback = std::function<void()>;
@@ -49,7 +60,8 @@ class Scheduler {
   /// Cancel via the returned handle.
   TaskHandle schedule_every(SimDuration period, Callback cb);
 
-  /// Cancel a pending (or periodic) task. Safe to call twice.
+  /// Cancel a pending (or periodic) task in O(1). Stale, repeated and
+  /// default handles are no-ops.
   void cancel(TaskHandle h);
 
   /// Run a single event; returns false when the queue is empty.
@@ -68,6 +80,9 @@ class Scheduler {
   /// until they drain).
   std::size_t pending() const { return queue_.size(); }
 
+  /// Task slots ever made: the most tasks pending or running at once.
+  std::size_t task_slots() const { return tasks_.size(); }
+
   /// Total callbacks executed, for overhead accounting.
   std::uint64_t executed() const { return executed_; }
 
@@ -77,31 +92,45 @@ class Scheduler {
   EventSlots& in_flight() { return in_flight_; }
 
  private:
-  struct Entry {
+  /// One heap key; the heap orders by (at, seq), and seq is unique.
+  struct Key {
     SimTime at;
-    std::uint64_t seq;  // FIFO tiebreak
-    std::uint64_t id;
-    Callback cb;
-    SimDuration period;  // 0 = one-shot
+    std::uint64_t seq;
+    std::uint32_t slot;
 
-    bool operator>(const Entry& o) const {
+    bool operator>(const Key& o) const {
       if (at != o.at) return at > o.at;
       return seq > o.seq;
     }
   };
 
-  bool is_cancelled(std::uint64_t id) const;
-  void push(Entry e);
-  Entry pop();
-  void fire(Entry e);
+  struct Task {
+    Callback cb;
+    SimDuration period = 0;        ///< 0 = one-shot.
+    std::uint32_t generation = 1;  ///< Bumped each time the slot is freed.
+    bool cancelled = false;
+    bool queued = false;  ///< A key for this task is in the heap.
+  };
+
+  TaskHandle add(SimTime at, SimDuration period, Callback cb);
+  void push(Key k);
+  Key pop();
+  /// Pop the earliest key and fire its task unless it was cancelled;
+  /// true when a callback ran.
+  bool run_next();
+  void fire(const Key& k);
+  void release(std::uint32_t slot);
+  /// Drop the keys of cancelled tasks and free their slots.
+  void compact();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
   std::uint64_t executed_ = 0;
-  EventSlots in_flight_;      // declared first: destroyed after the queue
-  std::vector<Entry> queue_;  // min-heap on (at, seq); entries leave it by move
-  std::vector<std::uint64_t> cancelled_;
+  EventSlots in_flight_;       // declared first: destroyed after the tasks
+  std::deque<Task> tasks_;     // the slab; a deque keeps addresses on growth
+  std::vector<std::uint32_t> free_;
+  std::vector<Key> queue_;     // min-heap on (at, seq)
+  std::size_t dead_keys_ = 0;  // keys in queue_ whose task was cancelled
 };
 
 }  // namespace trader::runtime

@@ -194,8 +194,13 @@ std::string BatchExecutor::active_leaf(InstanceId i) const {
 
 std::vector<ModelOutput> BatchExecutor::drain_outputs(InstanceId i) {
   std::vector<ModelOutput> out;
-  out.swap(outputs_[idx(i)]);
+  drain_outputs(i, out);
   return out;
+}
+
+void BatchExecutor::drain_outputs(InstanceId i, std::vector<ModelOutput>& out) {
+  out.clear();
+  out.swap(outputs_[idx(i)]);
 }
 
 std::size_t BatchExecutor::approx_bytes_per_instance() const {

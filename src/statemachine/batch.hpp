@@ -67,7 +67,12 @@ class BatchExecutor {
 
   Context& vars(InstanceId i) { return vars_[idx(i)]; }
   const Context& vars(InstanceId i) const { return vars_[idx(i)]; }
+  /// The outputs of `i` since the last drain, in a fresh vector.
   std::vector<ModelOutput> drain_outputs(InstanceId i);
+  /// The same into `out` (cleared first), whose storage then holds the
+  /// instance's next outputs: a caller that keeps `out` drains without
+  /// allocating.
+  void drain_outputs(InstanceId i, std::vector<ModelOutput>& out);
   bool livelock_detected(InstanceId i) const { return (flags_[idx(i)] & kLivelock) != 0; }
   std::uint64_t transitions_fired(InstanceId i) const { return fired_[idx(i)]; }
 

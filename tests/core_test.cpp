@@ -162,7 +162,7 @@ TEST(Observers, OutputObserverKeepsLatestAndNotifies) {
   rt::ChannelConfig ch;
   core::OutputObserver obs(sched, bus, {"suo.out"}, ch, nullptr);
   int fresh = 0;
-  obs.on_fresh([&](const std::string&, rt::SimTime) { ++fresh; });
+  obs.on_fresh([&](core::ObservableId, rt::SimTime) { ++fresh; });
   obs.start(0);
   EchoSuo suo(sched, bus);
   suo.output("volume", std::int64_t{10});

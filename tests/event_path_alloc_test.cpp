@@ -6,8 +6,12 @@
 // counting one and drives the fleet_epoch-shaped stream (4096 monitors
 // on one ModelProgram, 2048 set/level pairs per 10 ms epoch) through a
 // one-shard and a four-shard fleet. After a warm-up, the steady state
-// must make at most two heap allocations per published event, and no
-// comparison may deviate.
+// must make at most one heap allocation per published event, and no
+// comparison may deviate. What remains is about 0.5 per event: the
+// field map {"value": v} that the model's action builds for each
+// output it emits, one per set/level pair. Routing, mailbox, bus,
+// scheduler, observers, model-output drain and comparator allocate
+// nothing once warm.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -151,7 +155,7 @@ double steady_state_allocations_per_event(std::size_t shards, const std::string&
   std::printf("[ info ] %zu shard(s), \"%s\": %.3f allocations per event (%llu over %llu events)\n",
               shards, observable.c_str(), per_event, static_cast<unsigned long long>(m.allocations),
               static_cast<unsigned long long>(m.events));
-  EXPECT_LE(per_event, 2.0);
+  EXPECT_LE(per_event, 1.0);
 
   const rt::MetricsSnapshot snap = fleet->metrics();
   EXPECT_GT(snap.counter("comparator.comparisons"), 0u);

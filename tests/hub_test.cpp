@@ -2,7 +2,8 @@
 // fixed-rate catch-up after a stalled iteration, cross-thread wake),
 // HubConnection backpressure policy, the AwarenessHub slot handshake
 // (accept / version / unknown / busy / backoff rejection), accept storms,
-// hub-driven liveness eviction with exactly-one-outage accounting, a
+// hub-driven liveness eviction with exactly-one-outage accounting (and
+// none for a goodbye, live or replayed from the journal), a
 // SIGKILLed publisher process and its restarted successor, the SUO end
 // of a link (hub::SuoLink's idempotent recover ack), the
 // publisher agent end to end, and the campaign differential gate: a
@@ -16,6 +17,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -248,6 +250,60 @@ TEST(HubTest, HandshakeAcceptsKnownSlotAndFlipsGate) {
   EXPECT_TRUE(awareness_hub.link_errors().empty());
   EXPECT_EQ(awareness_hub.metrics().counter("hub.outages"), 0u);
   awareness_hub.stop();
+}
+
+// A goodbye is not an outage, and a dropped link is one, in all three
+// ledgers: the slot's supervisor, hub.outages, and the supervisor state
+// a restarted hub rebuilds by replaying the journal.
+TEST(HubTest, GoodbyeIsNoOutageForTheSupervisorLiveOrReplayed) {
+  std::string dir = (std::filesystem::temp_directory_path() / "hub_test_XXXXXX").string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  struct RemoveDir {
+    std::string path;
+    ~RemoveDir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } cleanup{dir};
+  hub::HubConfig config;
+  config.probe_liveness = false;
+  config.journal.enabled = true;
+  config.journal.dir = dir;
+  config.journal.checkpoint_every_records = 0;  // replay walks the WAL
+  {
+    hub::AwarenessHub awareness_hub(config);
+    awareness_hub.add_slot("polite");
+    awareness_hub.add_slot("dropped");
+    ASSERT_TRUE(awareness_hub.start());
+    hub::SuoLink polite;
+    ASSERT_EQ(polite.claim(awareness_hub.path(), "polite", &awareness_hub),
+              ipc::FrameType::kHelloAck);
+    auto dropped = std::make_unique<hub::SuoLink>();
+    ASSERT_EQ(dropped->claim(awareness_hub.path(), "dropped", &awareness_hub),
+              ipc::FrameType::kHelloAck);
+
+    ipc::Frame bye;
+    bye.type = ipc::FrameType::kShutdown;
+    polite.socket().send(bye);
+    dropped.reset();  // closed without a goodbye
+    ASSERT_TRUE(pump_until(awareness_hub, [&] { return awareness_hub.connection_count() == 0; }));
+
+    EXPECT_EQ(awareness_hub.metrics().counter("hub.outages"), 1u);
+    ASSERT_EQ(awareness_hub.link_errors().size(), 1u);
+    EXPECT_EQ(awareness_hub.link_errors()[0].observable, "hub.link/dropped");
+    EXPECT_EQ(awareness_hub.slot_supervisor("polite")->outages(), 0u);
+    EXPECT_EQ(awareness_hub.slot_supervisor("dropped")->outages(), 1u);
+    awareness_hub.simulate_crash();
+  }
+  hub::AwarenessHub restarted(config);
+  restarted.add_slot("polite");
+  restarted.add_slot("dropped");
+  ASSERT_TRUE(restarted.start());
+  ASSERT_TRUE(restarted.journal_recovery().ok);
+  EXPECT_GT(restarted.journal_recovery().replayed_records, 0u);
+  EXPECT_EQ(restarted.slot_supervisor("polite")->outages(), 0u);
+  EXPECT_EQ(restarted.slot_supervisor("dropped")->outages(), 1u);
+  restarted.stop();
 }
 
 TEST(HubTest, HandshakeRejectsUnknownAndBusySlots) {

@@ -300,6 +300,30 @@ TEST(IpcWire, DispatchedCrc32cMatchesTableReference) {
             ipc::crc32c_reference(buf.data() + 3, 64 * 1024));
 }
 
+// The table-driven fallback folds eight bytes per round; hold it to
+// the polynomial itself, one bit at a time, across every round/tail
+// split and alignment.
+TEST(IpcWire, SlicedTableCrc32cMatchesBitwiseDefinition) {
+  const auto bitwise = [](const std::uint8_t* p, std::size_t n) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) c = (c >> 1) ^ ((c & 1u) != 0 ? 0x82F63B78u : 0u);
+    }
+    return ~c;
+  };
+  rt::Rng rng(33);
+  std::vector<std::uint8_t> buf(4096 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t n = 0; n <= 80; ++n) {
+      ASSERT_EQ(ipc::crc32c_reference(buf.data() + off, n), bitwise(buf.data() + off, n))
+          << "offset " << off << " length " << n;
+    }
+  }
+  EXPECT_EQ(ipc::crc32c_reference(buf.data() + 5, 4096), bitwise(buf.data() + 5, 4096));
+}
+
 TEST(IpcWire, EveryBurstUpTo32BitsInASpectrumPayloadIsRejected) {
   // A 64 KiB spectrum frame (the closed loop's shape). CRC32C detects
   // every burst of up to 32 bits; flip bursts of each length, with

@@ -258,6 +258,85 @@ TEST(Scheduler, CancelTwiceIsSafe) {
   SUCCEED();
 }
 
+// A handle names a slot and the slot's generation: once its one-shot
+// has fired, the slot is reused under a new generation, and the old
+// handle no longer reaches it.
+TEST(Scheduler, StaleHandleDoesNotCancelATaskReusingItsSlot) {
+  rt::Scheduler sched;
+  int first = 0;
+  int second = 0;
+  const rt::TaskHandle stale = sched.schedule_at(10, [&] { ++first; });
+  sched.run_until(10);
+  const rt::TaskHandle fresh = sched.schedule_at(20, [&] { ++second; });
+  EXPECT_EQ(sched.task_slots(), 1u);  // the fired task's slot was reused
+  sched.cancel(stale);
+  sched.run_until(30);
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+  sched.cancel(fresh);  // fired already: a no-op too
+  EXPECT_EQ(sched.pending(), 0u);
+}
+
+TEST(Scheduler, CancelTwiceLeavesTheReusedSlotAlone) {
+  rt::Scheduler sched;
+  int ran = 0;
+  const rt::TaskHandle h = sched.schedule_at(100, [&] { ran += 10; });
+  sched.cancel(h);
+  sched.cancel(h);
+  sched.run_all();
+  sched.schedule_at(200, [&] { ++ran; });
+  sched.cancel(h);  // the slot's old generation
+  sched.run_all();
+  EXPECT_EQ(ran, 1);
+}
+
+TEST(Scheduler, ScheduleCancelCyclesLeaveNothingBehind) {
+  rt::Scheduler sched;
+  for (int i = 0; i < 10000; ++i) {
+    sched.cancel(sched.schedule_after(1000, [] {}));
+  }
+  // Dead keys are dropped once they outnumber live ones.
+  EXPECT_LE(sched.pending(), 1u);
+  EXPECT_LE(sched.task_slots(), 1u);
+  for (int i = 0; i < 10000; ++i) {
+    const rt::TaskHandle h = sched.schedule_every(10, [] {});
+    sched.run_for(10);
+    sched.cancel(h);
+  }
+  sched.run_for(10);
+  EXPECT_EQ(sched.pending(), 0u);
+  EXPECT_LE(sched.task_slots(), 1u);
+  EXPECT_EQ(sched.executed(), 10000u);
+}
+
+// The callback runs from its slab slot while it schedules more tasks;
+// the slab grows meanwhile, and the running callback must not move.
+TEST(Scheduler, CallbacksScheduleThousandsOfTasksFromInside) {
+  rt::Scheduler sched;
+  std::vector<int> order;
+  const std::string tag(64, 'x');  // captured state too big for the inline buffer
+  sched.schedule_at(10, [&, tag] {
+    for (int i = 0; i < 1500; ++i) sched.schedule_after(i % 7, [&order, i] { order.push_back(i); });
+    EXPECT_EQ(tag.size(), 64u);
+  });
+  int fires = 0;
+  rt::TaskHandle periodic;
+  periodic = sched.schedule_every(100, [&, tag] {
+    ++fires;
+    for (int i = 0; i < 1200; ++i) sched.schedule_after(1, [&order] { order.push_back(-1); });
+    EXPECT_EQ(tag.size(), 64u);
+    if (fires == 2) sched.cancel(periodic);
+  });
+  sched.run_until(1000);
+  EXPECT_EQ(fires, 2);
+  ASSERT_EQ(order.size(), 1500u + 2400u);
+  // Same-time tasks keep their scheduling order.
+  std::vector<int> at_zero;
+  for (int i = 0; i < 1500; i += 7) at_zero.push_back(i);
+  EXPECT_TRUE(std::equal(at_zero.begin(), at_zero.end(), order.begin()));
+  EXPECT_EQ(sched.pending(), 0u);
+}
+
 TEST(Scheduler, PeriodicFiresRepeatedly) {
   rt::Scheduler sched;
   std::vector<rt::SimTime> fires;

@@ -1,8 +1,9 @@
 // Tests for the sharded fleet runtime and the metrics layer: instrument
 // semantics, snapshot merging, deterministic mailbox drain order,
-// MonitorBuilder contract checks, cross-shard delivery, the IControl
-// idempotency guarantees, and — the load-bearing property — identical
-// error reports for the same seed across 1, 2 and 8 shards.
+// MonitorBuilder contract checks, cross-shard delivery, a pin of every
+// routing path at 1/2/4 shards, the IControl idempotency guarantees,
+// and — the load-bearing property — identical error reports for the
+// same seed across 1, 2 and 8 shards.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -326,6 +327,164 @@ TEST(ShardedFleet, ShardPublishCrossesShards) {
   ASSERT_EQ(arrivals.size(), 1u);
   EXPECT_EQ(arrivals[0], rt::msec(20));  // sent in (10,20] -> delivered at 20
   EXPECT_GE(fleet.metrics().counter("fleet.cross_shard_out"), 1u);
+}
+
+// ------------------------------------------------- FleetRouting: the pin
+
+namespace {
+
+/// What one routing session delivered, per subscriber, plus the fleet's
+/// counters. Each log is written by one shard's thread only.
+struct RoutingRun {
+  std::vector<std::string> dual_first;  ///< "dual" on shard 0.
+  std::vector<std::string> dual_last;   ///< "dual" on the last shard.
+  std::vector<std::string> solo;        ///< "solo" on shard 1 % n.
+  std::vector<std::string> wildcard;    ///< Custom topics seen by a "" subscriber.
+  std::size_t wildcard_monitor_events = 0;
+  rt::MetricsSnapshot metrics;
+};
+
+rt::Event named(const std::string& topic, const std::string& name) {
+  rt::Event ev;
+  ev.topic = topic;
+  ev.name = name;
+  return ev;
+}
+
+rt::Event counter_input(const std::string& suffix) {
+  rt::Event ev = named("in." + suffix, "key");
+  ev.fields["key"] = std::string("inc");
+  return ev;
+}
+
+rt::Event counter_output(const std::string& suffix, std::int64_t value) {
+  rt::Event ev = named("out." + suffix, "count");
+  ev.fields["value"] = value;
+  return ev;
+}
+
+// Every way an event finds its shards: a topic owned by two shards (and
+// routed twice to one of them), a custom subscriber behind the public
+// add_route, a wildcard subscriber on a shard bus, Shard::publish and a
+// direct bus publish from a shard task, an unrouted topic, and a
+// monitor added after stop() whose topics must route after start().
+RoutingRun routing_session(std::size_t shards) {
+  core::ShardedFleetConfig cfg;
+  cfg.shards = shards;
+  cfg.epoch = rt::msec(10);
+  cfg.seed = 42;
+  core::ShardedFleet fleet(cfg);
+  const std::size_t last = shards - 1;
+  const std::size_t solo_shard = 1 % shards;
+  fleet.add_route("dual", 0);
+  fleet.add_route("dual", last);
+  fleet.add_route("dual", last);  // a repeated route is one route
+  fleet.add_route("solo", solo_shard);
+  for (int m = 0; m < 3; ++m) {
+    const std::string suffix = "m" + std::to_string(m);
+    fleet.add_monitor(suffix, counter_monitor("in." + suffix, "out." + suffix));
+  }
+
+  RoutingRun run;
+  const auto tap = [](std::vector<std::string>& log) {
+    return [&log](const rt::Event& ev) {
+      log.push_back(ev.topic + "/" + ev.name + "@" + std::to_string(ev.timestamp));
+    };
+  };
+  fleet.shard(0).bus().subscribe("dual", tap(run.dual_first));
+  fleet.shard(last).bus().subscribe("dual", tap(run.dual_last));
+  fleet.shard(solo_shard).bus().subscribe("solo", tap(run.solo));
+  fleet.shard(last).bus().subscribe("", [&run](const rt::Event& ev) {
+    if (ev.topic.rfind("in.", 0) == 0 || ev.topic.rfind("out.", 0) == 0) {
+      ++run.wildcard_monitor_events;
+    } else {
+      run.wildcard.push_back(ev.topic + "/" + ev.name + "@" + std::to_string(ev.timestamp));
+    }
+  });
+  fleet.start();
+
+  fleet.publish(counter_input("m0"));
+  fleet.publish(counter_output("m0", 1));
+  fleet.publish(named("dual", "a"));
+  fleet.publish(named("solo", "b"));
+  fleet.publish(named("nobody", "c"));  // unrouted
+  fleet.shard(0).sched().schedule_at(rt::msec(12), [&fleet] {
+    rt::Event direct = named("dual", "direct");
+    direct.timestamp = fleet.shard(0).sched().now();
+    fleet.shard(0).bus().publish(direct);  // local now, remote owners next epoch
+    fleet.shard(0).publish(named("dual", "from_shard"));
+    fleet.shard(0).publish(named("solo", "from_shard"));
+    fleet.shard(0).publish(named("nobody", "from_shard"));  // unrouted
+  });
+  fleet.publish(counter_input("m1"));
+  fleet.publish(counter_output("m1", 1));
+  fleet.run_for(rt::msec(30));
+
+  // A monitor added while stopped routes once the fleet starts again.
+  fleet.stop();
+  fleet.add_monitor("late", counter_monitor("in.late", "out.late"));
+  fleet.start();
+  fleet.publish(counter_input("late"));
+  fleet.publish(counter_output("late", 1));
+  fleet.publish(named("dual", "after_restart"));
+  fleet.run_for(rt::msec(20));
+  fleet.publish(counter_input("late"));
+  fleet.publish(counter_output("late", 7));  // the model expects 2
+  fleet.publish(counter_input("m2"));
+  fleet.publish(counter_output("m2", 1));
+  fleet.run_for(rt::msec(60));
+  fleet.stop();
+  run.metrics = fleet.metrics();
+  return run;
+}
+
+}  // namespace
+
+// Pins who receives what, when, and in which order, at 1, 2 and 4
+// shards, together with the routing counters.
+TEST(FleetRouting, DeliveryAndCountersArePinnedAcrossShardCounts) {
+  const std::vector<std::string> model_counters = {"comparator.", "controller.errors", "model."};
+  std::string one_shard_fingerprint;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const RoutingRun run = routing_session(shards);
+    const bool last_is_solo = 1 % shards == shards - 1;
+    const std::string later = shards == 1 ? "dual/direct@12000" : "dual/direct@20000";
+    EXPECT_EQ(run.dual_first,
+              (std::vector<std::string>{"dual/a@0", "dual/direct@12000", "dual/from_shard@20000",
+                                        "dual/after_restart@30000"}));
+    if (shards == 1) {
+      EXPECT_EQ(run.dual_last, run.dual_first);  // the same bus
+    } else {
+      EXPECT_EQ(run.dual_last,
+                (std::vector<std::string>{"dual/a@0", "dual/direct@20000",
+                                          "dual/from_shard@20000", "dual/after_restart@30000"}));
+    }
+    EXPECT_EQ(run.solo, (std::vector<std::string>{"solo/b@0", "solo/from_shard@20000"}));
+    std::vector<std::string> wildcard = {"dual/a@0"};
+    if (last_is_solo) wildcard.push_back("solo/b@0");
+    wildcard.push_back(later);
+    wildcard.push_back("dual/from_shard@20000");
+    if (last_is_solo) wildcard.push_back("solo/from_shard@20000");
+    wildcard.push_back("dual/after_restart@30000");
+    EXPECT_EQ(run.wildcard, wildcard);
+
+    const auto& m = run.metrics;
+    EXPECT_EQ(m.counter("fleet.external_events"), 13u);
+    EXPECT_EQ(m.counter("fleet.unrouted_events"), 2u);
+    EXPECT_EQ(m.counter("model.inputs"), 5u);
+    EXPECT_EQ(m.counter("comparator.errors"), 1u);
+    EXPECT_EQ(m.counter("controller.errors"), 1u);
+    // Cross-shard copies: the forwarded direct publish plus the two
+    // Shard::publish copies that leave shard 0.
+    EXPECT_EQ(m.counter("fleet.cross_shard_out"), shards == 1 ? 0u : 3u);
+    // Monitor traffic the wildcard saw: the events of the monitors
+    // placed on the last shard.
+    const std::size_t monitor_events = shards == 1 ? 10 : shards == 2 ? 6 : 2;
+    EXPECT_EQ(run.wildcard_monitor_events, monitor_events);
+    if (shards == 1) one_shard_fingerprint = m.fingerprint(model_counters);
+    EXPECT_EQ(m.fingerprint(model_counters), one_shard_fingerprint);
+  }
 }
 
 TEST(ShardedFleet, UnroutedEventsAreCountedNotDelivered) {
