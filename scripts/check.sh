@@ -27,8 +27,9 @@
 #      fleet shard threads share the scored path)
 #   8. fleetdiag: fleet-level online diagnosis under ASan (reporter
 #      chunking, online-vs-offline ranking equivalence over real
-#      sockets, slot lifecycle, fuzz-findings replay) and TSan
-#      (concurrent ingest vs ranking queries); then bench_diag_hub
+#      sockets, slot lifecycle, fuzz-findings replay, and the pruned
+#      top-k scan against the full ranking) and TSan (concurrent ingest
+#      vs ranking queries); then bench_diag_hub
 #      leaves BENCH_fleetdiag.json in the repo root (spectrum ingest
 #      sweep + per-fault-kind diagnosis accuracy)
 #   9. recovery: the closed recovery loop under ASan (convergence gate,
@@ -182,14 +183,18 @@ cmake --build build-tsan -j "$JOBS" --target hub_test
   --gtest_filter='HubCampaign.*:HubTest.PublisherStreamsToHorizonAndSaysGoodbye'
 
 stage "fleetdiag: online diagnosis under ASan and TSan -> BENCH_fleetdiag.json"
-cmake --build build-asan -j "$JOBS" --target fleetdiag_test
+cmake --build build-asan -j "$JOBS" --target fleetdiag_test diagnosis_test
+# The chunk-pruned top-k scan against the full ranking: chunk tails,
+# stale chunk bounds, load/merge/clear, ids past the span.
+./build-asan/tests/diagnosis_test --gtest_filter='Incremental.*'
 # Reporter chunking, the online-vs-offline ranking differential (every
 # prefix, 1/2/4 shards over real sockets), slot lifecycle (reconnect
 # persistence, retirement on permanent failure), the version-gated
 # publisher path and the fuzz-findings diagnosis replay — leak-checked.
 ./build-asan/tests/fleetdiag_test
 # Concurrent ingest (hub loop thread) vs live ranking queries (operator
-# threads) on one shared aggregator must be race-free.
+# threads) on one shared aggregator must be race-free, the chunk bounds
+# top_k() renews under the aggregator's lock included.
 cmake --build build-tsan -j "$JOBS" --target fleetdiag_test
 ./build-tsan/tests/fleetdiag_test --gtest_filter='FleetDiagConcurrency.*'
 cmake --build build -j "$JOBS" --target bench_diag_hub

@@ -3,28 +3,44 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 
 namespace trader::diagnosis {
+
+namespace {
+
+/// Bound of a chunk an error step touched since top_k() last scanned it.
+constexpr double kUnknownBound = std::numeric_limits<double>::infinity();
+
+}  // namespace
 
 void IncrementalSflCounts::ensure_span(std::uint32_t max_block) {
   if (max_block >= a11_.size()) {
     a11_.resize(max_block + 1, 0);
     a10_.resize(max_block + 1, 0);
+    // New ids are untouched: every stored bound still holds.
+    chunk_score_.resize((a11_.size() + kChunk - 1) / kChunk, 0.0);
   }
 }
 
 void IncrementalSflCounts::add(const std::vector<std::uint32_t>& blocks, bool error) {
-  if (!blocks.empty()) ensure_span(blocks.back());
+  // One span check per step; the maximum (not back()) keeps unsorted
+  // input in bounds.
+  std::uint32_t max_block = 0;
+  for (const std::uint32_t b : blocks) max_block = std::max(max_block, b);
+  if (!blocks.empty()) ensure_span(max_block);
+  std::uint32_t* hit = error ? a11_.data() : a10_.data();
+  const std::uint32_t* other = error ? a10_.data() : a11_.data();
+  std::size_t fresh = 0;
   for (const std::uint32_t b : blocks) {
-    ensure_span(b);  // tolerate unsorted input (sorted input resizes once)
-    if (a11_[b] + a10_[b] == 0) ++touched_;
-    if (error) {
-      ++a11_[b];
-    } else {
-      ++a10_[b];
-    }
+    fresh += (hit[b] | other[b]) == 0;
+    ++hit[b];
   }
+  touched_ += fresh;
   if (error) {
+    // An error step can raise the scores of the blocks it ran; every
+    // other score only falls (see chunk_score_).
+    for (const std::uint32_t b : blocks) chunk_score_[b / kChunk] = kUnknownBound;
     ++error_steps_;
   } else {
     ++pass_steps_;
@@ -58,75 +74,128 @@ DiagnosisReport IncrementalSflCounts::report(Coefficient coefficient) const {
 
 std::vector<BlockScore> IncrementalSflCounts::top_k(std::size_t k) const {
   // Every block shares F = error_steps, so Ochiai's a11 / sqrt(F * n)
-  // (n = a11 + a10) orders blocks by the exact key a11^2 / n. Blocks
-  // arrive in ascending id order, so a candidate enters the full list
-  // only by scoring strictly above its last entry. `top` holds the
-  // entries sorted by (score descending, block ascending) — the order
-  // stable_sort gives report() — and at most k + 1 of them.
+  // (n = a11 + a10) orders blocks by the exact key a11^2 / n. `top`
+  // holds the entries sorted by (score descending, block ascending) —
+  // the order stable_sort gives report() — and at most k + 1 of them.
+  // A block enters the full list only by ranking above its last entry.
   std::vector<BlockScore> top;
-  if (k == 0) return top;
+  if (k == 0 || chunk_score_.empty()) return top;
   top.reserve(std::min(k, touched_) + 1);
+  const auto ranks_above = [](double score, std::size_t b, const BlockScore& entry) {
+    return score > entry.score || (score == entry.score && b < entry.block);
+  };
   // Once the list is full, a block is skipped when its key is below the
   // last entry's by a 1e-9 margin: a11^2 * n_last < lim * n, with
   // lim = a11_last^2 * (1 - 1e-9). The margin dwarfs the ~4 ulp of
   // rounding in either score, so a skipped block scores strictly below
   // the last entry and could never enter. Since n >= a11, the key is at
   // most a11, so a11 < min_a11 (the margined key, rounded down) already
-  // rules a block out on one integer compare, before a10 is read.
+  // rules a block out on one integer compare, before a10 is read. While
+  // the last entry scores above 0, min_a11 is at least 1: a zero-score
+  // block cannot rank above it. A zero-score last entry can still be
+  // passed by a zero-score block of a lower id, which the scan meets
+  // after the seed chunk (below).
   double lim = 0.0;
   double n_last = 0.0;
   std::uint32_t min_a11 = 0;
   // Counts of the last block turned away: equal counts give an equal
-  // score, which a later id cannot beat. Starting at (0, 0) makes the
-  // same test skip untouched blocks while the list fills; once it is
-  // full, min_a11 >= 1 does.
+  // score, which a block scanned after it (a higher id) cannot rank
+  // above. Untouched blocks (counts (0, 0)) are never ranked.
   std::uint32_t rej_a11 = 0;
   std::uint32_t rej_a10 = 0;
   bool full = false;
   const std::size_t span = a11_.size();
-  for (std::size_t b = 0; b < span; ++b) {
-    const std::uint32_t a11 = a11_[b];
-    if (a11 < min_a11) continue;
-    const std::uint32_t a10 = a10_[b];
-    if (a11 == rej_a11 && a10 == rej_a10) continue;
-    if (full) {
-      const double n = static_cast<double>(a11) + static_cast<double>(a10);
-      const double key = static_cast<double>(a11) * static_cast<double>(a11);
-      if (key * n_last < lim * n) {
+  // Every block of chunk c scores at most its bound and has an id of at
+  // least c * kChunk.
+  const auto passed_over = [&](std::size_t c) {
+    return full && !ranks_above(chunk_score_[c], c * kChunk, top.back());
+  };
+  const auto scan = [&](std::size_t c) {
+    const std::size_t begin = c * kChunk;
+    const std::size_t end = std::min(begin + kChunk, span);
+    // The tests below, on the whole chunk in one branch-free pass the
+    // compiler vectorizes: a chunk none of whose blocks passes them (a
+    // common pool, a run of counts tied with the last entry) is passed
+    // over without a per-block branch. (lim = n_last = 0 until the list
+    // is full, which makes the key test pass every block.)
+    const std::uint32_t* a11s = a11_.data();
+    const std::uint32_t* a10s = a10_.data();
+    std::uint32_t candidates = 0;
+    for (std::size_t b = begin; b < end; ++b) {
+      const double x = a11s[b];
+      const double n = x + static_cast<double>(a10s[b]);
+      candidates += static_cast<std::uint32_t>(a11s[b] >= min_a11) &
+                    static_cast<std::uint32_t>(!(x * x * n_last < lim * n)) &
+                    static_cast<std::uint32_t>(n != 0.0) &
+                    (static_cast<std::uint32_t>(a11s[b] != rej_a11) |
+                     static_cast<std::uint32_t>(a10s[b] != rej_a10));
+    }
+    double best = 0.0;
+    for (std::size_t b = candidates == 0 ? end : begin; b < end; ++b) {
+      const std::uint32_t a11 = a11s[b];
+      if (a11 < min_a11) continue;
+      const std::uint32_t a10 = a10s[b];
+      if ((a11 == rej_a11 && a10 == rej_a10) || (a11 | a10) == 0) continue;
+      if (full) {
+        const double n = static_cast<double>(a11) + static_cast<double>(a10);
+        const double key = static_cast<double>(a11) * static_cast<double>(a11);
+        if (key * n_last < lim * n) {
+          rej_a11 = a11;
+          rej_a10 = a10;
+          continue;
+        }
+      }
+      const double score = similarity(Coefficient::kOchiai, counts(b));
+      best = std::max(best, score);
+      if (full && !ranks_above(score, b, top.back())) {
         rej_a11 = a11;
         rej_a10 = a10;
         continue;
       }
+      auto at = top.end();
+      while (at != top.begin() && ranks_above(score, b, *std::prev(at))) --at;
+      top.insert(at, BlockScore{b, score});
+      if (top.size() > k) top.pop_back();
+      full = top.size() == k;
+      if (full) {
+        const std::size_t last = top.back().block;
+        const double last_a11 = a11s[last];
+        lim = last_a11 * last_a11 * (1.0 - 1e-9);
+        n_last = last_a11 + static_cast<double>(a10s[last]);
+        min_a11 = top.back().score > 0.0
+                      ? std::max<std::uint32_t>(1, static_cast<std::uint32_t>(std::floor(
+                                                       lim / n_last * (1.0 - 1e-9))))
+                      : 0;
+      }
     }
-    const double score = similarity(Coefficient::kOchiai, counts(b));
-    if (full && !(score > top.back().score)) {
-      rej_a11 = a11;
-      rej_a10 = a10;
-      continue;
+    // Every block passed over is untouched or scores at most the last
+    // entry, whose score only rises as the scan goes on.
+    chunk_score_[c] = full ? std::max(best, top.back().score) : best;
+  };
+  // Scan the chunk with the highest known bound first: the list then
+  // starts near its final last entry, and the scan in id order passes
+  // most chunks over on their bound alone.
+  std::size_t seed = 0;
+  double seed_bound = -1.0;
+  for (std::size_t c = 0; c < chunk_score_.size(); ++c) {
+    if (chunk_score_[c] > seed_bound && chunk_score_[c] != kUnknownBound) {
+      seed = c;
+      seed_bound = chunk_score_[c];
     }
-    auto at = top.end();
-    while (at != top.begin() && std::prev(at)->score < score) --at;
-    top.insert(at, BlockScore{b, score});
-    if (top.size() > k) top.pop_back();
-    full = top.size() == k;
-    if (full) {
-      const std::size_t last = top.back().block;
-      const double last_a11 = a11_[last];
-      lim = last_a11 * last_a11 * (1.0 - 1e-9);
-      n_last = last_a11 + static_cast<double>(a10_[last]);
-      // At least 1: a zero-score block cannot enter a full list either.
-      min_a11 = std::max<std::uint32_t>(
-          1, static_cast<std::uint32_t>(std::floor(lim / n_last * (1.0 - 1e-9))));
-    }
+  }
+  scan(seed);
+  // A block turned away in the seed chunk has a higher id than the
+  // blocks scanned next.
+  rej_a11 = 0;
+  rej_a10 = 0;
+  for (std::size_t c = 0; c < chunk_score_.size(); ++c) {
+    if (c != seed && !passed_over(c)) scan(c);
   }
   return top;
 }
 
 void IncrementalSflCounts::merge(const IncrementalSflCounts& other) {
-  if (other.a11_.size() > a11_.size()) {
-    a11_.resize(other.a11_.size(), 0);
-    a10_.resize(other.a10_.size(), 0);
-  }
+  if (!other.a11_.empty()) ensure_span(static_cast<std::uint32_t>(other.a11_.size() - 1));
   for (std::size_t b = 0; b < other.a11_.size(); ++b) {
     const std::uint32_t add = other.a11_[b] + other.a10_[b];
     if (add == 0) continue;
@@ -136,11 +205,13 @@ void IncrementalSflCounts::merge(const IncrementalSflCounts& other) {
   }
   error_steps_ += other.error_steps_;
   pass_steps_ += other.pass_steps_;
+  std::fill(chunk_score_.begin(), chunk_score_.end(), kUnknownBound);
 }
 
 void IncrementalSflCounts::clear() {
   a11_.clear();
   a10_.clear();
+  chunk_score_.clear();
   error_steps_ = 0;
   pass_steps_ = 0;
   touched_ = 0;
@@ -165,6 +236,7 @@ bool IncrementalSflCounts::load(journal::Decoder& in) {
   }
   a11_.resize(span, 0);
   a10_.resize(span, 0);
+  chunk_score_.assign((a11_.size() + kChunk - 1) / kChunk, kUnknownBound);
   for (std::uint32_t b = 0; b < span; ++b) a11_[b] = in.u32();
   for (std::uint32_t b = 0; b < span; ++b) a10_[b] = in.u32();
   error_steps_ = in.u64();

@@ -60,7 +60,11 @@ class IncrementalSflCounts {
   /// descending, block id ascending within a tie. One scan keeps a
   /// sorted list of k and computes a block's score only when it could
   /// enter: since every block shares error_steps, its exact key
-  /// a11^2 / (a11 + a10) rules most blocks out without a sqrt.
+  /// a11^2 / (a11 + a10) rules most blocks out without a sqrt, and a
+  /// stored bound on the scores of each chunk of kChunk ids rules out
+  /// whole chunks without reading their counts. The scan renews the
+  /// bounds of the chunks it reads, so calls on one accumulator must
+  /// not overlap (FleetAggregator calls it under its lock).
   std::vector<BlockScore> top_k(std::size_t k) const;
 
   /// Fold another accumulator in (fleet-wide union over one id space).
@@ -77,10 +81,21 @@ class IncrementalSflCounts {
   bool load(journal::Decoder& in);
 
  private:
+  /// Ids per chunk of the pruned top_k scan.
+  static constexpr std::size_t kChunk = 64;
+
   void ensure_span(std::uint32_t max_block);
 
   std::vector<std::uint32_t> a11_;  ///< Executed-in-error-step, per block.
   std::vector<std::uint32_t> a10_;  ///< Executed-in-pass-step, per block.
+  /// Per chunk, an upper bound on the Ochiai score, as similarity()
+  /// computes it, of each of its blocks; +inf when unknown. Every
+  /// rounded operation of that score is monotone, so a block's score
+  /// rises only in an error step that ran it: a pass step keeps every
+  /// bound, and an error step resets the chunks it ran in to +inf.
+  /// top_k() renews the bound of every chunk it scans; merge() and
+  /// load() reset them all.
+  mutable std::vector<double> chunk_score_;
   std::size_t error_steps_ = 0;
   std::size_t pass_steps_ = 0;
   std::size_t touched_ = 0;

@@ -38,12 +38,10 @@ std::size_t FleetAggregator::ingest_locked(const std::string& slot_name,
   std::uint64_t error_steps = 0;
   for (const ipc::SpectrumStep& step : steps) {
     slot.counts.add(step.blocks, step.error);
-    fleet_.add(step.blocks, step.error);
     block_updates += step.blocks.size();
     if (step.error) ++error_steps;
   }
   ++slot.reports;
-  ++fleet_reports_;
   ++reports_;
   steps_ += steps.size();
 
@@ -59,9 +57,6 @@ std::size_t FleetAggregator::ingest_locked(const std::string& slot_name,
   // reports keeps the cached top-k within the staleness budget.
   if (slot.reports - slot.reports_at_refresh >= config_.refresh_every) {
     if (refresh_slot_locked(slot_name, slot)) ++churn_;
-  }
-  if (fleet_reports_ - fleet_reports_at_refresh_ >= config_.refresh_every) {
-    if (refresh_fleet_locked()) ++churn_;
   }
   return steps.size();
 }
@@ -89,16 +84,6 @@ bool FleetAggregator::refresh_slot_locked(const std::string& name, Slot& slot) {
   return changed;
 }
 
-bool FleetAggregator::refresh_fleet_locked() {
-  std::vector<diagnosis::BlockScore> next = fleet_.top_k(config_.top_k);
-  fleet_reports_at_refresh_ = fleet_reports_;
-  if (refreshes_ctr_ != nullptr) refreshes_ctr_->inc();
-  const bool changed = !same_blocks(next, fleet_top_);
-  fleet_top_ = std::move(next);
-  if (changed && churn_ctr_ != nullptr) churn_ctr_->inc();
-  return changed;
-}
-
 void FleetAggregator::export_health_locked(const std::string& name, Slot& slot) {
   if (metrics_ == nullptr) return;
   if (slot.health_gauge == nullptr) {
@@ -117,13 +102,7 @@ bool FleetAggregator::retire_slot(const std::string& slot_name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = slots_.find(slot_name);
   if (it == slots_.end()) return false;
-  // The fleet view must forget the slot too: re-derive it as the merge
-  // of the survivors (exact, and far cheaper than replaying history).
   slots_.erase(it);
-  fleet_.clear();
-  for (auto& [name, slot] : slots_) fleet_.merge(slot.counts);
-  fleet_top_ = fleet_.top_k(config_.top_k);
-  fleet_reports_at_refresh_ = fleet_reports_;
   if (retired_ctr_ != nullptr) {
     retired_ctr_->inc();
     if (slots_gauge_ != nullptr) slots_gauge_->set(static_cast<double>(slots_.size()));
@@ -155,9 +134,15 @@ std::vector<diagnosis::BlockScore> FleetAggregator::top_suspects(const std::stri
   return it != slots_.end() ? it->second.top : std::vector<diagnosis::BlockScore>{};
 }
 
+diagnosis::IncrementalSflCounts FleetAggregator::fleet_counts_locked() const {
+  diagnosis::IncrementalSflCounts fleet;
+  for (const auto& [name, slot] : slots_) fleet.merge(slot.counts);
+  return fleet;
+}
+
 std::vector<diagnosis::BlockScore> FleetAggregator::fleet_top_suspects() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return fleet_top_;
+  return fleet_counts_locked().top_k(config_.top_k);
 }
 
 std::size_t FleetAggregator::refresh() {
@@ -168,10 +153,6 @@ std::size_t FleetAggregator::refresh() {
       ++churn_;
       ++changed;
     }
-  }
-  if (refresh_fleet_locked()) {
-    ++churn_;
-    ++changed;
   }
   return changed;
 }
@@ -185,7 +166,7 @@ diagnosis::DiagnosisReport FleetAggregator::report(const std::string& slot) cons
 
 diagnosis::DiagnosisReport FleetAggregator::fleet_report() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return fleet_.report();
+  return fleet_counts_locked().report();
 }
 
 std::vector<diagnosis::ComponentScore> FleetAggregator::component_ranking(
@@ -243,9 +224,6 @@ void FleetAggregator::save_state(journal::Encoder& out) const {
   out.u64(reports_);
   out.u64(steps_);
   out.u64(churn_);
-  fleet_.save(out);
-  out.u64(fleet_reports_);
-  out.u64(fleet_reports_at_refresh_);
   out.u32(static_cast<std::uint32_t>(slots_.size()));
   for (const auto& [name, slot] : slots_) {
     out.str(name);
@@ -257,29 +235,25 @@ void FleetAggregator::save_state(journal::Encoder& out) const {
 }
 
 bool FleetAggregator::load_state(journal::Decoder& in, std::uint32_t version) {
-  if (version != 1) return false;
+  // Version 1 also carried a fleet-wide accumulator; its image is not
+  // read as a version 2 one.
+  if (version != 2) return false;
   std::lock_guard<std::mutex> lock(mu_);
   slots_.clear();
-  fleet_.clear();
-  fleet_top_.clear();
   reports_ = in.u64();
   steps_ = in.u64();
   churn_ = in.u64();
-  if (!fleet_.load(in)) return false;
-  fleet_reports_ = in.u64();
-  fleet_reports_at_refresh_ = in.u64();
   const std::uint32_t slot_count = in.u32();
   for (std::uint32_t i = 0; i < slot_count && in.ok(); ++i) {
     const std::string name = in.str();
     Slot& slot = slots_[name];
-    if (!slot.counts.load(in)) return false;
+    if (!slot.counts.load(in)) break;  // load() failed `in`: cleared below
     slot.reports = in.u64();
     slot.reports_at_refresh = in.u64();
     slot.churn = in.u64();
   }
   if (!in.done()) {
     slots_.clear();
-    fleet_.clear();
     return false;
   }
   // Re-derive the cached rankings from the restored counters. This is
@@ -290,7 +264,6 @@ bool FleetAggregator::load_state(journal::Decoder& in, std::uint32_t version) {
     slot.top = slot.counts.top_k(config_.top_k);
     export_health_locked(name, slot);
   }
-  fleet_top_ = fleet_.top_k(config_.top_k);
   if (slots_gauge_ != nullptr) slots_gauge_->set(static_cast<double>(slots_.size()));
   return true;
 }

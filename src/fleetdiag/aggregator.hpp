@@ -2,23 +2,26 @@
 //
 // The hub already sees every SUO's events; this closes the paper's §5
 // observe -> diagnose loop by making it see their *spectra* too. Each
-// kSpectrum report folds into the slot's IncrementalSflCounts in
-// O(blocks touched) — no history rescan — and simultaneously into a
-// fleet-wide accumulator, so both "which block of THIS set is suspect"
-// and "which block is suspect ACROSS the fleet" stay answerable at wire
-// rate (the LOLA unified runtime-verification + model-based diagnosis
-// direction, run at ArVI fleet scale).
+// kSpectrum report folds once, into the slot's IncrementalSflCounts, in
+// O(blocks touched) — no history rescan — so "which block of THIS set is
+// suspect" stays answerable at wire rate (the LOLA unified
+// runtime-verification + model-based diagnosis direction, run at ArVI
+// fleet scale). "Which block is suspect ACROSS the fleet" is answered on
+// demand: fleet_report() and fleet_top_suspects() merge the slots'
+// integer counts when called, which is exact, so no report pays for a
+// fleet-wide fold nothing in the loop reads.
 //
 // Rankings: every slot keeps a cached top-k Ochiai suspect list. A
-// refresh is one scan of the block span that computes a score only for
-// a block that could still enter the list (IncrementalSflCounts::top_k).
-// The cache refreshes every `refresh_every` reports, which bounds both
-// the refresh cost amortized per report and the staleness of a live
-// query. Refreshes that change the top-k sequence increment a churn
-// counter — a fleet whose ranking keeps churning has not converged on a
-// suspect yet, and operators can watch that converge through hub.diag.*
-// metrics. report() always computes fresh and is bit-identical to an
-// offline SflRanker::rank() over the same spectra (the online/offline
+// refresh is one scan of the block span that skips whole chunks of
+// blocks that cannot enter the list and computes a score only for a
+// block that could (IncrementalSflCounts::top_k). The cache refreshes
+// every `refresh_every` reports, which bounds both the refresh cost
+// amortized per report and the staleness of a live query. Refreshes
+// that change a slot's top-k sequence increment a churn counter — a
+// slot whose ranking keeps churning has not converged on a suspect yet,
+// and operators can watch that converge through hub.diag.* metrics.
+// report() always computes fresh and is bit-identical to an offline
+// SflRanker::rank() over the same spectra (the online/offline
 // differential the tests pin).
 //
 // Slot lifecycle mirrors the hub's: state persists across reconnects of
@@ -45,10 +48,11 @@
 namespace trader::fleetdiag {
 
 struct AggregatorConfig {
-  /// Suspects kept per cached ranking (slot and fleet level).
+  /// Suspects kept per ranking (slot and fleet level).
   std::size_t top_k = 10;
-  /// Recompute cached top-k rankings every N ingested reports; a live
-  /// query is therefore at most N-1 reports stale. 1 = always fresh.
+  /// Recompute a slot's cached top-k ranking every N of its reports; a
+  /// live query is therefore at most N-1 reports stale. 1 = always
+  /// fresh.
   std::size_t refresh_every = 1;
 };
 
@@ -75,7 +79,7 @@ class FleetAggregator : public journal::Checkpointable {
   explicit FleetAggregator(AggregatorConfig config = {},
                            runtime::MetricsRegistry* metrics = nullptr);
 
-  /// Fold one decoded kSpectrum frame into `slot` (and the fleet).
+  /// Fold one decoded kSpectrum frame into `slot`.
   /// Returns the number of steps accounted. Non-spectrum frames are
   /// ignored (0). Creates the slot on first sight.
   std::size_t ingest(const std::string& slot, const ipc::Frame& frame);
@@ -83,9 +87,9 @@ class FleetAggregator : public journal::Checkpointable {
   /// Frameless entry point for in-process producers / tests.
   std::size_t ingest(const std::string& slot, const std::vector<ipc::SpectrumStep>& steps);
 
-  /// Drop a slot's spectra from the per-slot map AND the fleet-wide
-  /// accumulator (the hub calls this when a slot is permanently failed).
-  /// Returns false when the slot was unknown.
+  /// Drop a slot's spectra, which also drops them from the fleet view
+  /// (the hub calls this when a slot is permanently failed). Returns
+  /// false when the slot was unknown.
   bool retire_slot(const std::string& slot);
 
   std::size_t slot_count() const;
@@ -95,13 +99,17 @@ class FleetAggregator : public journal::Checkpointable {
   /// Cached top-k suspects (refreshed every refresh_every reports; call
   /// refresh() to force). Empty for unknown slots.
   std::vector<diagnosis::BlockScore> top_suspects(const std::string& slot) const;
+  /// Top-k suspects over every slot's spectra, merged when called (the
+  /// first top_k entries of fleet_report()).
   std::vector<diagnosis::BlockScore> fleet_top_suspects() const;
 
-  /// Recompute every cached ranking now (returns rankings that changed).
+  /// Recompute every slot's cached ranking now (returns rankings that
+  /// changed).
   std::size_t refresh();
 
   /// Fresh full ranking — bit-identical to SflRanker::rank() over the
-  /// same spectra (the online/offline equivalence surface).
+  /// same spectra (the online/offline equivalence surface). The fleet
+  /// report ranks the merge of every slot's spectra.
   diagnosis::DiagnosisReport report(const std::string& slot) const;
   diagnosis::DiagnosisReport fleet_report() const;
 
@@ -119,16 +127,17 @@ class FleetAggregator : public journal::Checkpointable {
   // was supplied).
   std::uint64_t reports_ingested() const;
   std::uint64_t steps_ingested() const;
+  /// Slot refreshes that changed a cached top-k, summed over slots.
   std::uint64_t ranking_churn() const;
 
   const AggregatorConfig& config() const { return config_; }
 
   // Checkpointable (the durable hub snapshots the whole aggregator:
-  // every slot's counters + the fleet accumulator + churn/lifetime
-  // stats; cached top-k rankings are re-derived on load without
-  // counting as churn). Config is not persisted.
+  // every slot's counters + churn/lifetime stats; cached top-k rankings
+  // are re-derived on load without counting as churn). Config is not
+  // persisted; a version 1 image fails to load.
   std::string checkpoint_name() const override { return "fleetdiag"; }
-  std::uint32_t checkpoint_version() const override { return 1; }
+  std::uint32_t checkpoint_version() const override { return 2; }
   void save_state(journal::Encoder& out) const override;
   bool load_state(journal::Decoder& in, std::uint32_t version) override;
 
@@ -147,7 +156,7 @@ class FleetAggregator : public journal::Checkpointable {
                             const std::vector<ipc::SpectrumStep>& steps);
   /// Refresh one cached ranking; returns true when the top-k changed.
   bool refresh_slot_locked(const std::string& name, Slot& slot);
-  bool refresh_fleet_locked();
+  diagnosis::IncrementalSflCounts fleet_counts_locked() const;
   void export_health_locked(const std::string& name, Slot& slot);
   static bool same_blocks(const std::vector<diagnosis::BlockScore>& a,
                           const std::vector<diagnosis::BlockScore>& b);
@@ -155,10 +164,6 @@ class FleetAggregator : public journal::Checkpointable {
   AggregatorConfig config_;
   mutable std::mutex mu_;
   std::map<std::string, Slot> slots_;
-  diagnosis::IncrementalSflCounts fleet_;
-  std::uint64_t fleet_reports_ = 0;
-  std::uint64_t fleet_reports_at_refresh_ = 0;
-  std::vector<diagnosis::BlockScore> fleet_top_;
   std::uint64_t reports_ = 0;
   std::uint64_t steps_ = 0;
   std::uint64_t churn_ = 0;

@@ -291,14 +291,16 @@ bool read_spectra(Reader& r, Frame& out) {
     if (r.fail || !r.need(std::size_t{executed} * 4)) return false;
     step.blocks.resize(executed);
     const std::uint8_t* ids = r.p + r.pos;
-    std::uint32_t prev = 0;
-    for (std::uint32_t i = 0; i < executed; ++i) {
-      const std::uint32_t b = load_u32(ids + 4 * std::size_t{i});
-      if (b >= out.block_count) return false;
-      if (i > 0 && b <= prev) return false;  // strictly ascending
-      prev = b;
-      step.blocks[i] = b;
+    std::uint32_t* blocks = step.blocks.data();
+    for (std::uint32_t i = 0; i < executed; ++i) blocks[i] = load_u32(ids + 4 * std::size_t{i});
+    // Copy first, then check in one branch-free pass (both loops
+    // vectorize): ids strictly ascending, so all are inside the universe
+    // when the last one is.
+    std::uint32_t disorder = 0;
+    for (std::uint32_t i = 1; i < executed; ++i) {
+      disorder |= static_cast<std::uint32_t>(blocks[i] <= blocks[i - 1]);
     }
+    if (disorder != 0 || (executed > 0 && blocks[executed - 1] >= out.block_count)) return false;
     r.pos += std::size_t{executed} * 4;
     out.spectra.push_back(std::move(step));
   }

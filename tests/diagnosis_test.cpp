@@ -482,7 +482,8 @@ CountPairs tied_counts(rt::Rng& rng, std::uint32_t error_steps, std::uint32_t pa
       if (pair.first <= error_steps && pair.second <= pass_steps) return pair;
     }
   };
-  const auto span = static_cast<std::size_t>(rng.uniform_int(1, 80));
+  // Up to a few 64-id chunks of top_k's pruned scan, with tails.
+  const auto span = static_cast<std::size_t>(rng.uniform_int(1, 200));
   const std::int64_t mode = rng.uniform_int(0, 2);
   CountPairs counts;
   while (counts.size() < span) {
@@ -525,6 +526,68 @@ TEST(Incremental, TopKMatchesFullReportPrefix) {
       ASSERT_TRUE(top_k_is_report_prefix(sweep, k)) << "accumulator " << i;
     }
   }
+
+  // One accumulator ranked after every step, so each call starts from
+  // the chunk bounds the last one left: error bursts, long pass-only
+  // runs (bounds that only went stale), ids beyond the current span,
+  // then load(), merge() and clear(). Steps run contiguous id ranges,
+  // as a feature's handler does, so runs of equal counts cross chunk
+  // boundaries, plus a sparse sprinkle of single ids.
+  rt::Rng live_rng(74);
+  const auto spectrum = [&](std::uint32_t span) {
+    std::vector<bool> hit(span, false);
+    for (int r = 0; r < 3; ++r) {
+      const auto from = static_cast<std::uint32_t>(live_rng.uniform_int(0, span - 1));
+      const auto len = static_cast<std::uint32_t>(live_rng.uniform_int(1, 150));
+      for (std::uint32_t b = from; b < span && b < from + len; ++b) hit[b] = true;
+    }
+    for (std::uint32_t b = 0; b < span; ++b) {
+      if (live_rng.bernoulli(0.05)) hit[b] = true;
+    }
+    std::vector<std::uint32_t> ids;
+    for (std::uint32_t b = 0; b < span; ++b) {
+      if (hit[b]) ids.push_back(b);
+    }
+    return ids;
+  };
+  const auto run = [&](diag::IncrementalSflCounts& acc, int steps, double error_rate,
+                       std::uint32_t span, const char* phase) {
+    for (int s = 0; s < steps; ++s) {
+      acc.add(spectrum(span), live_rng.bernoulli(error_rate));
+      for (const std::size_t k : {1u, 10u, 64u, 65u, 300u}) {
+        ASSERT_TRUE(top_k_is_report_prefix(acc, k)) << phase << " step " << s;
+      }
+    }
+  };
+  diag::IncrementalSflCounts live;
+  run(live, 30, 0.3, 150, "mixed");
+  run(live, 80, 0.0, 300, "pass-only, span grows past the old one");
+  run(live, 10, 1.0, 400, "error burst, span grows");
+  run(live, 80, 0.0, 400, "pass-only after the burst");
+
+  trader::journal::Encoder enc;
+  live.save(enc);
+  diag::IncrementalSflCounts restored;
+  trader::journal::Decoder dec(enc.buffer());
+  ASSERT_TRUE(restored.load(dec));
+  for (const std::size_t k : {1u, 10u, 64u, 65u, 300u}) {
+    ASSERT_TRUE(top_k_is_report_prefix(restored, k)) << "after load()";
+  }
+  run(restored, 20, 0.0, 400, "pass-only after load()");
+
+  diag::IncrementalSflCounts other;
+  run(other, 20, 0.5, 700, "second stream");
+  live.merge(other);
+  for (const std::size_t k : {1u, 10u, 64u, 65u, 300u}) {
+    ASSERT_TRUE(top_k_is_report_prefix(live, k)) << "after merge()";
+  }
+  run(live, 40, 0.0, 700, "pass-only after merge()");
+  run(live, 10, 0.5, 700, "mixed after merge()");
+
+  live.clear();
+  EXPECT_TRUE(live.top_k(10).empty());
+  run(live, 20, 0.0, 100, "pass-only after clear()");
+  run(live, 20, 0.4, 250, "mixed after clear()");
 }
 
 TEST(Incremental, TopKMatchesReportPrefixOnSyntheticProgram) {
@@ -543,10 +606,8 @@ TEST(Incremental, TopKMatchesReportPrefixOnSyntheticProgram) {
     std::sort(ids.begin(), ids.end());
     cov.end_step();
     acc.add(ids, error);
-    if (step % 8 == 7) {
-      for (const std::size_t k : {1u, 10u, 100u}) {
-        ASSERT_TRUE(top_k_is_report_prefix(acc, k)) << "step " << step;
-      }
+    for (const std::size_t k : {1u, 10u, 100u}) {
+      ASSERT_TRUE(top_k_is_report_prefix(acc, k)) << "step " << step;
     }
   }
   EXPECT_GT(acc.error_steps(), 0u);

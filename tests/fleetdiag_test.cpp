@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "diagnosis/synthetic_program.hpp"
 #include "fleetdiag/aggregator.hpp"
 #include "fleetdiag/reporter.hpp"
+#include "frame_reseal.hpp"
 #include "fuzz_findings.hpp"
 #include "gtest/gtest.h"
 #include "hub/agent.hpp"
@@ -41,6 +43,8 @@ namespace obs = trader::observation;
 namespace tk = trader::testkit;
 
 namespace {
+
+using ipc::reseal;
 
 template <typename Pred>
 bool pump_until(hub::AwarenessHub& awareness_hub, Pred done) {
@@ -236,6 +240,68 @@ TEST(FleetDiagAggregator, OnlineMatchesOfflineAfterEveryPrefix) {
   if (agg.health("tv0").error_steps > 0) {
     EXPECT_LE(report.rank_of(program.fault_block()), 5u);
   }
+}
+
+TEST(FleetDiagAggregator, FleetViewMatchesOfflineOverAllSlotsAtEveryPrefix) {
+  // The fleet view is merged from the slots when asked: after every
+  // report of a three-slot stream, fleet_report() must be bit-identical
+  // to an offline SflRanker over every slot's spectra, with
+  // fleet_top_suspects() its prefix -- and again once a slot retires.
+  constexpr std::size_t kTop = 7;
+  const std::vector<std::string> names = {"s0", "s1", "s2"};
+  std::vector<diag::SyntheticProgram> programs;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    diag::SyntheticProgramConfig cfg;
+    cfg.total_blocks = 300;
+    cfg.feature_count = 3;
+    cfg.seed = 100 + i;
+    programs.emplace_back(cfg);
+    programs.back().set_fault_in_feature(i);
+  }
+  fd::FleetAggregator agg(fd::AggregatorConfig{kTop, 1});
+  std::map<std::string, std::vector<ipc::SpectrumStep>> sent;
+
+  const auto check = [&](const std::string& what) {
+    obs::BlockCoverageRecorder coverage(300);
+    std::vector<bool> errors;
+    for (const auto& [name, steps] : sent) {
+      for (const ipc::SpectrumStep& step : steps) {
+        for (const std::uint32_t b : step.blocks) coverage.hit(b);
+        coverage.end_step();
+        errors.push_back(step.error);
+      }
+    }
+    const auto offline = diag::SflRanker().rank(coverage, errors, diag::Coefficient::kOchiai);
+    expect_reports_equal(agg.fleet_report(), offline, what);
+    const auto top = agg.fleet_top_suspects();
+    ASSERT_EQ(top.size(), std::min(kTop, offline.ranking.size())) << what;
+    for (std::size_t i = 0; i < top.size(); ++i) {
+      ASSERT_EQ(top[i].block, offline.ranking[i].block) << what << " rank " << i;
+      ASSERT_EQ(top[i].score, offline.ranking[i].score) << what << " rank " << i;
+    }
+  };
+  const auto stream = [&](std::size_t reports, const std::vector<std::size_t>& live) {
+    for (std::size_t r = 0; r < reports; ++r) {
+      const std::size_t i = live[r % live.size()];
+      obs::BlockCoverageRecorder coverage(300);
+      const bool err = programs[i].run_step(r / live.size() % 3, coverage);
+      std::vector<std::uint32_t> blocks(coverage.current_touched().begin(),
+                                        coverage.current_touched().end());
+      std::sort(blocks.begin(), blocks.end());
+      const ipc::SpectrumStep step{err, blocks};
+      agg.ingest(names[i], {step});
+      sent[names[i]].push_back(step);
+      check(names[i] + " report " + std::to_string(sent[names[i]].size()));
+    }
+  };
+
+  stream(36, {0, 1, 2});
+  ASSERT_GT(agg.health("s1").error_steps, 0u);
+  ASSERT_LT(agg.health("s1").error_steps, agg.health("s1").steps);
+  ASSERT_TRUE(agg.retire_slot("s1"));
+  sent.erase("s1");
+  check("after retiring s1");
+  stream(12, {0, 2});
 }
 
 TEST(FleetDiagAggregator, CachedTopKStalenessBoundedByRefreshEvery) {
@@ -440,6 +506,92 @@ TEST(FleetDiagHubLifecycle, PermanentSlotFailureRetiresDiagState) {
   EXPECT_FALSE(awareness_hub.diagnosis().has_slot("tv0"))
       << "a permanently failed slot frees its aggregator state";
   EXPECT_EQ(awareness_hub.diagnosis().slot_count(), 0u);
+  awareness_hub.stop();
+}
+
+TEST(FleetDiagHubLifecycle, CorruptLaterStepFoldsNothingAndClosesTheLink) {
+  // A kSpectrum frame whose first step is clean but whose second step
+  // carries a bad id (checksum re-sealed, so the structure is what
+  // fails) must not fold its first step: the decoder rejects the whole
+  // frame and the hub drops the link as a protocol error.
+  hub::HubConfig config;
+  config.probe_liveness = false;
+  config.supervisor.backoff_initial_ms = 1;  // each reconnect waits ~1 ms
+  config.supervisor.backoff_max_ms = 1;
+  hub::AwarenessHub awareness_hub(config);
+  awareness_hub.add_slot("tv0");
+  ASSERT_TRUE(awareness_hub.start());
+
+  ipc::Frame good;
+  good.type = ipc::FrameType::kSpectrum;
+  good.block_count = 20;
+  good.spectra.push_back({true, {1, 2}});
+  good.spectra.push_back({false, {2, 3}});
+  {
+    hub::SuoLink sock;
+    ASSERT_EQ(sock.claim(awareness_hub.path(), "tv0", &awareness_hub), ipc::FrameType::kHelloAck);
+    ASSERT_TRUE(sock.socket().send(good));
+    ASSERT_TRUE(pump_until(awareness_hub, [&] {
+      return awareness_hub.diagnosis().steps_ingested() == 2;
+    }));
+    sock.socket().close();
+    ASSERT_TRUE(
+        pump_until(awareness_hub, [&] { return awareness_hub.connection_count() == 0; }));
+  }
+  const auto reports = awareness_hub.metrics().counter("hub.diag.reports");
+  const auto health = awareness_hub.diagnosis().health("tv0");
+  ASSERT_EQ(reports, 1u);
+
+  ipc::Frame bad;
+  bad.type = ipc::FrameType::kSpectrum;
+  bad.block_count = 20;
+  bad.spectra.push_back({true, {0, 4, 9}});
+  bad.spectra.push_back({false, {2, 5, 8, 11, 19}});
+  const auto clean = ipc::encode_frame(bad);
+  ASSERT_FALSE(clean.empty());
+  const std::size_t ids1 = 8 + (1 + 4 + 3 * 4) + (1 + 4);  // step 1's first id
+  struct Case {
+    std::size_t at;
+    std::uint32_t value;
+    const char* what;
+  };
+  const std::vector<Case> cases = {
+      {0, 20, "out of range, first"}, {2, 5, "duplicate, middle"}, {4, 10, "descending, last"}};
+  for (const Case& c : cases) {
+    auto bytes = clean;
+    for (std::size_t i = 0; i < 4; ++i) {
+      bytes[ipc::kHeaderSize + ids1 + 4 * c.at + i] = static_cast<std::uint8_t>(c.value >> (8 * i));
+    }
+    bytes = reseal(std::move(bytes));
+    const auto decode_errors = awareness_hub.metrics().counter("hub.decode_errors");
+
+    // A protocol error is a crash to the supervisor: the next claim
+    // may land inside its backoff window and be refused.
+    hub::SuoLink sock;
+    ASSERT_TRUE(pump_until(awareness_hub, [&] {
+      return sock.claim(awareness_hub.path(), "tv0", &awareness_hub) == ipc::FrameType::kHelloAck;
+    })) << c.what;
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      std::size_t n = 0;
+      ASSERT_EQ(ipc::write_some(sock.socket().fd(), bytes.data() + sent, bytes.size() - sent, n),
+                ipc::IoStatus::kOk)
+          << c.what;
+      sent += n;
+    }
+    ASSERT_TRUE(pump_until(awareness_hub, [&] { return awareness_hub.connection_count() == 0; }))
+        << c.what;
+    EXPECT_EQ(awareness_hub.metrics().counter("hub.decode_errors"), decode_errors + 1) << c.what;
+    EXPECT_EQ(awareness_hub.metrics().counter("hub.diag.reports"), reports) << c.what;
+    const auto after = awareness_hub.diagnosis().health("tv0");
+    EXPECT_EQ(after.reports, health.reports) << c.what;
+    EXPECT_EQ(after.steps, health.steps) << c.what;
+    EXPECT_EQ(after.error_steps, health.error_steps) << c.what;
+    EXPECT_EQ(after.touched_blocks, health.touched_blocks) << c.what;
+    EXPECT_EQ(after.top_block, health.top_block) << c.what;
+    EXPECT_EQ(after.top_score, health.top_score) << c.what;
+    EXPECT_EQ(after.churn, health.churn) << c.what;
+  }
   awareness_hub.stop();
 }
 

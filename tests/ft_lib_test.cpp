@@ -59,7 +59,7 @@ TEST(Fallback, DegradesWhenPrimaryFails) {
   rec::FallbackChain chain;
   bool hd_ok = false;
   chain.add_level("hd", [&]() -> std::optional<rt::Value> {
-    if (hd_ok) return rt::Value{std::int64_t{1080}};
+    if (hd_ok) return std::int64_t{1080};
     return std::nullopt;
   });
   chain.add_level("sd", [] { return std::optional<rt::Value>(std::int64_t{576}); });
@@ -85,7 +85,8 @@ TEST(Fallback, OutageWhenAllFail) {
 // -------------------------------------------------------------- SafeStateGuard
 
 TEST(SafeGuard, AcceptsValidUpdates) {
-  rec::SafeStateGuard guard(rt::Value{std::int64_t{30}}, [](const rt::Value& v) {
+  const rt::Value initial = std::int64_t{30};
+  rec::SafeStateGuard guard(initial, [](const rt::Value& v) {
     const auto* i = std::get_if<std::int64_t>(&v);
     return i != nullptr && *i >= 0 && *i <= 100;
   });
@@ -95,7 +96,8 @@ TEST(SafeGuard, AcceptsValidUpdates) {
 }
 
 TEST(SafeGuard, RejectsCorruptUpdatesKeepingLastGood) {
-  rec::SafeStateGuard guard(rt::Value{std::int64_t{30}}, [](const rt::Value& v) {
+  const rt::Value initial = std::int64_t{30};
+  rec::SafeStateGuard guard(initial, [](const rt::Value& v) {
     const auto* i = std::get_if<std::int64_t>(&v);
     return i != nullptr && *i >= 0 && *i <= 100;
   });
@@ -153,15 +155,15 @@ TEST(Fallback, RepeatedExhaustionCountsEveryOutageAndHealsDeepestFirst) {
   rec::FallbackChain chain;
   bool hd = true, sd = true, audio = true;
   chain.add_level("hd", [&]() -> std::optional<rt::Value> {
-    if (hd) return rt::Value{std::int64_t{1080}};
+    if (hd) return std::int64_t{1080};
     return std::nullopt;
   });
   chain.add_level("sd", [&]() -> std::optional<rt::Value> {
-    if (sd) return rt::Value{std::int64_t{576}};
+    if (sd) return std::int64_t{576};
     return std::nullopt;
   });
   chain.add_level("audio-only", [&]() -> std::optional<rt::Value> {
-    if (audio) return rt::Value{std::int64_t{0}};
+    if (audio) return std::int64_t{0};
     return std::nullopt;
   });
 
@@ -201,7 +203,8 @@ TEST(SafeGuard, ReentryAfterFailedRecoveryKeepsLastGoodUntilAValidWrite) {
   // restarted component comes back wrong and keeps writing garbage.
   // The guard must hold the last-good value through the whole failed
   // episode and accept the first valid write of the successful retry.
-  rec::SafeStateGuard guard(rt::Value{std::int64_t{12}}, [](const rt::Value& v) {
+  const rt::Value initial = std::int64_t{12};
+  rec::SafeStateGuard guard(initial, [](const rt::Value& v) {
     const auto* i = std::get_if<std::int64_t>(&v);
     return i != nullptr && *i >= 0 && *i <= 100;
   });

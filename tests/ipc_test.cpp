@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "frame_reseal.hpp"
 #include "gtest/gtest.h"
 #include "ipc/supervisor.hpp"
 #include "ipc/transport.hpp"
@@ -24,18 +25,7 @@ namespace {
 
 // ------------------------------------------------------------------ helpers
 
-/// Re-seal a hand-edited encoding: fix the payload length the header
-/// announces (offset 20) and the payload checksum (offset 24), so the
-/// decoder judges the edited structure rather than the integrity check.
-std::vector<std::uint8_t> reseal(std::vector<std::uint8_t> bytes) {
-  const auto len = static_cast<std::uint32_t>(bytes.size() - ipc::kHeaderSize);
-  const std::uint32_t sum = ipc::crc32c(bytes.data() + ipc::kHeaderSize, len);
-  for (int i = 0; i < 4; ++i) {
-    bytes[20 + i] = static_cast<std::uint8_t>(len >> (8 * i));
-    bytes[24 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
-  }
-  return bytes;
-}
+using ipc::reseal;
 
 std::vector<ipc::Frame> sample_frames() {
   std::vector<ipc::Frame> frames;
@@ -432,6 +422,66 @@ TEST(IpcWire, MalformedSpectrumPayloadFailsClosed) {
   EXPECT_EQ(out.block_count, 10u);
   ASSERT_EQ(out.spectra.size(), 1u);
   EXPECT_TRUE(out.spectra[0].error);
+}
+
+TEST(IpcWire, BadIdAnywhereInALaterStepFailsClosed) {
+  // A two-step spectrum whose first step is clean: an out-of-range, a
+  // duplicate or a descending id at the first, a middle or the last
+  // position of the *second* step must still fail the whole frame, so
+  // no step of it ever reaches a ranking.
+  ipc::Frame f;
+  f.type = ipc::FrameType::kSpectrum;
+  f.block_count = 20;
+  f.spectra.push_back({true, {0, 4, 9}});
+  f.spectra.push_back({false, {2, 5, 8, 11, 19}});
+  const auto clean = ipc::encode_frame(f);
+  ASSERT_FALSE(clean.empty());
+  // Payload offsets: 8 bytes of universe and step count, then step 0
+  // (1 error byte + 4 count bytes + 3 ids), then step 1's error byte and
+  // count, then its ids.
+  const std::size_t ids1 = 8 + (1 + 4 + 3 * 4) + (1 + 4);
+  const std::vector<std::uint32_t> ids = f.spectra[1].blocks;
+  const auto with_id = [&](std::size_t at, std::uint32_t value) {
+    auto bytes = clean;
+    for (std::size_t i = 0; i < 4; ++i) {
+      bytes[ipc::kHeaderSize + ids1 + 4 * at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+    }
+    return reseal(std::move(bytes));
+  };
+  struct Case {
+    std::size_t at;
+    std::uint32_t value;
+    const char* what;
+  };
+  const std::size_t last = ids.size() - 1;
+  const std::vector<Case> cases = {
+      {0, 20, "out of range, first"},
+      {2, 20, "out of range, middle"},
+      {last, 20, "out of range, last"},
+      {last, 0xffffffffu, "out of range (max u32), last"},
+      {0, ids[1], "duplicate, first"},
+      {2, ids[1], "duplicate, middle"},
+      {last, ids[last - 1], "duplicate, last"},
+      {0, ids[1] + 1, "descending, first"},
+      {2, ids[1] - 1, "descending, middle"},
+      {last, ids[last - 1] - 1, "descending, last"},
+  };
+  for (const Case& c : cases) {
+    const auto bytes = with_id(c.at, c.value);
+    ipc::FrameDecoder decoder;
+    decoder.feed(bytes.data(), bytes.size());
+    ipc::Frame out;
+    EXPECT_EQ(decoder.next(out), ipc::DecodeStatus::kMalformed) << c.what;
+    EXPECT_TRUE(decoder.poisoned()) << c.what;
+  }
+
+  // The unedited frame decodes to both steps.
+  ipc::FrameDecoder decoder;
+  decoder.feed(clean.data(), clean.size());
+  ipc::Frame out;
+  ASSERT_EQ(decoder.next(out), ipc::DecodeStatus::kOk);
+  ASSERT_EQ(out.spectra.size(), 2u);
+  EXPECT_EQ(out.spectra[1].blocks, ids);
 }
 
 TEST(IpcWire, MalformedRecoverPayloadFailsClosed) {

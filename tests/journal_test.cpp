@@ -599,6 +599,52 @@ TEST(CheckpointState, AggregatorRoundTripKeepsRankingsAndChurnHistory) {
   EXPECT_FALSE(v2.load_state(dec2, 999));
 }
 
+TEST(CheckpointState, AggregatorVersion1ImageFailsClosed) {
+  // Version 1 of the "fleetdiag" part also carried a fleet-wide
+  // accumulator and its refresh stamps. Written as that version used to
+  // write it, the image must be refused, not read as today's layout.
+  struct AggregatorV1 : jn::Checkpointable {
+    diag::IncrementalSflCounts counts;
+    std::string checkpoint_name() const override { return "fleetdiag"; }
+    std::uint32_t checkpoint_version() const override { return 1; }
+    void save_state(jn::Encoder& out) const override {
+      out.u64(1);         // reports
+      out.u64(2);         // steps
+      out.u64(1);         // churn
+      counts.save(out);   // the fleet accumulator
+      out.u64(1);         // fleet reports
+      out.u64(1);         // fleet reports at the last refresh
+      out.u32(1);         // one slot
+      out.str("s0");
+      counts.save(out);
+      out.u64(1);         // slot reports
+      out.u64(1);         // slot reports at the last refresh
+      out.u64(1);         // slot churn
+    }
+    bool load_state(jn::Decoder&, std::uint32_t) override { return false; }
+  };
+  AggregatorV1 old;
+  old.counts.add({5}, true);
+  old.counts.add({6}, false);
+
+  jn::Encoder enc;
+  old.save_state(enc);
+  fd::FleetAggregator agg(fd::AggregatorConfig{10, 1});
+  jn::Decoder dec(enc.buffer());
+  EXPECT_FALSE(agg.load_state(dec, 1));
+  EXPECT_EQ(agg.slot_count(), 0u);
+
+  TempDir dir;
+  jn::CheckpointStore store(dir.path, 2);
+  std::string err;
+  ASSERT_TRUE(store.write(7, {&old}, &err)) << err;
+  fd::FleetAggregator from_disk(fd::AggregatorConfig{10, 1});
+  std::uint64_t seq = 0;
+  EXPECT_FALSE(store.load_latest({&from_disk}, &seq, &err));
+  EXPECT_EQ(from_disk.slot_count(), 0u);
+  EXPECT_EQ(from_disk.reports_ingested(), 0u);
+}
+
 TEST(CheckpointState, OrchestratorRoundTripContinuesLadderIdentically) {
   // Drive a live orchestrator mid-ladder, snapshot it, restore into a
   // fresh instance, then continue BOTH with identical input: actions
