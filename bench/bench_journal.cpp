@@ -117,7 +117,7 @@ struct NullSink : jn::ReplaySink {
   std::uint64_t frames = 0;
   void replay_frame(const std::string&, const ipc::Frame&) override { ++frames; }
   void replay_slot_up(const std::string&, std::uint8_t) override {}
-  void replay_slot_down(const std::string&, bool) override {}
+  void replay_slot_down(const std::string&, bool, bool) override {}
   void replay_tick(rt::SimTime) override {}
 };
 

@@ -254,19 +254,17 @@ cmake --build build-asan -j "$JOBS" --target exec_test
 cmake --build build-tsan -j "$JOBS" --target exec_test
 ./build-tsan/tests/exec_test \
   --gtest_filter='BatchExecutor.SharedProgramAcrossThreadsIsRaceFree'
-# The report() of every bench but one under ASan (the empty filter
-# skips the microbenchmarks). They run
-# inside build-asan so their BENCH_*.json stay out of the repo root.
-# bench_recovery_hub stays out while it can hang on the hub's recovery
-# deadlock (ROADMAP).
+# The report() of every bench under ASan (the empty filter skips the
+# microbenchmarks). They run inside build-asan so their BENCH_*.json
+# stay out of the repo root.
 cmake --build build-asan -j "$JOBS" --target bench_exec bench_awareness bench_scale \
   bench_printer bench_mediaplayer bench_detection bench_ipc bench_hub bench_diag_hub \
-  bench_diagnosis bench_stress bench_loadbalance bench_recovery bench_fuzz bench_journal \
-  bench_perception bench_priowarn
+  bench_diagnosis bench_stress bench_loadbalance bench_recovery bench_recovery_hub \
+  bench_fuzz bench_journal bench_perception bench_priowarn
 for bench in bench_exec bench_awareness bench_scale bench_printer bench_mediaplayer \
   bench_detection bench_ipc bench_hub bench_diag_hub bench_diagnosis bench_stress \
-  bench_loadbalance bench_recovery bench_fuzz bench_journal bench_perception \
-  bench_priowarn; do
+  bench_loadbalance bench_recovery bench_recovery_hub bench_fuzz bench_journal \
+  bench_perception bench_priowarn; do
   (cd build-asan && "./bench/$bench" --benchmark_filter='^$' >/dev/null)
 done
 cmake --build build -j "$JOBS" --target bench_exec

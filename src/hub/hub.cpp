@@ -30,7 +30,14 @@ AwarenessHub::AwarenessHub(HubConfig config)
       diag_(config_.diag, &metrics_),
       recovery_(config_.recovery, diag_, &metrics_) {
   if (config_.path.empty()) config_.path = auto_path();
-  install_live_send();
+  // Replayed ticks drop their frames here: no slot has a connection.
+  recovery_.set_send([this](const std::string& name, const ipc::Frame& f) {
+    auto it = slots_.find(name);
+    if (it == slots_.end() || it->second->conn == nullptr) return;
+    ipc::Frame out = f;
+    out.seq = ++it->second->seq;
+    it->second->conn->send(out);  // a failed send closes the link: slot_down
+  });
   if (config_.journal.enabled) {
     journal_ = std::make_unique<journal::HubJournal>(config_.journal, &metrics_);
   }
@@ -80,16 +87,6 @@ core::AwarenessMonitor& AwarenessHub::add_monitor(const std::string& slot,
                                                   core::MonitorBuilder builder) {
   add_slot(slot);
   return fleet_.add_monitor(aspect, std::move(builder));
-}
-
-void AwarenessHub::install_live_send() {
-  recovery_.set_send([this](const std::string& name, const ipc::Frame& f) {
-    auto it = slots_.find(name);
-    if (it == slots_.end() || it->second->conn == nullptr) return false;
-    ipc::Frame out = f;
-    out.seq = ++it->second->seq;
-    return it->second->conn->send(out);
-  });
 }
 
 bool AwarenessHub::start() {
@@ -320,10 +317,7 @@ void AwarenessHub::handle_hello(Peer* peer, const ipc::Frame& f) {
   slot.probe_outstanding = false;
   slot.acked_since_probe = true;
   slot.up_since_ns = EventLoop::now_ns();
-  slot.negotiated_version = version;
-  slot.supervisor.on_connected();
-  slot.gate->store(true, std::memory_order_relaxed);
-  recovery_.slot_up(slot.name, version);
+  apply_slot_up(slot, version);
   accepted_->inc();
   trace(runtime::TraceLevel::kInfo, "slot up: " + slot.name);
 }
@@ -413,11 +407,18 @@ void AwarenessHub::on_close(Peer* peer, CloseReason reason) {
   connections_gauge_->set(static_cast<double>(connections_.size()));
 }
 
+void AwarenessHub::apply_slot_up(Slot& slot, std::uint8_t version) {
+  slot.supervisor.on_connected();
+  slot.gate->store(true, std::memory_order_relaxed);
+  recovery_.slot_up(slot.name, version);
+}
+
 void AwarenessHub::slot_down(Slot& slot, bool orderly) {
-  if (journal_ != nullptr) journal_->append_slot_down(slot.name, orderly, fleet_.now());
-  const bool was_up = slot.gate->exchange(false, std::memory_order_relaxed);
+  const bool was_up = slot.gate->load(std::memory_order_relaxed);
   // The supervisor counts the same outages as hub.outages: none for a
-  // goodbye or the hub's own teardown.
+  // goodbye or the hub's own teardown. It goes down here, ahead of the
+  // journal record, because the backoff charges below decide whether
+  // the slot has failed for good, and the record carries that verdict.
   slot.supervisor.on_disconnected(orderly);
   // Crash-loop accounting. The supervisor resets its attempt counter on
   // every successful connect, so left alone the "first attempt is free"
@@ -441,16 +442,9 @@ void AwarenessHub::slot_down(Slot& slot, bool orderly) {
   }
   slot.earliest_reconnect_ns =
       backoff_ms > 0 ? EventLoop::now_ns() + backoff_ms * 1'000'000 : 0;
-  slot.negotiated_version = 0;
-  recovery_.slot_down(slot.name);
-  // Diagnosis state persists across ordinary outages (the reconnecting
-  // SUO keeps accumulating into the same spectra), but a permanently
-  // failed slot will never report again — free its aggregator state
-  // and its escalation-ladder state with it.
-  if (slot.supervisor.exhausted()) {
-    diag_.retire_slot(slot.name);
-    recovery_.retire_slot(slot.name);
-  }
+  const bool failed = slot.supervisor.exhausted();
+  if (journal_ != nullptr) journal_->append_slot_down(slot.name, orderly, failed, fleet_.now());
+  apply_slot_down(slot, orderly, failed);
   if (!was_up || orderly) return;
 
   // Exactly one outage report per up->down transition; while the link
@@ -468,38 +462,36 @@ void AwarenessHub::slot_down(Slot& slot, bool orderly) {
   if (notify_ != nullptr) notify_->on_error(report);
 }
 
+void AwarenessHub::apply_slot_down(Slot& slot, bool orderly, bool failed) {
+  slot.gate->store(false, std::memory_order_relaxed);
+  // The live slot_down() has taken the supervisor down already to charge
+  // its backoff; replay and the restart sweep take it down here.
+  if (slot.supervisor.up()) slot.supervisor.on_disconnected(orderly);
+  if (failed) slot.supervisor.give_up();
+  recovery_.slot_down(slot.name);
+  // Diagnosis state persists across ordinary outages (the reconnecting
+  // SUO keeps accumulating into the same spectra), but a permanently
+  // failed slot will never report again — free its aggregator state
+  // and its escalation-ladder state with it.
+  if (failed) {
+    diag_.retire_slot(slot.name);
+    recovery_.retire_slot(slot.name);
+  }
+}
+
 bool AwarenessHub::recover_from_journal() {
-  replaying_ = true;
-  // Replay must not actuate sockets that no longer exist: the journaled
-  // ticks already made these send decisions once, and their observable
-  // effects (the acks) are further down the WAL. A phantom send that
-  // reports success re-walks the same state machine without I/O.
-  recovery_.set_send([](const std::string&, const ipc::Frame&) { return true; });
   recovery_info_ = journal_->recover(journal_parts_, *this);
-  install_live_send();
-  replaying_ = false;
   if (!recovery_info_.ok) {
     trace(runtime::TraceLevel::kError, "journal recovery failed: " + recovery_info_.error);
     return false;
   }
   // Replayed slots may be logically up, but no socket survived the
-  // restart: force every slot down so gates quiesce and reconnects are
-  // accepted immediately. The restart is the hub's fault, not the
-  // slots' — no backoff charge, no crash-loop accounting, no outage
-  // report (link_errors_ is process-scoped by design) and no supervisor
-  // outage either.
-  for (auto& [name, slot] : slots_) {
-    slot->gate->store(false, std::memory_order_relaxed);
-    slot->conn = nullptr;
-    slot->negotiated_version = 0;
-    slot->earliest_reconnect_ns = 0;
-    slot->up_since_ns = 0;
-    slot->unstable_downs = 0;
-    slot->probe_outstanding = false;
-    slot->acked_since_probe = true;
-    if (slot->supervisor.up()) slot->supervisor.on_disconnected(/*orderly=*/true);
-    recovery_.slot_down(name);
-  }
+  // restart: take every slot down so gates quiesce. The restart is the
+  // hub's fault, not the slots': an orderly down, so no supervisor or
+  // hub outage. The wall-clock fields (backoff window, crash-loop count,
+  // probe state) are never journaled or checkpointed, so they still
+  // hold their defaults and reconnects are accepted immediately.
+  for (auto& [name, slot] : slots_) apply_slot_down(*slot, /*orderly=*/true, /*failed=*/false);
   if (recovery_info_.from_checkpoint || recovery_info_.replayed_records > 0) {
     trace(runtime::TraceLevel::kInfo,
           "journal recovery: checkpoint seq " + std::to_string(recovery_info_.checkpoint_seq) +
@@ -515,28 +507,14 @@ void AwarenessHub::replay_frame(const std::string& slot_name, const ipc::Frame& 
 
 void AwarenessHub::replay_slot_up(const std::string& slot_name, std::uint8_t version) {
   add_slot(slot_name);
-  Slot& slot = *slots_.find(slot_name)->second;
-  slot.negotiated_version = version;
-  slot.gate->store(true, std::memory_order_relaxed);
-  slot.supervisor.on_connected();
-  recovery_.slot_up(slot_name, version);
+  apply_slot_up(*slots_.find(slot_name)->second, version);
 }
 
-void AwarenessHub::replay_slot_down(const std::string& slot_name, bool orderly) {
-  const auto it = slots_.find(slot_name);
-  if (it == slots_.end()) return;
-  Slot& slot = *it->second;
-  slot.gate->store(false, std::memory_order_relaxed);
-  slot.negotiated_version = 0;
-  if (slot.supervisor.up()) slot.supervisor.on_disconnected(orderly);
-  recovery_.slot_down(slot_name);
+void AwarenessHub::replay_slot_down(const std::string& slot_name, bool orderly, bool failed) {
   // Backoff windows, crash-loop charges and outage reports are
-  // wall-clock scoped and deliberately NOT part of the replayed state;
-  // the permanent-failure retirement is.
-  if (slot.supervisor.exhausted()) {
-    diag_.retire_slot(slot_name);
-    recovery_.retire_slot(slot_name);
-  }
+  // wall-clock scoped and not replayed; the verdict they reached is.
+  const auto it = slots_.find(slot_name);
+  if (it != slots_.end()) apply_slot_down(*it->second, orderly, failed);
 }
 
 void AwarenessHub::replay_tick(runtime::SimTime now) { recovery_.tick(now); }

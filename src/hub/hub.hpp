@@ -217,10 +217,6 @@ class AwarenessHub : private journal::ReplaySink, private journal::Checkpointabl
     bool acked_since_probe = true;  ///< No miss on the first probe.
     runtime::SimTime watermark = 0;
     std::uint32_t seq = 0;  ///< Outbound sequence toward this slot.
-    /// Version the live connection negotiated (0 while down). The
-    /// orchestrator reads this through its own slot state to keep
-    /// kRecover off links that negotiated < kRecoverMinVersion.
-    std::uint8_t negotiated_version = 0;
   };
 
   /// One accepted connection and its hub-side protocol state.
@@ -236,7 +232,13 @@ class AwarenessHub : private journal::ReplaySink, private journal::Checkpointabl
   void handle_hello(Peer* peer, const ipc::Frame& f);
   void reject(Peer* peer, const std::string& why);
   void probe_tick();
+  /// Live teardown: backoff charges, journal record, outage report.
   void slot_down(Slot& slot, bool orderly);
+  /// The replayable part of each slot transition, shared by the live
+  /// path, journal replay and the post-replay sweep. `failed` is the
+  /// supervisor's permanent-failure verdict: it retires the slot.
+  void apply_slot_up(Slot& slot, std::uint8_t version);
+  void apply_slot_down(Slot& slot, bool orderly, bool failed);
   /// Fold one post-handshake state-bearing frame into the hub. Shared
   /// between the live path (after journaling) and replay.
   void apply_frame(Slot& slot, const ipc::Frame& f);
@@ -249,7 +251,7 @@ class AwarenessHub : private journal::ReplaySink, private journal::Checkpointabl
   // members the live path mutates.
   void replay_frame(const std::string& slot, const ipc::Frame& f) override;
   void replay_slot_up(const std::string& slot, std::uint8_t version) override;
-  void replay_slot_down(const std::string& slot, bool orderly) override;
+  void replay_slot_down(const std::string& slot, bool orderly, bool failed) override;
   void replay_tick(runtime::SimTime now) override;
 
   // journal::Checkpointable — the hub's own slot table.
@@ -260,9 +262,6 @@ class AwarenessHub : private journal::ReplaySink, private journal::Checkpointabl
 
   /// Load the latest checkpoint + replay the WAL tail, fail-closed.
   bool recover_from_journal();
-  /// (Re)install the orchestrator send that targets live connections
-  /// (replay swaps it for a phantom, then restores through this).
-  void install_live_send();
 
   HubConfig config_;
   EventLoop loop_;
@@ -275,7 +274,6 @@ class AwarenessHub : private journal::ReplaySink, private journal::Checkpointabl
   /// Checkpoint participants in load order: diagnosis before recovery
   /// (the orchestrator reads the aggregator), the hub's slots last.
   std::vector<journal::Checkpointable*> journal_parts_;
-  bool replaying_ = false;
   int listen_fd_ = -1;
   EventLoop::TimerId probe_timer_ = 0;
   bool stopping_ = false;

@@ -19,6 +19,10 @@ void bump(runtime::Counter* c, std::uint64_t n = 1) {
   if (c != nullptr) c->inc(n);
 }
 
+void set_gauge(runtime::Gauge* g, std::size_t v) {
+  if (g != nullptr) g->set(static_cast<double>(v));
+}
+
 }  // namespace
 
 bool RecoveryPolicy::allows(recovery::RecoveryAction action) const {
@@ -101,63 +105,44 @@ void RecoveryOrchestrator::retire_slot(const std::string& slot) {
   if (it == slots_.end()) return;
   for (const std::string& key : it->second.ladder_keys) escalator_.forget(key);
   slots_.erase(it);
-  if (quarantined_gauge_ != nullptr) {
-    std::size_t q = 0;
-    for (const auto& [name, st] : slots_) q += st.quarantined ? 1 : 0;
-    quarantined_gauge_->set(static_cast<double>(q));
-  }
+  set_gauge(quarantined_gauge_, quarantined_locked());
 }
 
-void RecoveryOrchestrator::quarantine_locked(SlotState& st, const std::string& slot) {
+std::size_t RecoveryOrchestrator::quarantined_locked() const {
+  return static_cast<std::size_t>(std::count_if(
+      slots_.begin(), slots_.end(), [](const auto& kv) { return kv.second.quarantined; }));
+}
+
+void RecoveryOrchestrator::quarantine_locked(SlotState& st) {
   if (st.quarantined) return;
   st.quarantined = true;
   st.outstanding = false;
   ++stats_.quarantined;
   bump(quarantined_ctr_);
-  if (quarantined_gauge_ != nullptr) {
-    std::size_t q = 0;
-    for (const auto& [name, s] : slots_) q += s.quarantined ? 1 : 0;
-    quarantined_gauge_->set(static_cast<double>(q));
-  }
-  (void)slot;
+  set_gauge(quarantined_gauge_, quarantined_locked());
 }
 
-void RecoveryOrchestrator::fail_outstanding_locked(SlotState& st, const std::string& slot) {
+void RecoveryOrchestrator::fail_outstanding_locked(SlotState& st) {
   st.outstanding = false;
   ++st.flaps;
-  if (st.flaps >= config_.flap_threshold) quarantine_locked(st, slot);
+  if (st.flaps >= config_.flap_threshold) quarantine_locked(st);
 }
 
-void RecoveryOrchestrator::record_action_locked(const RecoveryActionRecord& rec) {
-  if (actions_.size() >= config_.action_log_limit) return;  // bounded
-  actions_.push_back(rec);
-}
-
-bool RecoveryOrchestrator::send_locked(const std::string& slot, SlotState& st,
-                                       runtime::SimTime now, bool retry) {
-  ipc::Frame f;
+void RecoveryOrchestrator::issue_locked(const std::string& slot, SlotState& st,
+                                        runtime::SimTime now, bool retry, Outbox& outbox) {
+  st.outstanding = true;
+  st.sent_at = now;
+  if (actions_.size() < config_.action_log_limit) {  // bounded: oldest kept
+    actions_.push_back({now, slot, static_cast<recovery::RecoveryAction>(st.action), st.unit,
+                        st.block, st.token, retry});
+  }
+  ipc::Frame& f = outbox.emplace_back(slot, ipc::Frame{}).second;
   f.type = ipc::FrameType::kRecover;
   f.time = now;
   f.action = st.action;
   f.token = st.token;
   f.block = st.block;
   f.unit = st.unit;
-  if (!send_ || !send_(slot, f)) {
-    ++stats_.send_failures;
-    return false;
-  }
-  st.outstanding = true;
-  st.sent_at = now;
-  RecoveryActionRecord rec;
-  rec.at = now;
-  rec.slot = slot;
-  rec.action = static_cast<recovery::RecoveryAction>(st.action);
-  rec.unit = st.unit;
-  rec.block = st.block;
-  rec.token = st.token;
-  rec.retry = retry;
-  record_action_locked(rec);
-  return true;
 }
 
 void RecoveryOrchestrator::refill_tokens_locked(runtime::SimTime now) {
@@ -176,9 +161,9 @@ void RecoveryOrchestrator::refill_tokens_locked(runtime::SimTime now) {
 
 std::size_t RecoveryOrchestrator::tick(runtime::SimTime now) {
   if (!config_.enabled) return 0;
-  std::lock_guard<std::mutex> lock(mu_);
+  Outbox outbox;
+  std::unique_lock<std::mutex> lock(mu_);
   refill_tokens_locked(now);
-  std::size_t frames = 0;
 
   // std::map order makes the walk deterministic: same diagnosis state +
   // same virtual time -> same action sequence at any shard count.
@@ -192,16 +177,16 @@ std::size_t RecoveryOrchestrator::tick(runtime::SimTime now) {
         if (st.retries < config_.max_retries) {
           // Resend the SAME token: if the SUO executed the lost
           // command, it replays its cached ack instead of acting twice.
-          if (tokens_ >= 1 && send_locked(name, st, now, /*retry=*/true)) {
+          if (tokens_ >= 1) {
             --tokens_;
             ++st.retries;
             ++stats_.retries;
             bump(retries_ctr_);
-            ++frames;
+            issue_locked(name, st, now, /*retry=*/true, outbox);
           }
-          // No token / send failure: stay outstanding, retry next tick.
+          // No token: stay outstanding, retry next tick.
         } else {
-          fail_outstanding_locked(st, name);
+          fail_outstanding_locked(st);
         }
       }
       continue;  // pending (or just failed) — never two in flight
@@ -283,7 +268,7 @@ std::size_t RecoveryOrchestrator::tick(runtime::SimTime now) {
       // full restart (the §5 "needs service" verdict, fleet-grade).
       ++stats_.give_ups;
       bump(give_ups_ctr_);
-      quarantine_locked(st, name);
+      quarantine_locked(st);
       continue;
     }
 
@@ -293,8 +278,7 @@ std::size_t RecoveryOrchestrator::tick(runtime::SimTime now) {
     st.unit = st.candidate;
     st.block = st.candidate_block;
     st.retries = 0;
-    if (!send_locked(name, st, now, /*retry=*/false)) continue;
-    ++frames;
+    issue_locked(name, st, now, /*retry=*/false, outbox);
     ++stats_.sent;
     bump(sent_ctr_);
     st.acted = true;
@@ -303,7 +287,14 @@ std::size_t RecoveryOrchestrator::tick(runtime::SimTime now) {
     st.reports_at_action = h.reports;
     st.cooldown_until = now + config_.cooldown + st.jitter;
   }
-  return frames;
+  const SendFn send = outbox.empty() ? SendFn() : send_;
+  lock.unlock();
+  // Deliver outside the lock: a failed send closes the link, and the
+  // hub's slot_down() comes back in here to mark the command lost.
+  if (send) {
+    for (const auto& [slot, frame] : outbox) send(slot, frame);
+  }
+  return outbox.size();
 }
 
 void RecoveryOrchestrator::on_ack(const std::string& slot, const ipc::Frame& frame) {
@@ -330,7 +321,7 @@ void RecoveryOrchestrator::on_ack(const std::string& slot, const ipc::Frame& fra
   } else {
     ++stats_.acked_fail;
     bump(acked_fail_ctr_);
-    fail_outstanding_locked(st, slot);
+    fail_outstanding_locked(st);
   }
 }
 
@@ -342,9 +333,7 @@ bool RecoveryOrchestrator::quarantined(const std::string& slot) const {
 
 std::size_t RecoveryOrchestrator::quarantined_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::size_t q = 0;
-  for (const auto& [name, st] : slots_) q += st.quarantined ? 1 : 0;
-  return q;
+  return quarantined_locked();
 }
 
 bool RecoveryOrchestrator::has_outstanding(const std::string& slot) const {
@@ -379,7 +368,6 @@ void RecoveryOrchestrator::save_state(journal::Encoder& out) const {
   out.u64(stats_.quarantined);
   out.u64(stats_.give_ups);
   out.u64(stats_.recovered);
-  out.u64(stats_.send_failures);
   out.u64(stats_.policy_denied);
   out.u64(token_counter_);
   out.i64(tokens_);
@@ -426,7 +414,8 @@ void RecoveryOrchestrator::save_state(journal::Encoder& out) const {
 }
 
 bool RecoveryOrchestrator::load_state(journal::Decoder& in, std::uint32_t version) {
-  if (version != 1) return false;
+  // Version 1 also carried a send-failure count; its image is refused.
+  if (version != 2) return false;
   std::lock_guard<std::mutex> lock(mu_);
   slots_.clear();
   actions_.clear();
@@ -445,7 +434,6 @@ bool RecoveryOrchestrator::load_state(journal::Decoder& in, std::uint32_t versio
   stats_.quarantined = in.u64();
   stats_.give_ups = in.u64();
   stats_.recovered = in.u64();
-  stats_.send_failures = in.u64();
   stats_.policy_denied = in.u64();
   token_counter_ = in.u64();
   tokens_ = in.i64();
@@ -501,11 +489,7 @@ bool RecoveryOrchestrator::load_state(journal::Decoder& in, std::uint32_t versio
     stats_ = RecoveryStats{};
     return false;
   }
-  if (quarantined_gauge_ != nullptr) {
-    std::size_t q = 0;
-    for (const auto& [name, st] : slots_) q += st.quarantined ? 1 : 0;
-    quarantined_gauge_->set(static_cast<double>(q));
-  }
+  set_gauge(quarantined_gauge_, quarantined_locked());
   return true;
 }
 

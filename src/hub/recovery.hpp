@@ -49,6 +49,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fleetdiag/aggregator.hpp"
@@ -152,18 +153,19 @@ struct RecoveryStats {
   std::uint64_t quarantined = 0;      ///< Slots ever quarantined.
   std::uint64_t give_ups = 0;         ///< Ladder exhausted.
   std::uint64_t recovered = 0;        ///< Quiet periods that decayed the ladder.
-  std::uint64_t send_failures = 0;
   std::uint64_t policy_denied = 0;    ///< Ladder rungs skipped by RecoveryPolicy.
 };
 
 class RecoveryOrchestrator : public journal::Checkpointable {
  public:
-  /// Deliver one frame toward a slot's live connection; false when the
-  /// link is gone (the command is then dropped, not queued — the next
-  /// tick re-decides against fresh state).
-  using SendFn = std::function<bool(const std::string& slot, const ipc::Frame&)>;
+  /// Deliver one committed kRecover frame toward a slot's connection,
+  /// called by tick() after it released its lock. A send that fails
+  /// closes the link, and the hub's slot_down() marks the command lost;
+  /// a slot without a connection (every slot during replay) drops it.
+  using SendFn = std::function<void(const std::string& slot, const ipc::Frame&)>;
   /// Map a suspect block id to the component (RecoverableUnit) name the
-  /// SUO should act on.
+  /// SUO should act on. A pure mapping: tick() calls it while deciding,
+  /// under the lock.
   using ComponentOf = std::function<std::string(std::size_t block)>;
 
   RecoveryOrchestrator(RecoveryConfig config, fleetdiag::FleetAggregator& diag,
@@ -188,7 +190,8 @@ class RecoveryOrchestrator : public journal::Checkpointable {
 
   /// One actuation pass at virtual time `now`: handle ack timeouts,
   /// then walk slots in name order and issue at most one command per
-  /// eligible slot. Returns the number of frames sent (incl. retries).
+  /// eligible slot. Decisions are committed under the lock and the
+  /// frames sent after it. Returns the commands issued (incl. retries).
   std::size_t tick(runtime::SimTime now);
 
   // -- introspection -------------------------------------------------------
@@ -205,7 +208,7 @@ class RecoveryOrchestrator : public journal::Checkpointable {
   // action log; config and the send/component_of hooks are process
   // wiring and must match across the restart).
   std::string checkpoint_name() const override { return "hub.recovery"; }
-  std::uint32_t checkpoint_version() const override { return 1; }
+  std::uint32_t checkpoint_version() const override { return 2; }
   void save_state(journal::Encoder& out) const override;
   bool load_state(journal::Decoder& in, std::uint32_t version) override;
 
@@ -246,11 +249,16 @@ class RecoveryOrchestrator : public journal::Checkpointable {
     std::set<std::string> ladder_keys;
   };
 
+  /// Commands a tick committed, delivered after its lock is released.
+  using Outbox = std::vector<std::pair<std::string, ipc::Frame>>;
+
   void refill_tokens_locked(runtime::SimTime now);
-  void quarantine_locked(SlotState& st, const std::string& slot);
-  void record_action_locked(const RecoveryActionRecord& rec);
-  void fail_outstanding_locked(SlotState& st, const std::string& slot);
-  bool send_locked(const std::string& slot, SlotState& st, runtime::SimTime now, bool retry);
+  std::size_t quarantined_locked() const;
+  void quarantine_locked(SlotState& st);
+  void fail_outstanding_locked(SlotState& st);
+  /// Mark the slot's command outstanding, log it and queue its frame.
+  void issue_locked(const std::string& slot, SlotState& st, runtime::SimTime now, bool retry,
+                    Outbox& outbox);
 
   RecoveryConfig config_;
   fleetdiag::FleetAggregator& diag_;

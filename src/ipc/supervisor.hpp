@@ -90,6 +90,10 @@ class ProcessSupervisor {
   /// freshly restarted SUO should be picked up immediately.
   std::int64_t next_backoff_ms();
 
+  /// Fail the link for good without spending attempts: re-applies a
+  /// recorded kFailed verdict (the hub's journal replay).
+  void give_up() { state_ = LinkState::kFailed; }
+
   int attempts() const { return attempts_; }
   int consecutive_misses() const { return misses_; }
   std::uint64_t outages() const { return outages_; }

@@ -2,6 +2,14 @@
 
 namespace trader::journal {
 
+namespace {
+
+/// kSlotDown payload bits; any other bit fails replay closed.
+constexpr std::uint8_t kSlotDownOrderly = 1;
+constexpr std::uint8_t kSlotDownFailed = 2;
+
+}  // namespace
+
 HubJournal::HubJournal(JournalConfig config, runtime::MetricsRegistry* metrics)
     : config_(std::move(config)),
       store_(config_.dir, config_.retain_checkpoints) {
@@ -77,14 +85,16 @@ JournalRecoveryInfo HubJournal::recover(
           }
           case WalRecordType::kSlotDown: {
             Decoder dec(rec.payload.data(), rec.payload.size());
-            const bool orderly = dec.boolean();
-            if (!dec.done()) {
+            const std::uint8_t flags = dec.u8();
+            if (!dec.done() ||
+                (flags & ~(kSlotDownOrderly | kSlotDownFailed)) != 0) {
               dispatch_ok = false;
               dispatch_error = "malformed slot-down payload at seq " +
                                std::to_string(rec.seq);
               return false;
             }
-            sink.replay_slot_down(rec.slot, orderly);
+            sink.replay_slot_down(rec.slot, (flags & kSlotDownOrderly) != 0,
+                                  (flags & kSlotDownFailed) != 0);
             break;
           }
           case WalRecordType::kTick:
@@ -156,8 +166,9 @@ void HubJournal::append_slot_up(const std::string& slot, std::uint8_t version,
 }
 
 void HubJournal::append_slot_down(const std::string& slot, bool orderly,
-                                  runtime::SimTime now) {
-  const std::uint8_t payload[1] = {orderly ? std::uint8_t{1} : std::uint8_t{0}};
+                                  bool failed, runtime::SimTime now) {
+  const std::uint8_t payload[1] = {static_cast<std::uint8_t>(
+      (orderly ? kSlotDownOrderly : 0) | (failed ? kSlotDownFailed : 0))};
   append(WalRecordType::kSlotDown, slot, now, payload, 1);
 }
 

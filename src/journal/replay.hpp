@@ -53,14 +53,18 @@ struct JournalConfig {
 };
 
 /// The hub-side application surface replay drives. Implemented by
-/// AwarenessHub; the methods route into the same code paths live
-/// traffic uses (frame apply, slot transitions, recovery ticks).
+/// AwarenessHub; each method calls the apply step the live path calls
+/// (frame apply, slot up, slot down), and a replayed tick is the live
+/// tick: its commands are decided and committed as before, and its
+/// frames go to the live send, which drops them (no slot has a
+/// connection during replay).
 class ReplaySink {
  public:
   virtual ~ReplaySink() = default;
   virtual void replay_frame(const std::string& slot, const ipc::Frame& frame) = 0;
   virtual void replay_slot_up(const std::string& slot, std::uint8_t version) = 0;
-  virtual void replay_slot_down(const std::string& slot, bool orderly) = 0;
+  /// `failed`: the live hub's supervisor gave up on the slot for good.
+  virtual void replay_slot_down(const std::string& slot, bool orderly, bool failed) = 0;
   virtual void replay_tick(runtime::SimTime now) = 0;
 };
 
@@ -94,7 +98,7 @@ class HubJournal {
   void append_frame(const std::string& slot, const ipc::Frame& frame);
   void append_slot_up(const std::string& slot, std::uint8_t version,
                       runtime::SimTime now);
-  void append_slot_down(const std::string& slot, bool orderly,
+  void append_slot_down(const std::string& slot, bool orderly, bool failed,
                         runtime::SimTime now);
   void append_tick(runtime::SimTime now);
 

@@ -66,7 +66,7 @@ inline constexpr std::size_t kWalRecordHeader = 12;
 enum class WalRecordType : std::uint8_t {
   kFrame = 1,     ///< One ingested wire frame (payload = encoded frame bytes).
   kSlotUp = 2,    ///< Slot handshake success (payload = u8 negotiated version).
-  kSlotDown = 3,  ///< Slot disconnect (payload = u8 orderly flag).
+  kSlotDown = 3,  ///< Slot disconnect (payload = u8 flags: bit 0 orderly, bit 1 failed).
   kTick = 4,      ///< Recovery tick boundary (empty payload; time in body).
 };
 

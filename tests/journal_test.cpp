@@ -116,9 +116,13 @@ struct CounterPart : jn::Checkpointable {
 struct CountingSink : jn::ReplaySink {
   std::size_t frames = 0, ups = 0, downs = 0, ticks = 0;
   std::vector<rt::SimTime> tick_times;
+  std::vector<std::pair<bool, bool>> down_flags;  ///< (orderly, failed) per slot-down.
   void replay_frame(const std::string&, const ipc::Frame&) override { ++frames; }
   void replay_slot_up(const std::string&, std::uint8_t) override { ++ups; }
-  void replay_slot_down(const std::string&, bool) override { ++downs; }
+  void replay_slot_down(const std::string&, bool orderly, bool failed) override {
+    ++downs;
+    down_flags.emplace_back(orderly, failed);
+  }
   void replay_tick(rt::SimTime now) override {
     ++ticks;
     tick_times.push_back(now);
@@ -138,7 +142,7 @@ std::string stats_key(const hub::RecoveryStats& s) {
   for (std::uint64_t v : {s.sent, s.retries, s.timeouts, s.lost, s.acked_ok, s.acked_fail,
                           s.duplicate_acks, s.suppressed_unconverged, s.suppressed_cooldown,
                           s.suppressed_tokens, s.suppressed_version, s.quarantined, s.give_ups,
-                          s.recovered, s.send_failures, s.policy_denied}) {
+                          s.recovered, s.policy_denied}) {
     out += std::to_string(v) + ",";
   }
   return out;
@@ -645,6 +649,44 @@ TEST(CheckpointState, AggregatorVersion1ImageFailsClosed) {
   EXPECT_EQ(from_disk.reports_ingested(), 0u);
 }
 
+TEST(CheckpointState, OrchestratorVersion1ImageFailsClosed) {
+  // Version 1 of "hub.recovery" carried a send-failure count between
+  // the recovered and policy-denied counters. Its image is refused, in
+  // memory and through the checkpoint store.
+  struct OrchestratorV1 : jn::Checkpointable {
+    std::string checkpoint_name() const override { return "hub.recovery"; }
+    std::uint32_t checkpoint_version() const override { return 1; }
+    void save_state(jn::Encoder& out) const override {
+      for (int i = 0; i < 16; ++i) out.u64(0);  // stats, send failures included
+      out.u64(0);                                // token counter
+      out.i64(4);                                // tokens
+      out.i64(0);                                // last refill
+      rec::RecoveryEscalator(rec::EscalationConfig{}).save(out);
+      out.u32(0);  // actions
+      out.u32(0);  // slots
+    }
+    bool load_state(jn::Decoder&, std::uint32_t) override { return false; }
+  };
+  OrchestratorV1 old;
+  jn::Encoder enc;
+  old.save_state(enc);
+  fd::FleetAggregator agg(fd::AggregatorConfig{10, 1});
+  hub::RecoveryConfig cfg;
+  cfg.enabled = true;
+  hub::RecoveryOrchestrator orch(cfg, agg);
+  jn::Decoder dec(enc.buffer());
+  EXPECT_FALSE(orch.load_state(dec, 1));
+
+  TempDir dir;
+  jn::CheckpointStore store(dir.path, 2);
+  std::string err;
+  ASSERT_TRUE(store.write(7, {&old}, &err)) << err;
+  hub::RecoveryOrchestrator from_disk(cfg, agg);
+  std::uint64_t seq = 0;
+  EXPECT_FALSE(store.load_latest({&from_disk}, &seq, &err));
+  EXPECT_EQ(from_disk.stats().sent, 0u);
+}
+
 TEST(CheckpointState, OrchestratorRoundTripContinuesLadderIdentically) {
   // Drive a live orchestrator mid-ladder, snapshot it, restore into a
   // fresh instance, then continue BOTH with identical input: actions
@@ -849,6 +891,56 @@ TEST(HubJournal, UndecodableFramePayloadFailsRecoveryClosed) {
   EXPECT_FALSE(info.ok);
   EXPECT_NE(info.error.find("undecodable"), std::string::npos) << info.error;
   EXPECT_EQ(sink.frames, 0u);
+}
+
+TEST(HubJournal, SlotDownFlagsReplayAndUnknownBitsFailClosed) {
+  // kSlotDown payload: bit 0 orderly, bit 1 failed. The 0/1 payloads
+  // written before the failed bit existed replay as before; any other
+  // bit refuses recovery.
+  jn::JournalConfig cfg;
+  cfg.enabled = true;
+  for (unsigned flags = 0; flags < 8; ++flags) {
+    TempDir dir;
+    {
+      jn::WalWriter w;
+      ASSERT_TRUE(w.open(dir.path, 1, 1 << 20, jn::FsyncPolicy::kNone));
+      const std::uint8_t payload = static_cast<std::uint8_t>(flags);
+      ASSERT_EQ(w.append(jn::WalRecordType::kSlotDown, "s0", rt::msec(1), &payload, 1), 1u);
+      w.close();
+    }
+    cfg.dir = dir.path;
+    jn::HubJournal journal(cfg, nullptr);
+    CountingSink sink;
+    const jn::JournalRecoveryInfo info = journal.recover({}, sink);
+    if (flags < 4) {
+      ASSERT_TRUE(info.ok) << "flags " << flags << ": " << info.error;
+      ASSERT_EQ(sink.down_flags.size(), 1u);
+      EXPECT_EQ(sink.down_flags[0].first, (flags & 1) != 0) << flags;
+      EXPECT_EQ(sink.down_flags[0].second, (flags & 2) != 0) << flags;
+    } else {
+      EXPECT_FALSE(info.ok) << "flags " << flags;
+      EXPECT_NE(info.error.find("slot-down"), std::string::npos) << info.error;
+      EXPECT_EQ(sink.downs, 0u);
+    }
+  }
+
+  // append_slot_down writes the bits replay reads.
+  TempDir dir;
+  cfg.dir = dir.path;
+  {
+    jn::HubJournal journal(cfg, nullptr);
+    CountingSink sink;
+    ASSERT_TRUE(journal.recover({}, sink).ok);
+    journal.append_slot_down("s0", true, false, rt::msec(1));
+    journal.append_slot_down("s0", false, true, rt::msec(2));
+    journal.on_batch_end({});
+    journal.abandon();
+  }
+  jn::HubJournal journal(cfg, nullptr);
+  CountingSink sink;
+  ASSERT_TRUE(journal.recover({}, sink).ok);
+  EXPECT_EQ(sink.down_flags,
+            (std::vector<std::pair<bool, bool>>{{true, false}, {false, true}}));
 }
 
 TEST(HubJournal, FrameSealedWithTheJournalChecksumFailsRecoveryClosed) {
@@ -1086,4 +1178,70 @@ TEST(JournalHub, CorruptJournalRefusesToStart) {
   h2.add_slot("s0");
   EXPECT_FALSE(h2.start()) << "a lying journal must not serve guessed state";
   EXPECT_FALSE(h2.journal_recovery().ok);
+}
+
+TEST(JournalHub, ReplayKeepsAPermanentlyFailedSlotFailed) {
+  // A crash-looping SUO spends its slot's reconnect budget: the slot is
+  // failed for good and its diagnosis state retired. A hub restarted
+  // from the journal must reach the same verdict, not admit the slot.
+  TempDir dir;
+  hub::HubConfig cfg;
+  cfg.probe_liveness = false;
+  cfg.heartbeat_interval_ms = 1000;  // every session below is "unstable"
+  cfg.supervisor.max_attempts = 2;
+  cfg.supervisor.backoff_initial_ms = 1;
+  cfg.supervisor.backoff_max_ms = 1;
+  cfg.diag.refresh_every = 1;
+  cfg.journal.enabled = true;
+  cfg.journal.dir = dir.path;
+
+  int claims = 0;
+  {
+    hub::AwarenessHub h(cfg);
+    h.add_slot("tv0");
+    ASSERT_TRUE(h.start());
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!h.slot_supervisor("tv0")->exhausted()) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      hub::SuoLink link;
+      if (link.claim(h.path(), "tv0", &h) != ipc::FrameType::kHelloAck) {
+        ASSERT_GE(h.poll(1), 0);  // inside the backoff window
+        continue;
+      }
+      if (++claims == 1) {
+        // Diagnosis evidence the failed slot must not keep.
+        ipc::Frame f;
+        f.type = ipc::FrameType::kSpectrum;
+        f.seq = link.next_seq();
+        f.block_count = 64;
+        f.spectra.push_back({true, {7}});
+        ASSERT_TRUE(link.socket().send(f));
+        while (h.diagnosis().health("tv0").reports < 1) {
+          ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+          ASSERT_GE(h.poll(10), 0);
+        }
+      }
+      link.socket().close();  // crash: no kShutdown
+      while (h.slot_up("tv0")) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+        ASSERT_GE(h.poll(10), 0);
+      }
+    }
+    EXPECT_EQ(claims, 3);
+    EXPECT_EQ(h.diagnosis().slot_count(), 0u);
+    h.simulate_crash();
+  }
+
+  hub::AwarenessHub h2(cfg);
+  h2.add_slot("tv0");
+  ASSERT_TRUE(h2.start());
+  const jn::JournalRecoveryInfo& info = h2.journal_recovery();
+  ASSERT_TRUE(info.ok) << info.error;
+  EXPECT_EQ(info.replayed_records, static_cast<std::uint64_t>(2 * claims + 1));
+  EXPECT_TRUE(h2.slot_supervisor("tv0")->exhausted());
+  EXPECT_EQ(h2.diagnosis().slot_count(), 0u);
+  hub::SuoLink link;
+  EXPECT_EQ(link.claim(h2.path(), "tv0", &h2), ipc::FrameType::kShutdown) << "slot failed";
+  EXPECT_FALSE(h2.slot_up("tv0"));
+  h2.stop();
 }

@@ -11,9 +11,13 @@
 // metrics. RecoveryConcurrency.* is the TSan target scripts/check.sh
 // runs (ingest vs actuate vs ack vs query).
 
+#include <stdlib.h>
+#include <sys/socket.h>
+
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -122,6 +126,85 @@ ipc::Frame spectrum_frame(std::uint32_t& seq, std::uint32_t block) {
   f.spectra.push_back({true, {block}});
   f.spectra.push_back({false, {block + 1}});
   return f;
+}
+
+/// Journal directory under $TMPDIR, removed on scope exit.
+struct ScratchDir {
+  std::string path =
+      (std::filesystem::temp_directory_path() / "recovery_loop_test_XXXXXX").string();
+  ScratchDir() {
+    if (::mkdtemp(path.data()) == nullptr) path.clear();
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+};
+
+/// Everything the orchestrator decided, as one comparable string.
+std::string decisions_key(const hub::RecoveryOrchestrator& orch) {
+  const hub::RecoveryStats s = orch.stats();
+  std::string out;
+  for (std::uint64_t v : {s.sent, s.retries, s.timeouts, s.lost, s.acked_ok, s.acked_fail,
+                          s.duplicate_acks, s.suppressed_unconverged, s.suppressed_cooldown,
+                          s.suppressed_tokens, s.suppressed_version, s.quarantined, s.give_ups,
+                          s.recovered, s.policy_denied}) {
+    out += std::to_string(v) + ",";
+  }
+  for (const hub::RecoveryActionRecord& a : orch.actions()) {
+    out += "|" + std::to_string(a.at) + "/" + a.slot + "/" +
+           std::to_string(static_cast<int>(a.action)) + "/" + a.unit + "/" +
+           std::to_string(a.token) + (a.retry ? "/r" : "");
+  }
+  return out;
+}
+
+/// Lockstep hub with fast recovery; journaled when `journal_dir` is set.
+hub::HubConfig deaf_peer_config(const std::string& journal_dir) {
+  hub::HubConfig cfg;
+  cfg.probe_liveness = false;
+  cfg.diag.refresh_every = 1;
+  cfg.recovery = fast_config();
+  cfg.journal.enabled = !journal_dir.empty();
+  cfg.journal.dir = journal_dir;
+  return cfg;
+}
+
+/// The publisher finishes its handshake, shuts its socket for reading
+/// and streams agreeing error reports until a tick commands it. That
+/// command's send fails with EPIPE and closes the link from inside the
+/// tick. `key` receives the decisions of the live run.
+void run_until_command_to_deaf_peer(const std::string& journal_dir, std::string* key) {
+  hub::AwarenessHub awareness_hub(deaf_peer_config(journal_dir));
+  const auto gate = awareness_hub.add_slot("s0");
+  awareness_hub.recovery().set_component_of(
+      [](std::size_t block) { return "comp" + std::to_string(block); });
+  ASSERT_TRUE(awareness_hub.start());
+
+  hub::SuoLink link;
+  ASSERT_EQ(link.claim(awareness_hub.path(), "s0", &awareness_hub, 5000),
+            ipc::FrameType::kHelloAck);
+  ASSERT_EQ(::shutdown(link.socket().fd(), SHUT_RD), 0);
+
+  std::uint32_t seq = 0;
+  for (std::uint64_t i = 1; i <= 20 && awareness_hub.recovery().stats().sent == 0; ++i) {
+    ASSERT_TRUE(link.socket().send(spectrum_frame(seq, 7)));
+    ASSERT_TRUE(pump_until(awareness_hub, [&] {
+      return awareness_hub.diagnosis().health("s0").reports >= i;
+    }));
+    awareness_hub.run_until(rt::msec(10) * static_cast<rt::SimDuration>(i));
+    ASSERT_GE(awareness_hub.poll(0), 0);  // the tick at the new virtual time
+  }
+
+  const hub::RecoveryStats stats = awareness_hub.recovery().stats();
+  EXPECT_EQ(stats.sent, 1u);
+  EXPECT_EQ(stats.lost, 1u) << "the command went down with the link";
+  EXPECT_FALSE(awareness_hub.recovery().has_outstanding("s0"));
+  EXPECT_FALSE(gate->load());
+  EXPECT_FALSE(awareness_hub.slot_up("s0"));
+  ASSERT_EQ(awareness_hub.recovery().actions().size(), 1u);
+  *key = decisions_key(awareness_hub.recovery());
+  awareness_hub.simulate_crash();
 }
 
 }  // namespace
@@ -676,6 +759,36 @@ TEST(RecoveryLoop, StormGuardBudgetsCorrelatedFaultAndSparesV2Peer) {
   (void)v2_saw_any;
 
   awareness_hub.stop();
+}
+
+TEST(RecoveryLoop, CommandToAPeerThatStoppedReadingIsLostNotDeadlocked) {
+  // The failed send closes the link inside the tick, and the hub's
+  // slot_down() re-enters the orchestrator: that must find its lock
+  // free (the tick only sends after deciding).
+  std::string key;
+  run_until_command_to_deaf_peer("", &key);
+}
+
+TEST(RecoveryLoop, CommandToAPeerThatStoppedReadingReplaysToTheSameDecisions) {
+  // Journal on: the live tick, its failed send and the slot-down it
+  // caused replay after a crash to the same stats and action log, with
+  // the live send dropping the replayed frame.
+  const ScratchDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  std::string live;
+  run_until_command_to_deaf_peer(dir.path, &live);
+  ASSERT_FALSE(live.empty());
+
+  hub::AwarenessHub restarted(deaf_peer_config(dir.path));
+  const auto gate = restarted.add_slot("s0");
+  restarted.recovery().set_component_of(
+      [](std::size_t block) { return "comp" + std::to_string(block); });
+  ASSERT_TRUE(restarted.start());
+  ASSERT_TRUE(restarted.journal_recovery().ok) << restarted.journal_recovery().error;
+  EXPECT_GT(restarted.journal_recovery().replayed_records, 0u);
+  EXPECT_EQ(decisions_key(restarted.recovery()), live);
+  EXPECT_FALSE(gate->load());
+  restarted.stop();
 }
 
 TEST(RecoveryLoop, GoldenTraceFingerprintsExcludeRecoveryMetrics) {
