@@ -20,7 +20,6 @@
 
 #include "hub/agent.hpp"
 #include "hub/hub.hpp"
-#include "hub/link_gate.hpp"
 #include "tv/spec_model.hpp"
 
 namespace {
@@ -60,10 +59,9 @@ int main(int argc, char** argv) {
   // rewritten to the slot's namespace so eight TVs coexist in one fleet.
   for (int i = 0; i < fleet; ++i) {
     const std::string slot = slot_name(i);
-    auto gate = hub.add_slot(slot);
     core::MonitorBuilder builder;
     builder.model(tv::build_tv_spec_model())
-        .wrap_model(hub::link_gated(gate))  // quiesce comparison while the SUO is down
+        .link_gate(hub.add_slot(slot))  // quiesce comparison while the SUO is down
         .input_topic(slot + "/tv.input")
         .output_topic(slot + "/tv.output")
         .comparison_period(runtime::msec(50))

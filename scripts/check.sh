@@ -58,7 +58,11 @@
 #      three drive the Scheduler/EventBus event path under real TV
 #      simulations), bench_fuzz and bench_journal (WAL replay decodes
 #      the journaled wire frames), bench_perception and bench_priowarn
-#      under ASan; then
+#      under ASan; two examples under ASan, run inside build-asan:
+#      hub_host --fleet 2 (the one link_gate caller outside the testkit;
+#      both slots must end with outages=0) and escalating_recovery (a
+#      one-shard fleet whose SUO publishes straight onto its shard's
+#      bus); then
 #      bench_exec leaves BENCH_exec.json in the repo root
 #      (steps/sec/core + bytes/monitor per kernel)
 #  12. bench_scale scaling experiment, leaving BENCH_scale.json in the
@@ -267,6 +271,14 @@ for bench in bench_exec bench_awareness bench_scale bench_printer bench_mediapla
   bench_perception bench_priowarn; do
   (cd build-asan && "./bench/$bench" --benchmark_filter='^$' >/dev/null)
 done
+# The Comparator link gate over real sockets, and a one-shard SUO on its
+# shard's private bus, both under ASan. They run inside build-asan so
+# nothing they write lands in the repo root.
+cmake --build build-asan -j "$JOBS" --target hub_host escalating_recovery
+hub_out="$(cd build-asan && ./examples/hub_host --fleet 2 --horizon-ms 500)"
+echo "$hub_out"
+test "$(grep -cE '^hub_host: suo[01] +errors=[0-9]+ outages=0$' <<<"$hub_out")" -eq 2
+(cd build-asan && ./examples/escalating_recovery >/dev/null)
 cmake --build build -j "$JOBS" --target bench_exec
 ./build/bench/bench_exec --benchmark_filter='BM_BatchedDispatch' \
   --benchmark_min_time=0.05

@@ -47,7 +47,8 @@ void Comparator::compare_all(runtime::SimTime now) {
 
 void Comparator::compare_one(const ObservableConfig& oc, ObservableId id, runtime::SimTime now) {
   if (now < grace_until_) return;
-  if (!executor_.comparison_enabled(oc.name)) {
+  const bool link_down = link_up_ != nullptr && !link_up_->load(std::memory_order_relaxed);
+  if (link_down || !executor_.comparison_enabled(oc.name)) {
     ++stats_.suppressed;
     return;
   }

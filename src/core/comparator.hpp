@@ -9,10 +9,16 @@
 //   3. event-based and/or time-based comparison, and
 //   4. model-driven enable/disable windows (IEnableCompare).
 // An error is reported once per deviating episode; the episode resets
-// when a comparison agrees again.
+// when a comparison agrees again. An optional link gate quiesces every
+// comparison (counted as suppressed) while the system under observation
+// is unreachable: its observations are stale, and comparing them would
+// flood the error stream; the outage is reported once elsewhere (the
+// hub's slot supervision).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,16 +35,22 @@ struct ComparatorStats {
   std::uint64_t comparisons = 0;
   std::uint64_t deviations = 0;
   std::uint64_t errors = 0;
-  std::uint64_t suppressed = 0;  ///< Skipped via IEnableCompare windows.
+  std::uint64_t suppressed = 0;  ///< Skipped: link gate down or IEnableCompare window.
   std::uint64_t skipped = 0;     ///< Missing expectation or observation.
 };
 
 class Comparator : public IControl {
  public:
   /// `observables` is the table `executor` and `observer` share.
+  /// `link_up`, when set, gates every comparison: false suppresses it.
   Comparator(const Configuration& config, const ModelExecutor& executor,
-             const OutputObserver& observer, ObservableTable& observables)
-      : config_(config), executor_(executor), observer_(observer), table_(observables) {}
+             const OutputObserver& observer, ObservableTable& observables,
+             std::shared_ptr<const std::atomic<bool>> link_up)
+      : config_(config),
+        executor_(executor),
+        observer_(observer),
+        table_(observables),
+        link_up_(std::move(link_up)) {}
 
   void start(runtime::SimTime now) override { grace_until_ = now + config_.awareness().startup_grace; }
 
@@ -70,6 +82,7 @@ class Comparator : public IControl {
   const ModelExecutor& executor_;
   const OutputObserver& observer_;
   ObservableTable& table_;
+  std::shared_ptr<const std::atomic<bool>> link_up_;
   std::uint64_t indexed_version_ = ~std::uint64_t{0};
   std::vector<ObservableId> policy_ids_;  ///< Id of each configured observable.
   IErrorNotify* notify_ = nullptr;

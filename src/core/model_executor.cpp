@@ -32,8 +32,8 @@ void ModelExecutor::drain(runtime::SimTime now) {
   for (auto& out : outputs) {
     auto it = out.fields.find("value");
     if (it == out.fields.end()) continue;
-    const ObservableId id = table_->intern(out.name);
-    table_->row(id).expected = Expectation{std::move(it->second), now};
+    const ObservableId id = table_.intern(out.name);
+    table_.row(id).expected = Expectation{std::move(it->second), now};
   }
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/interfaces.hpp"
+#include "core/model_program.hpp"
 #include "core/observable_table.hpp"
 #include "runtime/metrics.hpp"
 
@@ -15,13 +16,9 @@ namespace trader::core {
 
 class ModelExecutor : public IControl {
  public:
-  /// `observables` is the monitor's shared table (see ObservableTable);
-  /// a standalone executor keeps its own.
-  explicit ModelExecutor(std::unique_ptr<IModelImpl> model,
-                         ObservableTable* observables = nullptr)
-      : model_(std::move(model)),
-        own_table_(observables == nullptr ? std::make_unique<ObservableTable>() : nullptr),
-        table_(observables != nullptr ? observables : own_table_.get()) {}
+  /// `observables` is the monitor's shared table (see ObservableTable).
+  ModelExecutor(std::unique_ptr<ModelInstance> model, ObservableTable& observables)
+      : model_(std::move(model)), table_(observables) {}
 
   void start(runtime::SimTime now) override;
 
@@ -35,12 +32,12 @@ class ModelExecutor : public IControl {
   /// nullptr when the model has not produced one yet. Valid until the
   /// monitor meets an observable it has not seen before.
   const Expectation* expected(const std::string& observable) const {
-    const ObservableId id = table_->find(observable);
+    const ObservableId id = table_.find(observable);
     return id == ObservableTable::kNone ? nullptr : expected(id);
   }
   /// The same by id: no lookup.
   const Expectation* expected(ObservableId id) const {
-    const auto& e = table_->row(id).expected;
+    const auto& e = table_.row(id).expected;
     return e ? &*e : nullptr;
   }
 
@@ -50,7 +47,6 @@ class ModelExecutor : public IControl {
   }
 
   std::string model_state() const { return model_->state_name(); }
-  IModelImpl& model() { return *model_; }
 
   std::uint64_t inputs_processed() const { return inputs_; }
 
@@ -62,9 +58,8 @@ class ModelExecutor : public IControl {
  private:
   void drain(runtime::SimTime now);
 
-  std::unique_ptr<IModelImpl> model_;
-  std::unique_ptr<ObservableTable> own_table_;  ///< Standalone executors only.
-  ObservableTable* table_;
+  std::unique_ptr<ModelInstance> model_;
+  ObservableTable& table_;
   runtime::Counter* inputs_metric_ = nullptr;
   std::uint64_t inputs_ = 0;
 };

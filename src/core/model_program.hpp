@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "core/interfaces.hpp"
 #include "statemachine/batch.hpp"
 #include "statemachine/program.hpp"
 
@@ -35,31 +34,41 @@ inline ModelProgramPtr compile_model(statemachine::StateMachineDef def) {
   return statemachine::ModelProgram::compile(std::move(def));
 }
 
-/// IModelImpl facade over one slot of a shared BatchExecutor. Holds the
-/// batch alive (shared_ptr) and returns the slot to its free list on
-/// destruction, so monitor churn recycles arena rows instead of growing
-/// them. Honours the IEnableCompare "nocompare[:X]" convention.
-class ModelInstance : public IModelImpl {
+/// The executable specification model a ModelExecutor drives (Fig. 2's
+/// "Stateflow Model Implementation"): one slot of a shared
+/// BatchExecutor. Holds the batch alive (shared_ptr) and returns the
+/// slot to its free list on destruction, so monitor churn recycles arena
+/// rows instead of growing them. Honours the IEnableCompare
+/// "nocompare[:X]" convention.
+class ModelInstance {
  public:
   explicit ModelInstance(std::shared_ptr<statemachine::BatchExecutor> batch)
       : batch_(std::move(batch)), id_(batch_->add_instance()) {}
   /// A standalone model: a private batch of one running `program`.
   explicit ModelInstance(ModelProgramPtr program)
       : ModelInstance(std::make_shared<statemachine::BatchExecutor>(std::move(program))) {}
-  ~ModelInstance() override { batch_->release(id_); }
+  ~ModelInstance() { batch_->release(id_); }
 
   ModelInstance(const ModelInstance&) = delete;
   ModelInstance& operator=(const ModelInstance&) = delete;
 
-  void start(runtime::SimTime now) override { batch_->start(id_, now); }
-  bool dispatch(const statemachine::SmEvent& ev, runtime::SimTime now) override {
+  void start(runtime::SimTime now) { batch_->start(id_, now); }
+  /// Feed one input event; returns true when the model reacted.
+  bool dispatch(const statemachine::SmEvent& ev, runtime::SimTime now) {
     return batch_->dispatch(id_, ev, now);
   }
-  void advance_time(runtime::SimTime now) override { batch_->advance_time(id_, now); }
-  void drain_outputs(std::vector<statemachine::ModelOutput>& out) override {
+  /// Let model-internal timers fire up to `now`.
+  void advance_time(runtime::SimTime now) { batch_->advance_time(id_, now); }
+  /// Move the model outputs produced since the last drain into `out`,
+  /// replacing its contents. `out` may lend its storage to the model's
+  /// next outputs, so a caller that keeps one buffer drains without
+  /// allocating.
+  void drain_outputs(std::vector<statemachine::ModelOutput>& out) {
     batch_->drain_outputs(id_, out);
   }
-  bool comparison_enabled(const std::string& observable) const override {
+  /// IEnableCompare: the model may suppress comparison of an observable
+  /// while the system is legitimately "between modes" (§4.3).
+  bool comparison_enabled(const std::string& observable) const {
     const auto& vars = batch_->vars(id_);
     if (vars.get_bool("nocompare", false)) return false;
     // The key is rebuilt in a kept buffer: a fresh "nocompare:" + name
@@ -70,7 +79,8 @@ class ModelInstance : public IModelImpl {
     key.assign("nocompare:").append(observable);
     return !vars.get_bool(key, false);
   }
-  std::string state_name() const override { return batch_->active_leaf(id_); }
+  /// Diagnostic name of the model's current state.
+  std::string state_name() const { return batch_->active_leaf(id_); }
 
  private:
   std::shared_ptr<statemachine::BatchExecutor> batch_;
@@ -78,7 +88,7 @@ class ModelInstance : public IModelImpl {
 };
 
 /// One runtime island's batched model state: a BatchExecutor per
-/// distinct ModelProgram, instances handed out as IModelImpl slots.
+/// distinct ModelProgram, instances handed out as ModelInstance slots.
 /// Single-threaded, like the scheduler/bus it sits next to.
 class ModelArena {
  public:

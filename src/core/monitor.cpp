@@ -83,25 +83,24 @@ void Controller::on_error(const ErrorReport& report) {
   if (trace_ != nullptr) {
     trace_->log(report.detected_at, runtime::TraceLevel::kError, "comparator", report.describe());
   }
-  if (error_tap_) error_tap_(report);
   if (recovery_) recovery_(report);
 }
 
 // ----------------------------------------------------------- AwarenessMonitor
 
 AwarenessMonitor::AwarenessMonitor(runtime::Scheduler& sched, runtime::EventBus& bus,
-                                   std::unique_ptr<IModelImpl> model, MonitorSpec spec)
+                                   std::unique_ptr<ModelInstance> model, MonitorSpec spec)
     : sched_(sched),
       configuration_(spec.config),
-      executor_(std::move(model), &observables_),
+      executor_(std::move(model), observables_),
       input_(sched, bus, spec.input_topic, spec.config.input_channel,
              std::move(spec.input_mapper),
              [this](const statemachine::SmEvent& ev, runtime::SimTime now) {
                executor_.on_input(ev, now);
              }),
       output_(sched, bus, spec.output_topics, spec.config.output_channel,
-              std::move(spec.output_mapper), &observables_),
-      comparator_(configuration_, executor_, output_, observables_),
+              std::move(spec.output_mapper), observables_),
+      comparator_(configuration_, executor_, output_, observables_, std::move(spec.link_up)),
       controller_(sched, configuration_, executor_, input_, output_, comparator_) {
   output_.on_fresh([this](ObservableId observable, runtime::SimTime now) {
     comparator_.on_fresh_observation(observable, now);

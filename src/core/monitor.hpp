@@ -11,6 +11,7 @@
 // raw MonitorSpec constructor remains for the builder.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -37,6 +38,9 @@ struct MonitorSpec {
   std::vector<std::string> output_topics = {"tv.output"};
   InputMapper input_mapper;    ///< Default mapper when empty.
   OutputMapper output_mapper;  ///< Default mapper when empty.
+  /// Comparator link gate: comparison quiesces while it reads false
+  /// (none: always compare).
+  std::shared_ptr<const std::atomic<bool>> link_up;
 };
 
 /// The Controller box: lifecycle + error routing.
@@ -58,12 +62,6 @@ class Controller : public IControl, public IErrorNotify {
   void on_error(const ErrorReport& report) override;
 
   void set_recovery_handler(RecoveryHandler h) { recovery_ = std::move(h); }
-  /// Passive observer of the error-report stream, invoked before the
-  /// recovery handler. Unlike set_recovery_handler (which fleets claim
-  /// for error aggregation), the tap is reserved for recorders — the
-  /// testkit golden-trace machinery — so recording never steals the
-  /// recovery hook.
-  void set_error_tap(RecoveryHandler tap) { error_tap_ = std::move(tap); }
   void set_trace(runtime::TraceLog* trace) { trace_ = trace; }
   /// Attach a metrics registry: tick count, wall-clock tick latency and
   /// error count are recorded under "controller.*".
@@ -82,7 +80,6 @@ class Controller : public IControl, public IErrorNotify {
   OutputObserver& output_;
   Comparator& comparator_;
   RecoveryHandler recovery_;
-  RecoveryHandler error_tap_;
   runtime::TraceLog* trace_ = nullptr;
   runtime::Counter* ticks_metric_ = nullptr;
   runtime::Counter* errors_metric_ = nullptr;
@@ -97,7 +94,7 @@ class Controller : public IControl, public IErrorNotify {
 class AwarenessMonitor {
  public:
   AwarenessMonitor(runtime::Scheduler& sched, runtime::EventBus& bus,
-                   std::unique_ptr<IModelImpl> model, MonitorSpec spec);
+                   std::unique_ptr<ModelInstance> model, MonitorSpec spec);
 
   /// Initialize and start every component (Controller included).
   /// Idempotent: calling start() on a running monitor is a no-op, and a
@@ -107,8 +104,6 @@ class AwarenessMonitor {
   bool running() const { return controller_.running(); }
 
   void set_recovery_handler(RecoveryHandler h) { controller_.set_recovery_handler(std::move(h)); }
-  /// Passive error-report tap (see Controller::set_error_tap).
-  void set_error_tap(RecoveryHandler tap) { controller_.set_error_tap(std::move(tap)); }
   void set_trace(runtime::TraceLog* trace) { controller_.set_trace(trace); }
   /// Wire controller/comparator/model-executor instruments into `m`.
   void set_metrics(runtime::MetricsRegistry* m);

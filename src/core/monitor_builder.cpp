@@ -24,9 +24,8 @@ MonitorBuilder& MonitorBuilder::default_arena(std::shared_ptr<ModelArena> arena)
   return *this;
 }
 
-MonitorBuilder& MonitorBuilder::wrap_model(
-    std::function<std::unique_ptr<IModelImpl>(std::unique_ptr<IModelImpl>)> wrap) {
-  wrap_ = std::move(wrap);
+MonitorBuilder& MonitorBuilder::link_gate(std::shared_ptr<const std::atomic<bool>> link_up) {
+  spec_.link_up = std::move(link_up);
   return *this;
 }
 
@@ -105,11 +104,6 @@ MonitorBuilder& MonitorBuilder::on_error(RecoveryHandler handler) {
   return *this;
 }
 
-MonitorBuilder& MonitorBuilder::trace(runtime::TraceLog* trace) {
-  trace_ = trace;
-  return *this;
-}
-
 MonitorBuilder& MonitorBuilder::metrics(runtime::MetricsRegistry* metrics) {
   metrics_ = metrics;
   return *this;
@@ -130,12 +124,9 @@ std::unique_ptr<AwarenessMonitor> MonitorBuilder::build(runtime::Scheduler& sche
     throw std::logic_error(
         "MonitorBuilder::build(): no model set; call model(...) or with_program(...) first");
   }
-  std::unique_ptr<IModelImpl> model =
-      arena_ ? arena_->make_instance(program_) : std::make_unique<ModelInstance>(program_);
-  if (wrap_) model = wrap_(std::move(model));
+  auto model = arena_ ? arena_->make_instance(program_) : std::make_unique<ModelInstance>(program_);
   auto monitor = std::make_unique<AwarenessMonitor>(sched, bus, std::move(model), spec_);
   if (on_error_) monitor->set_recovery_handler(std::move(on_error_));
-  if (trace_ != nullptr) monitor->set_trace(trace_);
   if (metrics_ != nullptr) monitor->set_metrics(metrics_);
   return monitor;
 }

@@ -22,7 +22,7 @@
 // land on any shard.
 #pragma once
 
-#include <functional>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,9 +54,10 @@ class MonitorBuilder {
   MonitorBuilder& arena(std::shared_ptr<ModelArena> arena);
   /// Fleet placement hook: adopts `arena` only when none was set.
   MonitorBuilder& default_arena(std::shared_ptr<ModelArena> arena);
-  /// Decorate the model right after construction (link gating etc.).
-  MonitorBuilder& wrap_model(
-      std::function<std::unique_ptr<IModelImpl>(std::unique_ptr<IModelImpl>)> wrap);
+  /// Quiesce comparison while `link_up` reads false: the Comparator
+  /// counts each skipped comparison as suppressed (see comparator.hpp).
+  /// The hub hands one gate out per slot (AwarenessHub::add_slot).
+  MonitorBuilder& link_gate(std::shared_ptr<const std::atomic<bool>> link_up);
 
   MonitorBuilder& input_topic(std::string topic);
   /// Appends; the first call replaces the default {"tv.output"}.
@@ -81,7 +82,6 @@ class MonitorBuilder {
 
   /// Recovery hook applied right after construction.
   MonitorBuilder& on_error(RecoveryHandler handler);
-  MonitorBuilder& trace(runtime::TraceLog* trace);
   MonitorBuilder& metrics(runtime::MetricsRegistry* metrics);
 
   /// Build against the scheduler/bus given at construction.
@@ -99,10 +99,8 @@ class MonitorBuilder {
   runtime::EventBus* bus_ = nullptr;
   ModelProgramPtr program_;
   std::shared_ptr<ModelArena> arena_;
-  std::function<std::unique_ptr<IModelImpl>(std::unique_ptr<IModelImpl>)> wrap_;
   MonitorSpec spec_;
   RecoveryHandler on_error_;
-  runtime::TraceLog* trace_ = nullptr;
   runtime::MetricsRegistry* metrics_ = nullptr;
   bool output_topics_defaulted_ = true;
 };

@@ -87,15 +87,14 @@ void InputObserver::stop() { bus_.unsubscribe(sub_); }
 
 OutputObserver::OutputObserver(runtime::Scheduler& sched, runtime::EventBus& bus,
                                std::vector<std::string> topics, runtime::ChannelConfig channel,
-                               OutputMapper mapper, ObservableTable* observables)
+                               OutputMapper mapper, ObservableTable& observables)
     : sched_(sched),
       bus_(bus),
       topics_(std::move(topics)),
       mapper_(std::move(mapper)),
       channel_(sched, runtime::Rng(0x2222), channel,
                [this](const runtime::Event& ev) { deliver(ev); }),
-      own_table_(observables == nullptr ? std::make_unique<ObservableTable>() : nullptr),
-      table_(observables != nullptr ? observables : own_table_.get()) {}
+      table_(observables) {}
 
 void OutputObserver::start(runtime::SimTime) {
   for (const auto& topic : topics_) {
@@ -121,8 +120,8 @@ void OutputObserver::deliver(const runtime::Event& ev) {
 
 void OutputObserver::record(const std::string& observable, const runtime::Value& value) {
   // The one name lookup of an output event: everything after it is by id.
-  const ObservableId id = table_->intern(observable);
-  table_->row(id).observed = Observation{value, sched_.now()};
+  const ObservableId id = table_.intern(observable);
+  table_.row(id).observed = Observation{value, sched_.now()};
   if (fresh_) fresh_(id, sched_.now());
 }
 

@@ -21,6 +21,7 @@
 #include "runtime/channel.hpp"
 #include "runtime/event_bus.hpp"
 #include "runtime/scheduler.hpp"
+#include "statemachine/types.hpp"
 
 namespace trader::core {
 
@@ -74,11 +75,10 @@ class OutputObserver : public IControl {
   /// with the observable's id in the observer's ObservableTable.
   using FreshHandler = std::function<void(ObservableId observable, runtime::SimTime)>;
 
-  /// `observables` is the monitor's shared table (see ObservableTable);
-  /// a standalone observer keeps its own.
+  /// `observables` is the monitor's shared table (see ObservableTable).
   OutputObserver(runtime::Scheduler& sched, runtime::EventBus& bus,
                  std::vector<std::string> topics, runtime::ChannelConfig channel,
-                 OutputMapper mapper, ObservableTable* observables = nullptr);
+                 OutputMapper mapper, ObservableTable& observables);
 
   void start(runtime::SimTime now) override;
   void stop() override;
@@ -89,12 +89,12 @@ class OutputObserver : public IControl {
   /// when `observable` has not been observed yet. Valid until the
   /// monitor meets an observable it has not seen before.
   const Observation* observed(const std::string& observable) const {
-    const ObservableId id = table_->find(observable);
+    const ObservableId id = table_.find(observable);
     return id == ObservableTable::kNone ? nullptr : observed(id);
   }
   /// The same by id: no lookup.
   const Observation* observed(ObservableId id) const {
-    const auto& o = table_->row(id).observed;
+    const auto& o = table_.row(id).observed;
     return o ? &*o : nullptr;
   }
 
@@ -111,8 +111,7 @@ class OutputObserver : public IControl {
   runtime::LatencyChannel channel_;
   std::vector<runtime::Subscription> subs_;
   FreshHandler fresh_;
-  std::unique_ptr<ObservableTable> own_table_;  ///< Standalone observers only.
-  ObservableTable* table_;
+  ObservableTable& table_;
   std::uint64_t observed_ = 0;
 };
 

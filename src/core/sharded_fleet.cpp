@@ -28,15 +28,7 @@ ShardedFleet::Shard::Shard(ShardedFleet& fleet, std::size_t index, std::uint64_t
     : fleet_(fleet),
       index_(index),
       rng_(runtime::Rng(seed).fork()),
-      cross_shard_out_(&metrics_.counter("fleet.cross_shard_out")) {
-  // Router: forward bus-published events to remote owner shards. The
-  // wildcard subscription runs after topic subscribers, so local
-  // delivery has already happened when an event is forwarded.
-  bus_.subscribe("", [this](const runtime::Event& ev) {
-    if (routing_suppressed_) return;
-    fleet_.route_from_bus(*this, ev);
-  });
-}
+      cross_shard_out_(&metrics_.counter("fleet.cross_shard_out")) {}
 
 void ShardedFleet::Shard::publish(const runtime::Event& ev) {
   const RouteTable::Route* route = fleet_.routes_.find(ev.topic);
@@ -185,19 +177,6 @@ void ShardedFleet::publish(const runtime::Event& ev) {
   ++external_seq_;
 }
 
-void ShardedFleet::route_from_bus(Shard& source, const runtime::Event& ev) {
-  const RouteTable::Route* route = routes_.find(ev.topic);
-  if (route == nullptr) return;
-  route->for_each_owner([&](const RouteOwner& owner) {
-    if (owner.shard == source.index_) return;  // local subscribers already served
-    shards_[owner.shard]->mailbox_.push(ev, source.sched_.now(),
-                                        static_cast<std::uint32_t>(source.index_),
-                                        source.route_seq_, owner.topic);
-    source.cross_shard_out_->inc();
-  });
-  ++source.route_seq_;
-}
-
 void ShardedFleet::run_until(runtime::SimTime t) {
   if (!running_) start();
   while (now_ < t) {
@@ -250,7 +229,6 @@ void ShardedFleet::step_shard(Shard& shard) {
 }
 
 void ShardedFleet::drain_mailbox(Shard& shard) {
-  shard.routing_suppressed_ = true;
   // Each event is delivered from its mailbox slot, which keeps its
   // storage for the next epoch's pushes. Every push named the topic's
   // index on this shard's bus, so delivery looks nothing up.
@@ -258,7 +236,6 @@ void ShardedFleet::drain_mailbox(Shard& shard) {
     entry.event.timestamp = shard.sched_.now();
     shard.bus_.publish(entry.topic, entry.event);
   }
-  shard.routing_suppressed_ = false;
 }
 
 std::vector<AspectError> ShardedFleet::errors() const {

@@ -24,12 +24,12 @@
 //
 // Monitor placement is a stable hash of the aspect name, so placement
 // (and thus results on the deterministic publish paths) does not change
-// between runs. Inject events either from outside via
-// ShardedFleet::publish(), or from scheduled tasks inside a shard via
-// Shard::publish(); both routes go through the mailbox. Publishing
-// straight onto a shard's local bus also works (a wildcard router
-// forwards to remote owner shards) but then same-shard subscribers see
-// the event one epoch earlier than remote ones — with one shard that is
+// between runs. A shard is entered only through its mailbox: inject
+// events from outside via ShardedFleet::publish(), or from scheduled
+// tasks inside a shard via Shard::publish(), and every owner shard sees
+// them at the same epoch boundary. A shard's bus is private to that
+// shard: an event published straight onto it reaches that shard's
+// subscribers at once and no other shard — with one shard that is
 // simply a system under observation living on shard(0).sched()/bus().
 #pragma once
 
@@ -109,7 +109,6 @@ class ShardedFleet {
     std::shared_ptr<ModelArena> arena_ = std::make_shared<ModelArena>();
     runtime::Counter* cross_shard_out_ = nullptr;
     std::uint64_t route_seq_ = 0;
-    bool routing_suppressed_ = false;
     std::vector<Entry> entries_;
     std::vector<AspectError> errors_;
     std::exception_ptr failure_;  ///< Thrown this epoch; rethrown by run_epoch().
@@ -214,7 +213,6 @@ class ShardedFleet {
   void run_epoch(runtime::SimTime target);
   void step_shard(Shard& shard);
   void drain_mailbox(Shard& shard);
-  void route_from_bus(Shard& source, const runtime::Event& ev);
 
   ShardedFleetConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -78,10 +78,6 @@ std::shared_ptr<std::atomic<bool>> AwarenessHub::add_slot(const std::string& nam
   return raw->gate;
 }
 
-std::shared_ptr<std::atomic<bool>> AwarenessHub::slot_gate(const std::string& name) {
-  return add_slot(name);
-}
-
 core::AwarenessMonitor& AwarenessHub::add_monitor(const std::string& slot,
                                                   const std::string& aspect,
                                                   core::MonitorBuilder builder) {
@@ -448,7 +444,7 @@ void AwarenessHub::slot_down(Slot& slot, bool orderly) {
   if (!was_up || orderly) return;
 
   // Exactly one outage report per up->down transition; while the link
-  // stays dead the gated models quiesce instead of flooding errors.
+  // stays dead the gated comparators quiesce instead of flooding errors.
   outages_->inc();
   core::ErrorReport report;
   report.observable = "hub.link/" + slot.name;
@@ -459,7 +455,6 @@ void AwarenessHub::slot_down(Slot& slot, bool orderly) {
   report.detected_at = fleet_.now();
   report.first_deviation_at = fleet_.now();
   link_errors_.push_back(report);
-  if (notify_ != nullptr) notify_->on_error(report);
 }
 
 void AwarenessHub::apply_slot_down(Slot& slot, bool orderly, bool failed) {

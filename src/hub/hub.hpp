@@ -23,8 +23,9 @@
 // heartbeat_miss_threshold consecutive probes is declared dead and
 // evicted. Because the timer is fixed-rate with catch-up firing, a
 // stalled loop iteration cannot silently stretch the liveness window.
-// While a slot is down its LinkGatedModel gate quiesces comparison —
-// the monitors degrade instead of flooding the error stream.
+// While a slot is down its link gate (MonitorBuilder::link_gate) keeps
+// the slot's Comparators quiet — the monitors degrade instead of
+// flooding the error stream.
 #pragma once
 
 #include <atomic>
@@ -117,12 +118,9 @@ class AwarenessHub : private journal::ReplaySink, private journal::Checkpointabl
   AwarenessHub& operator=(const AwarenessHub&) = delete;
 
   /// Register an expected SUO. Returns the slot's link gate (true while
-  /// the slot's connection is up) for wrapping models in LinkGatedModel.
-  /// Slots must be added before start().
+  /// the slot's connection is up) for MonitorBuilder::link_gate; for a
+  /// known slot, its existing gate. Slots must be added before start().
   std::shared_ptr<std::atomic<bool>> add_slot(const std::string& name);
-
-  /// Gate of an existing slot (adds the slot when unknown).
-  std::shared_ptr<std::atomic<bool>> slot_gate(const std::string& name);
 
   /// Add a monitor to the underlying fleet. `slot` is bookkeeping only:
   /// the monitor subscribes to whatever topics its builder configured.
@@ -165,7 +163,6 @@ class AwarenessHub : private journal::ReplaySink, private journal::Checkpointabl
   /// Link-outage reports (observable "hub.link/<slot>"), one per
   /// up->down transition. Orderly kShutdown teardown is not an outage.
   const std::vector<core::ErrorReport>& link_errors() const { return link_errors_; }
-  void set_error_notify(core::IErrorNotify* notify) { notify_ = notify; }
   void set_trace(runtime::TraceLog* trace) { trace_ = trace; }
 
   /// Hub instruments ("hub.*") merged with the fleet-wide snapshot.
@@ -286,7 +283,6 @@ class AwarenessHub : private journal::ReplaySink, private journal::Checkpointabl
   std::uint64_t nonce_counter_ = 0;
   IngestTap ingest_tap_;
   std::vector<core::ErrorReport> link_errors_;
-  core::IErrorNotify* notify_ = nullptr;
   runtime::TraceLog* trace_ = nullptr;
 
   // hub.* instruments (shared across connections).

@@ -32,10 +32,7 @@ ProcessSupervisor::ProcessSupervisor(SupervisorConfig config)
 
 void ProcessSupervisor::on_connected() {
   if (state_ == LinkState::kUp) return;
-  if (was_up_) {
-    ++reconnects_;
-    if (reconnects_metric_ != nullptr) reconnects_metric_->inc();
-  }
+  if (was_up_) ++reconnects_;
   was_up_ = true;
   state_ = LinkState::kUp;
   attempts_ = 0;
@@ -44,10 +41,7 @@ void ProcessSupervisor::on_connected() {
 
 void ProcessSupervisor::on_disconnected(bool orderly) {
   if (state_ == LinkState::kFailed) return;
-  if (up() && !orderly) {
-    ++outages_;
-    if (outages_metric_ != nullptr) outages_metric_->inc();
-  }
+  if (up() && !orderly) ++outages_;
   state_ = LinkState::kDown;
   misses_ = 0;
   attempts_ = 0;
@@ -61,7 +55,6 @@ void ProcessSupervisor::on_heartbeat_ack() {
 bool ProcessSupervisor::on_heartbeat_miss() {
   if (!up()) return false;
   ++misses_;
-  if (misses_metric_ != nullptr) misses_metric_->inc();
   if (misses_ >= config_.heartbeat_miss_threshold) {
     on_disconnected();
     return true;
@@ -111,16 +104,6 @@ void ProcessSupervisor::restore(const SupervisorSnapshot& s) {
   outages_ = s.outages;
   reconnects_ = s.reconnects;
   jitter_.set_state(s.jitter_rng);
-}
-
-void ProcessSupervisor::set_metrics(runtime::MetricsRegistry* m) {
-  if (m == nullptr) {
-    outages_metric_ = reconnects_metric_ = misses_metric_ = nullptr;
-    return;
-  }
-  outages_metric_ = &m->counter("ipc.outages");
-  reconnects_metric_ = &m->counter("ipc.reconnects");
-  misses_metric_ = &m->counter("ipc.heartbeat_misses");
 }
 
 }  // namespace trader::ipc

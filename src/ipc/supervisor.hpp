@@ -23,7 +23,6 @@
 
 #include <cstdint>
 
-#include "runtime/metrics.hpp"
 #include "runtime/rng.hpp"
 
 namespace trader::ipc {
@@ -99,13 +98,10 @@ class ProcessSupervisor {
   std::uint64_t outages() const { return outages_; }
   std::uint64_t reconnects() const { return reconnects_; }
 
-  /// Mirror outage/reconnect/miss counts into "ipc.*" counters.
-  void set_metrics(runtime::MetricsRegistry* m);
-
   /// Full dynamic state as a plain snapshot, so the durable hub can
   /// checkpoint supervisors without this module knowing about the
-  /// journal's encoding. Config and metrics wiring are not part of the
-  /// snapshot — they belong to the process, not the history.
+  /// journal's encoding. Config is not part of the snapshot — it
+  /// belongs to the process, not the history.
   SupervisorSnapshot snapshot() const;
   void restore(const SupervisorSnapshot& s);
 
@@ -118,9 +114,6 @@ class ProcessSupervisor {
   bool was_up_ = false;
   std::uint64_t outages_ = 0;
   std::uint64_t reconnects_ = 0;
-  runtime::Counter* outages_metric_ = nullptr;
-  runtime::Counter* reconnects_metric_ = nullptr;
-  runtime::Counter* misses_metric_ = nullptr;
 };
 
 }  // namespace trader::ipc

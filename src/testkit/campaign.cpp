@@ -12,7 +12,6 @@
 #include "faults/injector.hpp"
 #include "hub/agent.hpp"
 #include "hub/hub.hpp"
-#include "hub/link_gate.hpp"
 #include "runtime/event_bus.hpp"
 #include "runtime/scheduler.hpp"
 #include "statemachine/definition.hpp"
@@ -40,9 +39,9 @@ core::MonitorBuilder counter_monitor(std::size_t k, const ExecutorConfig& config
                                      std::shared_ptr<const std::atomic<bool>> gate) {
   core::MonitorBuilder builder;
   builder.with_program(program);  // one table set across aspects AND scenarios
-  // The model is wrapped in a LinkGatedModel so comparisons quiesce
-  // while the SUO is unreachable (the §4.3 graceful-degradation policy).
-  builder.wrap_model(hub::link_gated(std::move(gate)));
+  // The link gate quiesces the Comparator while the SUO is unreachable
+  // (the §4.3 graceful-degradation policy).
+  builder.link_gate(std::move(gate));
   builder.input_topic("in." + std::to_string(k))
       .output_topic("out." + std::to_string(k))
       .threshold("count", 0.0, config.max_consecutive)
@@ -75,7 +74,7 @@ class Backend {
 // The in-process backend carries a *virtual* SUO link: one gate shared
 // by every aspect, which the hub backend keeps per slot and flips on a
 // real socket teardown. set_link(false) drops every publish and
-// quiesces comparators through LinkGatedModel, so a kill-restart
+// quiesces comparators through their link gate, so a kill-restart
 // scenario fingerprints identically whether the SUO is a struct in
 // this process or a peer behind a kernel stream — which is what lets
 // the fuzzer's outage mutations run on the fast backend and still
@@ -142,7 +141,7 @@ class HubBackend : public Backend {
   }
 
   std::shared_ptr<const std::atomic<bool>> gate_for(const std::string& aspect) override {
-    return hub_->slot_gate(aspect);
+    return hub_->add_slot(aspect);
   }
 
   void start() override {

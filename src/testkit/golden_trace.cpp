@@ -26,11 +26,6 @@ void GoldenTrace::capture_errors(const std::vector<core::AspectError>& errors) {
   }
 }
 
-void GoldenTrace::capture_errors(const std::string& aspect,
-                                 const std::vector<core::ErrorReport>& errors) {
-  for (const auto& r : errors) add(r.detected_at, "error", aspect + " " + r.describe());
-}
-
 void GoldenTrace::capture_metrics(const runtime::MetricsSnapshot& snap,
                                   const std::vector<std::string>& prefixes) {
   for (auto& line : snap.counter_lines(prefixes)) add_line("metric " + std::move(line));

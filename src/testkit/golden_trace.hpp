@@ -61,9 +61,6 @@ class GoldenTrace {
   /// Record every aspect error in the (deterministically sorted) list.
   void capture_errors(const std::vector<core::AspectError>& errors);
 
-  /// Record one monitor's error stream under an aspect label.
-  void capture_errors(const std::string& aspect, const std::vector<core::ErrorReport>& errors);
-
   /// Record the deterministic counters of a metrics snapshot (see
   /// MetricsSnapshot::counter_lines for the prefix filter semantics).
   void capture_metrics(const runtime::MetricsSnapshot& snap,

@@ -3,6 +3,7 @@
 // against a scripted SUO and against the real TV simulator.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 
 #include "core/monitor_builder.hpp"
@@ -160,7 +161,8 @@ TEST(Observers, OutputObserverKeepsLatestAndNotifies) {
   rt::Scheduler sched;
   rt::EventBus bus;
   rt::ChannelConfig ch;
-  core::OutputObserver obs(sched, bus, {"suo.out"}, ch, nullptr);
+  core::ObservableTable table;
+  core::OutputObserver obs(sched, bus, {"suo.out"}, ch, nullptr, table);
   int fresh = 0;
   obs.on_fresh([&](core::ObservableId, rt::SimTime) { ++fresh; });
   obs.start(0);
@@ -179,7 +181,9 @@ TEST(Observers, OutputObserverKeepsLatestAndNotifies) {
 
 TEST(ModelExecutor, MaintainsExpectationTable) {
   auto def = counter_model();
-  core::ModelExecutor exec(std::make_unique<core::ModelInstance>(core::compile_model(def)));
+  core::ObservableTable table;
+  core::ModelExecutor exec(std::make_unique<core::ModelInstance>(core::compile_model(def)),
+                           table);
   exec.start(0);
   EXPECT_EQ(exec.expected("count"), nullptr);
   exec.on_input(sm::SmEvent::named("inc"), 10);
@@ -194,7 +198,9 @@ TEST(ModelExecutor, MaintainsExpectationTable) {
 
 TEST(ModelExecutor, ComparisonEnableFollowsModelVars) {
   auto def = counter_model();
-  core::ModelExecutor exec(std::make_unique<core::ModelInstance>(core::compile_model(def)));
+  core::ObservableTable table;
+  core::ModelExecutor exec(std::make_unique<core::ModelInstance>(core::compile_model(def)),
+                           table);
   exec.start(0);
   EXPECT_TRUE(exec.comparison_enabled("count"));
   exec.on_input(sm::SmEvent::named("hush"), 5);
@@ -207,8 +213,10 @@ TEST(ModelExecutor, ComparisonEnableFollowsModelVars) {
 // stepping one leaves the other's expectation table alone.
 TEST(ModelExecutor, StandaloneInstancesOfOneProgramAreIndependent) {
   const auto program = core::compile_model(counter_model());
-  core::ModelExecutor a(std::make_unique<core::ModelInstance>(program));
-  core::ModelExecutor b(std::make_unique<core::ModelInstance>(program));
+  core::ObservableTable table_a;
+  core::ObservableTable table_b;
+  core::ModelExecutor a(std::make_unique<core::ModelInstance>(program), table_a);
+  core::ModelExecutor b(std::make_unique<core::ModelInstance>(program), table_b);
   a.start(0);
   b.start(0);
   a.on_input(sm::SmEvent::named("inc"), 1);
@@ -314,6 +322,26 @@ TEST(Monitor, EnableCompareWindowSuppresses) {
   f.suo.input("talk");
   f.sched.run_for(rt::msec(200));
   EXPECT_FALSE(f.monitor->errors().empty());
+}
+
+// The link gate is a Comparator input: while it reads false every
+// comparison is suppressed and nothing is reported; once it reads true
+// the same deviation reports exactly once.
+TEST(Monitor, LinkGateQuiescesComparisonWhileDown) {
+  auto gate = std::make_shared<std::atomic<bool>>(false);
+  auto builder = counter_builder();
+  builder.link_gate(gate);
+  MonitorFixture f(std::move(builder));
+  f.suo.input("inc");
+  f.suo.output("count", std::int64_t{42});  // model expects 1
+  f.sched.run_for(rt::msec(200));
+  EXPECT_TRUE(f.monitor->errors().empty());
+  EXPECT_GT(f.monitor->stats().suppressed, 0u);
+  EXPECT_EQ(f.monitor->stats().comparisons, 0u);
+  gate->store(true);
+  f.sched.run_for(rt::msec(200));
+  ASSERT_EQ(f.monitor->errors().size(), 1u);
+  EXPECT_EQ(std::get<std::int64_t>(f.monitor->errors()[0].observed), 42);
 }
 
 TEST(Monitor, RecoveryHandlerInvoked) {

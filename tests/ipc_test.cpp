@@ -789,11 +789,9 @@ TEST(IpcSupervisor, AttemptBudgetExhaustsToFailed) {
 }
 
 TEST(IpcSupervisor, HeartbeatMissesDegradeThenDeclareDeadOnce) {
-  rt::MetricsRegistry metrics;
   ipc::SupervisorConfig config;
   config.heartbeat_miss_threshold = 3;
   ipc::ProcessSupervisor sup(config);
-  sup.set_metrics(&metrics);
 
   sup.on_connected();
   EXPECT_EQ(sup.state(), ipc::LinkState::kUp);
@@ -813,7 +811,4 @@ TEST(IpcSupervisor, HeartbeatMissesDegradeThenDeclareDeadOnce) {
   sup.on_connected();
   sup.on_connected();
   EXPECT_EQ(sup.reconnects(), 1u);
-  EXPECT_EQ(metrics.snapshot().counter("ipc.outages"), 1u);
-  EXPECT_EQ(metrics.snapshot().counter("ipc.reconnects"), 1u);
-  EXPECT_EQ(metrics.snapshot().counter("ipc.heartbeat_misses"), 5u);
 }

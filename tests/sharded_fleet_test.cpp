@@ -366,8 +366,9 @@ rt::Event counter_output(const std::string& suffix, std::int64_t value) {
 // Every way an event finds its shards: a topic owned by two shards (and
 // routed twice to one of them), a custom subscriber behind the public
 // add_route, a wildcard subscriber on a shard bus, Shard::publish and a
-// direct bus publish from a shard task, an unrouted topic, and a
-// monitor added after stop() whose topics must route after start().
+// direct bus publish from a shard task (which stays on that shard), an
+// unrouted topic, and a monitor added after stop() whose topics must
+// route after start().
 RoutingRun routing_session(std::size_t shards) {
   core::ShardedFleetConfig cfg;
   cfg.shards = shards;
@@ -411,7 +412,7 @@ RoutingRun routing_session(std::size_t shards) {
   fleet.shard(0).sched().schedule_at(rt::msec(12), [&fleet] {
     rt::Event direct = named("dual", "direct");
     direct.timestamp = fleet.shard(0).sched().now();
-    fleet.shard(0).bus().publish(direct);  // local now, remote owners next epoch
+    fleet.shard(0).bus().publish(direct);  // shard 0's private bus: local only
     fleet.shard(0).publish(named("dual", "from_shard"));
     fleet.shard(0).publish(named("solo", "from_shard"));
     fleet.shard(0).publish(named("nobody", "from_shard"));  // unrouted
@@ -449,21 +450,20 @@ TEST(FleetRouting, DeliveryAndCountersArePinnedAcrossShardCounts) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     const RoutingRun run = routing_session(shards);
     const bool last_is_solo = 1 % shards == shards - 1;
-    const std::string later = shards == 1 ? "dual/direct@12000" : "dual/direct@20000";
     EXPECT_EQ(run.dual_first,
               (std::vector<std::string>{"dual/a@0", "dual/direct@12000", "dual/from_shard@20000",
                                         "dual/after_restart@30000"}));
     if (shards == 1) {
       EXPECT_EQ(run.dual_last, run.dual_first);  // the same bus
     } else {
-      EXPECT_EQ(run.dual_last,
-                (std::vector<std::string>{"dual/a@0", "dual/direct@20000",
-                                          "dual/from_shard@20000", "dual/after_restart@30000"}));
+      // A direct publish on shard 0's bus never leaves shard 0.
+      EXPECT_EQ(run.dual_last, (std::vector<std::string>{"dual/a@0", "dual/from_shard@20000",
+                                                         "dual/after_restart@30000"}));
     }
     EXPECT_EQ(run.solo, (std::vector<std::string>{"solo/b@0", "solo/from_shard@20000"}));
     std::vector<std::string> wildcard = {"dual/a@0"};
     if (last_is_solo) wildcard.push_back("solo/b@0");
-    wildcard.push_back(later);
+    if (shards == 1) wildcard.push_back("dual/direct@12000");  // same bus, not a forwarded copy
     wildcard.push_back("dual/from_shard@20000");
     if (last_is_solo) wildcard.push_back("solo/from_shard@20000");
     wildcard.push_back("dual/after_restart@30000");
@@ -475,9 +475,9 @@ TEST(FleetRouting, DeliveryAndCountersArePinnedAcrossShardCounts) {
     EXPECT_EQ(m.counter("model.inputs"), 5u);
     EXPECT_EQ(m.counter("comparator.errors"), 1u);
     EXPECT_EQ(m.counter("controller.errors"), 1u);
-    // Cross-shard copies: the forwarded direct publish plus the two
-    // Shard::publish copies that leave shard 0.
-    EXPECT_EQ(m.counter("fleet.cross_shard_out"), shards == 1 ? 0u : 3u);
+    // Cross-shard copies: the two Shard::publish copies that leave
+    // shard 0; the direct bus publish is never forwarded.
+    EXPECT_EQ(m.counter("fleet.cross_shard_out"), shards == 1 ? 0u : 2u);
     // Monitor traffic the wildcard saw: the events of the monitors
     // placed on the last shard.
     const std::size_t monitor_events = shards == 1 ? 10 : shards == 2 ? 6 : 2;

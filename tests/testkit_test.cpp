@@ -118,60 +118,6 @@ TEST(GoldenTrace, TraceLogTapCapturesLiveRecords) {
   EXPECT_NE(trace.lines()[2].find("third"), std::string::npos);
 }
 
-TEST(GoldenTrace, ErrorTapObservesWithoutStealingRecovery) {
-  rt::Scheduler sched;
-  rt::EventBus bus;
-
-  sm::StateMachineDef def("counter");
-  const auto s = def.add_state("S");
-  def.add_internal(s, "inc", nullptr, [](sm::ActionEnv& env) {
-    env.vars.set_int("n", env.vars.get_int("n") + 1);
-    env.emit("count", {{"value", env.vars.get_int("n")}});
-  });
-
-  int recoveries = 0;
-  core::MonitorBuilder builder(sched, bus);
-  builder.model(std::move(def))
-      .input_topic("in.t")
-      .output_topic("out.t")
-      .threshold("count", 0.0, /*max_consecutive=*/2)
-      .comparison_period(rt::msec(10))
-      .startup_grace(rt::msec(5))
-      .on_error([&recoveries](const core::ErrorReport&) { ++recoveries; });
-  auto monitor = builder.build();
-
-  tk::GoldenTrace trace;
-  monitor->set_error_tap([&trace](const core::ErrorReport& r) {
-    trace.add(r.detected_at, "error", r.describe());
-  });
-  monitor->start();
-
-  rt::Event in;
-  in.topic = "in.t";
-  in.name = "key";
-  in.fields["key"] = std::string("inc");
-  bus.publish(in);
-  rt::Event out;
-  out.topic = "out.t";
-  out.name = "count";
-  out.fields["value"] = std::int64_t{0};  // model expects 1: deviation
-  bus.publish(out);
-  sched.run_until(rt::msec(100));
-  monitor->stop();
-
-  // The tap saw every report the recovery handler saw — recording the
-  // stream did not steal the recovery hook.
-  ASSERT_EQ(monitor->errors().size(), 1u);
-  EXPECT_EQ(recoveries, 1);
-  ASSERT_EQ(trace.lines().size(), 1u);
-
-  tk::GoldenTrace replay;
-  replay.capture_errors("t", monitor->errors());
-  // add() above used the raw report (no aspect label); check times match.
-  EXPECT_EQ(trace.lines()[0].substr(0, trace.lines()[0].find(' ')),
-            replay.lines()[0].substr(0, replay.lines()[0].find(' ')));
-}
-
 TEST(GoldenTrace, MetricsFingerprintFiltersAndIsStable) {
   rt::MetricsRegistry reg;
   reg.counter("comparator.errors").inc(2);
