@@ -13,7 +13,10 @@
 // many awareness monitors over worker threads and must keep the *same*
 // error reports regardless of shard count — throughput is only worth
 // having if determinism survives it. The run also exports the merged
-// metrics snapshot to BENCH_scale.json for the CI check script.
+// metrics snapshot to BENCH_scale.json for the CI check script. Two
+// microbenchmark rows price the shard's hot path on its own: a
+// scheduler push + pop beside 1k/4k/16k pending periodic keys, and the
+// CPU an idle 4096-monitor fleet burns per 10 ms epoch.
 #include "bench_common.hpp"
 
 #include <chrono>
@@ -21,8 +24,10 @@
 #include <fstream>
 #include <thread>
 
+#include "core/model_program.hpp"
 #include "core/monitor_builder.hpp"
 #include "core/sharded_fleet.hpp"
+#include "runtime/scheduler.hpp"
 #include "statemachine/batch.hpp"
 #include "statemachine/checker.hpp"
 #include "statemachine/machine.hpp"
@@ -51,6 +56,18 @@ sm::StateMachineDef feature_model(int features) {
       env.emit(var, {{"value", env.vars.get_bool(var, false)}});
     });
   }
+  return def;
+}
+
+// The fleet_epoch spec model: "set" emits its value as the expected
+// "level".
+sm::StateMachineDef level_model() {
+  sm::StateMachineDef def("level");
+  const auto s = def.add_state("S");
+  def.add_internal(s, "set", nullptr, [](sm::ActionEnv& env) {
+    const auto it = env.event.params.find("v");
+    if (it != env.event.params.end()) env.emit("level", {{"value", it->second}});
+  });
   return def;
 }
 
@@ -283,6 +300,64 @@ void BM_ShardedFleetEpoch(benchmark::State& state) {
   state.SetLabel("shards=" + std::to_string(state.range(0)));
 }
 BENCHMARK(BM_ShardedFleetEpoch)->Arg(1)->Arg(2)->Arg(8);
+
+// One push and one pop of a constant-delay stream (a channel's
+// deliveries) while `range(0)` periodic keys wait far in the future
+// (monitor ticks on a loaded shard): the scheduler's per-event cost.
+void BM_SchedulerConstantDelay(benchmark::State& state) {
+  rt::Scheduler sched;
+  const auto pending = static_cast<int>(state.range(0));
+  std::vector<rt::TaskHandle> periodic;
+  for (int i = 0; i < pending; ++i) {
+    periodic.push_back(sched.schedule_every(rt::sec(1'000'000) + i, [] {}));
+  }
+  std::uint64_t fired = 0;
+  sched.schedule_after(rt::usec(200), [&fired] { ++fired; });
+  for (auto _ : state) {
+    sched.schedule_after(rt::usec(200), [&fired] { ++fired; });
+    sched.step();
+  }
+  benchmark::DoNotOptimize(fired);
+  for (const rt::TaskHandle h : periodic) sched.cancel(h);
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel("pending=" + std::to_string(pending));
+}
+BENCHMARK(BM_SchedulerConstantDelay)->Arg(1000)->Arg(4000)->Arg(16000);
+
+// One idle 10 ms epoch of a fleet_epoch-shaped fleet (4096 monitors on
+// one compiled program, 50 ms comparison ticks) with nothing published:
+// what the fleet costs when the SUO is quiet, in CPU time of the whole
+// process (the shard workers included).
+void BM_IdleFleetEpoch(benchmark::State& state) {
+  core::ShardedFleetConfig cfg;
+  cfg.shards = static_cast<std::size_t>(state.range(0));
+  cfg.epoch = rt::msec(10);
+  core::ShardedFleet fleet(cfg);
+  const core::ModelProgramPtr program = core::compile_model(level_model());
+  core::ObservableConfig oc;
+  oc.name = "level";
+  oc.time_based = false;
+  for (int m = 0; m < 4096; ++m) {
+    core::MonitorBuilder builder;
+    builder.with_program(program)
+        .input_topic("in." + std::to_string(m))
+        .output_topic("out." + std::to_string(m))
+        .observe(oc)
+        .startup_grace(0);
+    fleet.add_monitor("m" + std::to_string(m), std::move(builder));
+  }
+  fleet.start();
+  for (auto _ : state) fleet.run_for(cfg.epoch);
+  fleet.stop();
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel("monitors=4096 shards=" + std::to_string(state.range(0)));
+}
+BENCHMARK(BM_IdleFleetEpoch)
+    ->Arg(1)
+    ->Arg(4)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_DeepHierarchyDispatch(benchmark::State& state) {
   auto def = deep_model(static_cast<int>(state.range(0)), 2);

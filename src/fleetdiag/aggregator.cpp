@@ -134,15 +134,17 @@ std::vector<diagnosis::BlockScore> FleetAggregator::top_suspects(const std::stri
   return it != slots_.end() ? it->second.top : std::vector<diagnosis::BlockScore>{};
 }
 
-diagnosis::IncrementalSflCounts FleetAggregator::fleet_counts_locked() const {
+diagnosis::IncrementalSflCounts FleetAggregator::fleet_counts() const {
   diagnosis::IncrementalSflCounts fleet;
+  std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, slot] : slots_) fleet.merge(slot.counts);
   return fleet;
 }
 
+// Fleet queries rank the merged copy after the lock is released, so
+// ingest waits only for the merge, not for the ranking.
 std::vector<diagnosis::BlockScore> FleetAggregator::fleet_top_suspects() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fleet_counts_locked().top_k(config_.top_k);
+  return fleet_counts().top_k(config_.top_k);
 }
 
 std::size_t FleetAggregator::refresh() {
@@ -165,8 +167,7 @@ diagnosis::DiagnosisReport FleetAggregator::report(const std::string& slot) cons
 }
 
 diagnosis::DiagnosisReport FleetAggregator::fleet_report() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fleet_counts_locked().report();
+  return fleet_counts().report();
 }
 
 std::vector<diagnosis::ComponentScore> FleetAggregator::component_ranking(

@@ -28,7 +28,8 @@
 // the same slot (an outage must not amnesia the diagnosis) and is freed
 // by retire_slot() when the hub gives up on the SUO. All entry points
 // are mutex-guarded so ingest (hub loop thread) and ranking queries
-// (operator/bench threads) can overlap safely.
+// (operator/bench threads) can overlap safely; a fleet query holds the
+// lock only while it merges, and ranks the merged copy after it.
 #pragma once
 
 #include <cstdint>
@@ -156,7 +157,8 @@ class FleetAggregator : public journal::Checkpointable {
                             const std::vector<ipc::SpectrumStep>& steps);
   /// Refresh one cached ranking; returns true when the top-k changed.
   bool refresh_slot_locked(const std::string& name, Slot& slot);
-  diagnosis::IncrementalSflCounts fleet_counts_locked() const;
+  /// Every slot's counts merged, under the lock.
+  diagnosis::IncrementalSflCounts fleet_counts() const;
   void export_health_locked(const std::string& name, Slot& slot);
   static bool same_blocks(const std::vector<diagnosis::BlockScore>& a,
                           const std::vector<diagnosis::BlockScore>& b);

@@ -6,9 +6,11 @@
 // rather than noise (see DESIGN.md §2, substitution table).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "runtime/event.hpp"
@@ -38,9 +40,16 @@ class TaskHandle {
 /// Events scheduled for the same instant fire in FIFO order of
 /// scheduling, which keeps runs reproducible across platforms.
 ///
-/// The queue is a min-heap of small (time, sequence, slot) keys; the
-/// callbacks stay put in a slab of task slots whose addresses survive
-/// growth, so a callback may schedule more tasks while it runs.
+/// The queue holds small (time, sequence, slot) keys; the callbacks stay
+/// put in a slab of task slots whose addresses survive growth, so a
+/// callback may schedule more tasks while it runs. Keys wait in a few
+/// monotone runs — FIFO rings, each in ascending (time, sequence)
+/// order — in front of a min-heap. A channel's deliveries and a
+/// periodic task's re-arms each arrive in ascending order, so a push
+/// usually appends to a run and a pop takes a run's front, both in
+/// O(1); a key that fits no run goes to the heap. A pop takes the
+/// smallest of the heap's top and the runs' fronts, so tasks fire in
+/// exactly (time, sequence) order wherever their keys wait.
 /// Cancelling marks the slot, and its key is dropped when it comes up
 /// (or when dead keys outnumber live ones, whichever is first).
 class Scheduler {
@@ -78,7 +87,7 @@ class Scheduler {
 
   /// Number of pending entries (cancelled entries may still be counted
   /// until they drain).
-  std::size_t pending() const { return queue_.size(); }
+  std::size_t pending() const;
 
   /// Task slots ever made: the most tasks pending or running at once.
   std::size_t task_slots() const { return tasks_.size(); }
@@ -92,7 +101,7 @@ class Scheduler {
   EventSlots& in_flight() { return in_flight_; }
 
  private:
-  /// One heap key; the heap orders by (at, seq), and seq is unique.
+  /// One queue key; keys order by (at, seq), and seq is unique.
   struct Key {
     SimTime at;
     std::uint64_t seq;
@@ -104,6 +113,34 @@ class Scheduler {
     }
   };
 
+  /// Keys in ascending order in a ring that keeps its storage when it
+  /// empties, so a steady stream allocates nothing once warm. Kept to
+  /// 24 bytes so that a fleet shard, which embeds its scheduler, stays
+  /// within glibc's per-thread allocation cache (1032 bytes).
+  class Run {
+   public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    const Key& front() const { return ring_[head_]; }
+    const Key& back() const { return ring_[(head_ + size_ - 1) & (capacity_ - 1)]; }
+    void push_back(const Key& k);
+    Key pop_front();
+    /// Keep the keys `keep` accepts, in order.
+    template <typename Keep>
+    void filter(Keep keep);
+
+   private:
+    std::unique_ptr<Key[]> ring_;
+    std::uint32_t capacity_ = 0;  // zero or a power of two
+    std::uint32_t head_ = 0;
+    std::uint32_t size_ = 0;
+  };
+
+  static constexpr std::size_t kRuns = 4;
+  /// Where the earliest key waits: a run's index, kHeap or kEmpty.
+  static constexpr std::size_t kHeap = kRuns;
+  static constexpr std::size_t kEmpty = kRuns + 1;
+
   struct Task {
     Callback cb;
     SimDuration period = 0;        ///< 0 = one-shot.
@@ -113,11 +150,13 @@ class Scheduler {
   };
 
   TaskHandle add(SimTime at, SimDuration period, Callback cb);
-  void push(Key k);
-  Key pop();
-  /// Pop the earliest key and fire its task unless it was cancelled;
+  void push(const Key& k);
+  std::size_t earliest() const;
+  const Key& peek(std::size_t where) const;
+  Key pop(std::size_t where);
+  /// Pop the key at `where` and fire its task unless it was cancelled;
   /// true when a callback ran.
-  bool run_next();
+  bool run_next(std::size_t where);
   void fire(const Key& k);
   void release(std::uint32_t slot);
   /// Drop the keys of cancelled tasks and free their slots.
@@ -129,8 +168,9 @@ class Scheduler {
   EventSlots in_flight_;       // declared first: destroyed after the tasks
   std::deque<Task> tasks_;     // the slab; a deque keeps addresses on growth
   std::vector<std::uint32_t> free_;
-  std::vector<Key> queue_;     // min-heap on (at, seq)
-  std::size_t dead_keys_ = 0;  // keys in queue_ whose task was cancelled
+  std::array<Run, kRuns> runs_;
+  std::vector<Key> heap_;      // min-heap on (at, seq): keys that fit no run
+  std::size_t dead_keys_ = 0;  // queued keys whose task was cancelled
 };
 
 }  // namespace trader::runtime

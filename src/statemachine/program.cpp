@@ -19,13 +19,15 @@ std::shared_ptr<const ModelProgram> ModelProgram::compile(StateMachineDef def) {
   std::shared_ptr<ModelProgram> p(new ModelProgram(std::move(def)));
   const StateMachineDef& d = p->def_;
 
-  // Intern event names in sorted order (map iteration) so ids are a pure
-  // function of the definition, not of transition declaration order.
+  // Intern event names in sorted order so ids are a pure function of
+  // the definition, not of transition declaration order.
+  std::vector<std::string> events;
   for (const auto& t : d.transitions()) {
-    if (!t.event.empty()) p->event_ids_.emplace(t.event, 0);
+    if (!t.event.empty()) events.push_back(t.event);
   }
-  int next_event = 0;
-  for (auto& [name, id] : p->event_ids_) id = next_event++;
+  std::sort(events.begin(), events.end());
+  events.erase(std::unique(events.begin(), events.end()), events.end());
+  for (const std::string& name : events) p->event_ids_.intern(name);
 
   // Pass 1: enumerate leaves and their root paths.
   for (std::size_t i = 0; i < d.states().size(); ++i) {
@@ -47,7 +49,7 @@ std::shared_ptr<const ModelProgram> ModelProgram::compile(StateMachineDef def) {
   // Pass 2: per-leaf tables. Candidate order is the interpreter's
   // priority order — innermost source first, then definition order among
   // transitions sharing a source.
-  const std::size_t event_count = p->event_ids_.size();
+  const std::size_t event_count = events.size();
   for (auto& row : p->leaves_) {
     std::vector<const TransitionDef*> candidates;
     const StateId* path = p->state_pool_.data() + row.path_begin;
@@ -63,7 +65,8 @@ std::shared_ptr<const ModelProgram> ModelProgram::compile(StateMachineDef def) {
 
     row.dispatch_begin = static_cast<std::uint32_t>(p->dispatch_.size());
     p->dispatch_.resize(p->dispatch_.size() + event_count);
-    for (const auto& [name, eid] : p->event_ids_) {
+    for (std::size_t eid = 0; eid < event_count; ++eid) {
+      const std::string& name = events[eid];
       Span span;
       span.begin = static_cast<std::uint32_t>(p->trans_.size());
       for (const TransitionDef* t : candidates) {

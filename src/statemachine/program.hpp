@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/symbol_table.hpp"
 #include "statemachine/definition.hpp"
 
 namespace trader::statemachine {
@@ -72,8 +73,8 @@ class ModelProgram {
 
   /// Interned id of an event name, or -1 when no transition consumes it.
   int event_id(const std::string& name) const {
-    auto it = event_ids_.find(name);
-    return it == event_ids_.end() ? -1 : it->second;
+    const runtime::SymbolTable::Id id = event_ids_.find(name);
+    return id == runtime::SymbolTable::kNone ? -1 : static_cast<int>(id);
   }
 
   /// Row index of the initial configuration's leaf (-1 for an empty def).
@@ -98,7 +99,7 @@ class ModelProgram {
   Trans compile_transition(const Leaf& row, const TransitionDef& t);
 
   StateMachineDef def_;
-  std::map<std::string, int> event_ids_;
+  runtime::SymbolTable event_ids_;  ///< Interned in sorted name order.
   std::vector<Leaf> leaves_;
   std::map<StateId, int> leaf_index_;
   std::vector<StateId> state_pool_;  ///< Flat paths/exits/entries storage.

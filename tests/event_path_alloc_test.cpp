@@ -11,7 +11,9 @@
 // field map {"value": v} that the model's action builds for each
 // output it emits, one per set/level pair. Routing, mailbox, bus,
 // scheduler, observers, model-output drain and comparator allocate
-// nothing once warm.
+// nothing once warm. A second case pins the scheduler alone: a
+// constant-delay stream beside periodic tasks allocates nothing once
+// warm.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,6 +27,7 @@
 #include "core/monitor_builder.hpp"
 #include "core/sharded_fleet.hpp"
 #include "runtime/rng.hpp"
+#include "runtime/scheduler.hpp"
 
 namespace {
 
@@ -179,6 +182,38 @@ TEST(EventPathAllocations, ObservableNameLengthCostsNoAllocation) {
   const double short_name = steady_state_allocations_per_event(1, "level");
   const double long_name = steady_state_allocations_per_event(1, "sound_level");
   EXPECT_DOUBLE_EQ(long_name, short_name);
+}
+
+// The scheduler's queue keeps its storage: once a constant-delay stream
+// (a channel's deliveries, drained every epoch) and periodic tasks
+// (monitor ticks) have run for a while, neither the runs, the heap nor
+// the task slab allocates again, although the runs empty and refill
+// every epoch. Both captures fit std::function's inline buffer.
+TEST(SchedulerAllocations, ConstantDelayStreamBesidePeriodicTasksAllocatesNothingOnceWarm) {
+  rt::Scheduler sched;
+  std::uint64_t fired = 0;
+  constexpr int kPerEpoch = 100;
+  const auto epochs = [&](int count) {
+    for (int e = 0; e < count; ++e) {
+      for (int i = 0; i < kPerEpoch; ++i) sched.schedule_after(rt::usec(200), [&fired] { ++fired; });
+      sched.run_for(kEpoch);
+    }
+  };
+  std::vector<rt::TaskHandle> ticks;
+  for (int p = 0; p < 64; ++p) {
+    ticks.push_back(sched.schedule_every(rt::msec(50), [&fired] { ++fired; }));
+    sched.run_for(rt::usec(700));  // spreads the ticks' phases over the period
+  }
+  epochs(100);  // warm-up
+  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t fired_before = fired;
+  epochs(10000 / kPerEpoch);
+  const std::uint64_t allocations = g_allocations.load() - before;
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_GT(fired - fired_before, 10000u);  // the stream and the ticks both fired
+  for (const rt::TaskHandle h : ticks) sched.cancel(h);
+  sched.run_for(rt::msec(50));
+  EXPECT_EQ(sched.pending(), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -412,6 +416,413 @@ TEST(Scheduler, NestedSchedulingWithinCallback) {
   });
   sched.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+// ---------------------------------------------------- SchedulerDifferential
+//
+// Seeded random programs run against the Scheduler and against a plain
+// list that fires its keys in (at, seq) order by linear scan, with the
+// same clamping, re-arm and dead-key rules. Each program mixes
+// schedule_at (past times, future times, many ties), schedule_after,
+// schedule_every, cancel (live, repeated, stale and never-issued
+// handles), callbacks that schedule and cancel from inside, and
+// throwing one-shot and periodic callbacks. Descending bursts put keys
+// below every run's last key and need more runs than the scheduler
+// keeps, so keys wait in the heap and in runs at once. Both sides must
+// fire the same tasks at the same times and agree on now(), pending()
+// and executed() after every operation.
+
+namespace {
+
+/// The operations a program applies. A task's id is the number of
+/// tasks made before it.
+class SchedulerUnderTest {
+ public:
+  using Callback = std::function<void()>;
+  virtual ~SchedulerUnderTest() = default;
+  virtual rt::SimTime now() const = 0;
+  virtual void schedule_at(rt::SimTime at, Callback cb) = 0;
+  virtual void schedule_after(rt::SimDuration delay, Callback cb) = 0;
+  virtual void schedule_every(rt::SimDuration period, Callback cb) = 0;
+  virtual void cancel(std::size_t task) = 0;
+  virtual bool step() = 0;
+  virtual void run_until(rt::SimTime t) = 0;
+  virtual void run_all() = 0;
+  virtual std::size_t pending() const = 0;
+  virtual std::uint64_t executed() const = 0;
+};
+
+class RealScheduler final : public SchedulerUnderTest {
+ public:
+  rt::SimTime now() const override { return sched_.now(); }
+  void schedule_at(rt::SimTime at, Callback cb) override {
+    handles_.push_back(sched_.schedule_at(at, std::move(cb)));
+  }
+  void schedule_after(rt::SimDuration delay, Callback cb) override {
+    handles_.push_back(sched_.schedule_after(delay, std::move(cb)));
+  }
+  void schedule_every(rt::SimDuration period, Callback cb) override {
+    handles_.push_back(sched_.schedule_every(period, std::move(cb)));
+  }
+  void cancel(std::size_t task) override {
+    sched_.cancel(task < handles_.size() ? handles_[task] : rt::TaskHandle{});
+  }
+  bool step() override { return sched_.step(); }
+  void run_until(rt::SimTime t) override { sched_.run_until(t); }
+  void run_all() override { sched_.run_all(); }
+  std::size_t pending() const override { return sched_.pending(); }
+  std::uint64_t executed() const override { return sched_.executed(); }
+
+ private:
+  rt::Scheduler sched_;
+  std::vector<rt::TaskHandle> handles_;
+};
+
+/// Every queued key in one list, scanned for the smallest (at, seq).
+class ReferenceScheduler final : public SchedulerUnderTest {
+ public:
+  rt::SimTime now() const override { return now_; }
+  void schedule_at(rt::SimTime at, Callback cb) override { add(std::max(at, now_), 0, std::move(cb)); }
+  void schedule_after(rt::SimDuration delay, Callback cb) override {
+    schedule_at(now_ + std::max<rt::SimDuration>(delay, 0), std::move(cb));
+  }
+  void schedule_every(rt::SimDuration period, Callback cb) override {
+    add(now_ + period, period, std::move(cb));
+  }
+  void cancel(std::size_t task) override {
+    if (task >= tasks_.size()) return;
+    Task& t = tasks_[task];
+    if (t.done || t.cancelled) return;
+    t.cancelled = true;
+    if (!t.queued) return;  // running: done when its callback returns
+    ++dead_;
+    if (2 * dead_ <= keys_.size()) return;
+    // Dead keys outnumber live ones: drop them all.
+    std::vector<Key> live;
+    for (const Key& k : keys_) {
+      if (tasks_[k.task].cancelled) {
+        tasks_[k.task].done = true;
+      } else {
+        live.push_back(k);
+      }
+    }
+    keys_ = std::move(live);
+    dead_ = 0;
+  }
+  bool step() override {
+    while (!keys_.empty()) {
+      if (run_next(earliest())) return true;
+    }
+    return false;
+  }
+  void run_until(rt::SimTime t) override {
+    while (!keys_.empty() && keys_[earliest()].at <= t) run_next(earliest());
+    now_ = std::max(now_, t);
+  }
+  void run_all() override {
+    while (step()) {
+    }
+  }
+  std::size_t pending() const override { return keys_.size(); }
+  std::uint64_t executed() const override { return executed_; }
+
+ private:
+  struct Task {
+    Callback cb;
+    rt::SimDuration period = 0;
+    bool queued = true;
+    bool cancelled = false;
+    bool done = false;
+  };
+  struct Key {
+    rt::SimTime at;
+    std::uint64_t seq;
+    std::size_t task;
+  };
+
+  void add(rt::SimTime at, rt::SimDuration period, Callback cb) {
+    tasks_.push_back(Task{std::move(cb), period});
+    keys_.push_back(Key{at, seq_++, tasks_.size() - 1});
+  }
+  std::size_t earliest() const {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < keys_.size(); ++i) {
+      const Key& k = keys_[i];
+      if (k.at < keys_[best].at || (k.at == keys_[best].at && k.seq < keys_[best].seq)) best = i;
+    }
+    return best;
+  }
+  bool run_next(std::size_t i) {
+    const Key k = keys_[i];
+    keys_.erase(keys_.begin() + static_cast<std::ptrdiff_t>(i));
+    Task& t = tasks_[k.task];  // a deque: stays put while the callback adds tasks
+    if (t.cancelled) {
+      --dead_;
+      t.done = true;
+      return false;
+    }
+    t.queued = false;
+    now_ = k.at;
+    ++executed_;
+    if (t.period == 0) {
+      try {
+        t.cb();
+      } catch (...) {
+        t.done = true;
+        throw;
+      }
+      t.done = true;
+      return true;
+    }
+    // The re-arm takes its sequence number before the callback runs.
+    const Key next{now_ + t.period, seq_++, k.task};
+    const auto rearm = [&] {
+      if (t.cancelled) {
+        t.done = true;
+        return;
+      }
+      t.queued = true;
+      keys_.push_back(next);
+    };
+    try {
+      t.cb();
+    } catch (...) {
+      rearm();
+      throw;
+    }
+    rearm();
+    return true;
+  }
+
+  rt::SimTime now_ = 0;
+  std::uint64_t seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::size_t dead_ = 0;
+  std::deque<Task> tasks_;
+  std::vector<Key> keys_;
+};
+
+/// One line of a program's trace: what happened, to which task, and
+/// the scheduler's view right after.
+struct TraceLine {
+  char what;          ///< 'f' fire, 'o' top-level operation, 'x' exception
+  std::int64_t arg;   ///< task id (fire) or operation index
+  rt::SimTime now;
+  std::size_t pending;
+  std::uint64_t executed;
+
+  bool operator==(const TraceLine& o) const {
+    return what == o.what && arg == o.arg && now == o.now && pending == o.pending &&
+           executed == o.executed;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const TraceLine& l) {
+  return os << l.what << ' ' << l.arg << " now=" << l.now << " pending=" << l.pending
+            << " executed=" << l.executed;
+}
+
+class RandomProgram {
+ public:
+  RandomProgram(SchedulerUnderTest& s, std::uint64_t seed) : s_(s), rng_(seed) {}
+
+  std::vector<TraceLine> run() {
+    const int ops = static_cast<int>(rng_.uniform_int(40, 120));
+    for (int op = 0; op < ops; ++op) {
+      try {
+        top_level_op();
+      } catch (const std::runtime_error&) {
+        note('x', op);
+      }
+      note('o', op);
+    }
+    // Stop every task, then drain: nothing may fire and nothing may stay.
+    for (std::size_t id = 0; id < made_; ++id) s_.cancel(id);
+    s_.run_all();
+    note('o', ops);
+    return std::move(trace_);
+  }
+
+ private:
+  static constexpr std::size_t kMaxTasks = 200;
+  static constexpr std::size_t kMaxPeriodic = 12;
+
+  void note(char what, std::int64_t arg) {
+    trace_.push_back(TraceLine{what, arg, s_.now(), s_.pending(), s_.executed()});
+  }
+
+  SchedulerUnderTest::Callback task(bool periodic) {
+    const std::size_t id = made_++;
+    // Some tasks throw now and then, one-shot and periodic alike.
+    const bool thrower = rng_.bernoulli(0.15);
+    periodic_.push_back(periodic);
+    return [this, id, thrower] { on_fire(id, thrower); };
+  }
+
+  void on_fire(std::size_t id, bool thrower) {
+    note('f', static_cast<std::int64_t>(id));
+    const int inner = static_cast<int>(rng_.uniform_int(0, 3));
+    for (int i = 0; i < inner; ++i) {
+      switch (rng_.uniform_int(0, 5)) {
+        case 0:
+        case 1:
+          schedule_one();
+          break;
+        case 2:
+          s_.cancel(static_cast<std::size_t>(rng_.uniform_int(0, static_cast<std::int64_t>(made_))));
+          break;
+        case 3:
+          s_.cancel(id);  // itself, while it runs
+          break;
+        default:
+          break;
+      }
+    }
+    if (thrower && rng_.bernoulli(0.4)) throw std::runtime_error("task failed");
+  }
+
+  rt::SimTime tie_or_random() {
+    // Half the times come from a small grid, so keys tie often.
+    if (rng_.bernoulli(0.5)) return (s_.now() / 10 + rng_.uniform_int(0, 4)) * 10;
+    return s_.now() + rng_.uniform_int(-30, 400);  // negative: in the past
+  }
+
+  void schedule_one() {
+    if (made_ >= kMaxTasks) return;
+    switch (rng_.uniform_int(0, 3)) {
+      case 0:
+        s_.schedule_at(tie_or_random(), task(false));
+        break;
+      case 1:
+        s_.schedule_after(rng_.uniform_int(-5, 200), task(false));
+        break;
+      case 2:
+        if (!draining_ && periodic_made_ < kMaxPeriodic) {
+          ++periodic_made_;
+          static constexpr rt::SimDuration kPeriods[] = {7, 10, 25, 50};
+          s_.schedule_every(kPeriods[rng_.uniform_int(0, 3)], task(true));
+        }
+        break;
+      default:
+        s_.schedule_after(40, task(false));  // a constant-delay stream
+        break;
+    }
+  }
+
+  void top_level_op() {
+    switch (rng_.uniform_int(0, 9)) {
+      case 0:
+      case 1:
+        schedule_one();
+        break;
+      case 2: {
+        // Descending: each key lands below every run's last key, so
+        // the runs fill up and the rest waits in the heap.
+        const int n = static_cast<int>(rng_.uniform_int(2, 10));
+        const rt::SimTime top = s_.now() + rng_.uniform_int(50, 300);
+        for (int i = 0; i < n && made_ < kMaxTasks; ++i) {
+          s_.schedule_at(top - i * rng_.uniform_int(0, 20), task(false));
+        }
+        break;
+      }
+      case 3: {
+        // Ascending, constant delay: one run takes all of them.
+        const int n = static_cast<int>(rng_.uniform_int(2, 20));
+        for (int i = 0; i < n && made_ < kMaxTasks; ++i) s_.schedule_after(25, task(false));
+        break;
+      }
+      case 4:
+        // Live, repeated, stale and never-issued handles alike.
+        s_.cancel(static_cast<std::size_t>(rng_.uniform_int(0, static_cast<std::int64_t>(made_) + 1)));
+        break;
+      case 5:
+      case 6:
+        s_.run_until(s_.now() + rng_.uniform_int(0, 120));
+        break;
+      case 7:
+        s_.step();
+        break;
+      case 8:
+        if (rng_.bernoulli(0.3)) {
+          // Cancel every periodic task, then drain what is left.
+          for (std::size_t t = 0; t < made_; ++t) {
+            if (periodic_[t]) s_.cancel(t);
+          }
+          draining_ = true;
+          try {
+            s_.run_all();
+          } catch (...) {
+            draining_ = false;
+            throw;
+          }
+          draining_ = false;
+        }
+        break;
+      default:
+        s_.run_until(s_.now());  // fires what is due now, nothing later
+        break;
+    }
+  }
+
+  SchedulerUnderTest& s_;
+  rt::Rng rng_;
+  std::vector<TraceLine> trace_;
+  std::vector<bool> periodic_;
+  std::size_t made_ = 0;
+  std::size_t periodic_made_ = 0;
+  bool draining_ = false;
+};
+
+std::vector<TraceLine> trace_of(SchedulerUnderTest& s, std::uint64_t seed) {
+  RandomProgram program(s, seed);
+  return program.run();
+}
+
+}  // namespace
+
+TEST(SchedulerDifferential, RandomProgramsFireLikeASortedList) {
+  constexpr std::uint64_t kPrograms = 600;
+  std::size_t fires = 0;
+  for (std::uint64_t seed = 1; seed <= kPrograms; ++seed) {
+    RealScheduler real;
+    ReferenceScheduler reference;
+    const std::vector<TraceLine> got = trace_of(real, seed);
+    const std::vector<TraceLine> want = trace_of(reference, seed);
+    const auto [g, w] = std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+    ASSERT_TRUE(g == got.end() && w == want.end())
+        << "seed " << seed << ", line " << (g - got.begin()) << ": got "
+        << (g == got.end() ? std::string("end") : ::testing::PrintToString(*g)) << ", want "
+        << (w == want.end() ? std::string("end") : ::testing::PrintToString(*w));
+    EXPECT_EQ(got.back().pending, 0u) << "seed " << seed;
+    fires += static_cast<std::size_t>(
+        std::count_if(got.begin(), got.end(), [](const TraceLine& l) { return l.what == 'f'; }));
+  }
+  EXPECT_GT(fires, kPrograms * 20);  // the programs did fire their tasks
+}
+
+// Each of the descending keys sits below every key queued before it,
+// so the first few open runs and the rest wait in the heap; the
+// ascending stream beside them appends to one run, and ties between
+// the two keep their scheduling order.
+TEST(SchedulerDifferential, MoreDescendingKeysThanRunsStillFireInOrder) {
+  rt::Scheduler sched;
+  std::vector<std::pair<rt::SimTime, int>> fired;
+  std::vector<std::pair<rt::SimTime, int>> want;
+  int id = 0;
+  const auto add = [&](rt::SimTime at) {
+    const int mine = id++;
+    sched.schedule_at(at, [&, mine] { fired.emplace_back(sched.now(), mine); });
+    want.emplace_back(at, mine);
+  };
+  for (int i = 0; i < 12; ++i) {
+    add(1000 - 50 * i);
+    add(500 + 10 * i);
+  }
+  EXPECT_EQ(sched.pending(), 24u);
+  sched.run_all();
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(fired, want);
+  EXPECT_EQ(sched.pending(), 0u);
 }
 
 // ------------------------------------------------------------------- EventBus
