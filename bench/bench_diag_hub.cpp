@@ -71,6 +71,7 @@ struct SweepRun {
   double cached_query_p99_us = 0.0;  ///< top_suspects (bounded, cached).
   double fleet_query_p99_us = 0.0;   ///< fleet_top_suspects (merged when asked).
   double fresh_report_p99_us = 0.0;  ///< full fresh ranking.
+  std::size_t query_samples = 0;     ///< Polls the p99 cells rest on.
   std::uint64_t refreshes = 0;
   std::uint64_t churn = 0;
 };
@@ -103,8 +104,10 @@ SweepRun run_sweep(std::size_t publishers) {
     suos.emplace_back([pub, &stats, k] { hub::run_hub_publisher(pub, &stats[k]); });
   }
 
-  // Pump the loop to completion, sampling live ranking queries the way
-  // an operator dashboard would — against the hot mutex, mid-ingest.
+  // Pump the loop to completion, sampling live ranking queries after
+  // every poll the way an operator dashboard would — against the hot
+  // mutex, mid-ingest. The 8- and 32-publisher runs end in a handful of
+  // polls, so a sparser cadence would leave their cells without a sample.
   rt::PercentileAccumulator cached_us;
   rt::PercentileAccumulator fleet_us;
   rt::PercentileAccumulator fresh_us;
@@ -114,19 +117,17 @@ SweepRun run_sweep(std::size_t publishers) {
   while (awareness_hub.connection_count() > 0 || awareness_hub.diagnosis().slot_count() == 0) {
     if (awareness_hub.poll(10) < 0) break;
     if (std::chrono::steady_clock::now() > deadline) break;
-    if (++polls % 16 == 0) {
-      const std::string slot = slot_name(polls % publishers);
-      const auto q0 = std::chrono::steady_clock::now();
-      (void)awareness_hub.diagnosis().top_suspects(slot);
-      const auto q1 = std::chrono::steady_clock::now();
-      (void)awareness_hub.diagnosis().fleet_top_suspects();
-      const auto q2 = std::chrono::steady_clock::now();
-      (void)awareness_hub.diagnosis().report(slot);
-      const auto q3 = std::chrono::steady_clock::now();
-      cached_us.add(std::chrono::duration<double, std::micro>(q1 - q0).count());
-      fleet_us.add(std::chrono::duration<double, std::micro>(q2 - q1).count());
-      fresh_us.add(std::chrono::duration<double, std::micro>(q3 - q2).count());
-    }
+    const std::string slot = slot_name(++polls % publishers);
+    const auto q0 = std::chrono::steady_clock::now();
+    (void)awareness_hub.diagnosis().top_suspects(slot);
+    const auto q1 = std::chrono::steady_clock::now();
+    (void)awareness_hub.diagnosis().fleet_top_suspects();
+    const auto q2 = std::chrono::steady_clock::now();
+    (void)awareness_hub.diagnosis().report(slot);
+    const auto q3 = std::chrono::steady_clock::now();
+    cached_us.add(std::chrono::duration<double, std::micro>(q1 - q0).count());
+    fleet_us.add(std::chrono::duration<double, std::micro>(q2 - q1).count());
+    fresh_us.add(std::chrono::duration<double, std::micro>(q3 - q2).count());
   }
   const auto t_end = std::chrono::steady_clock::now();
   for (auto& t : suos) t.join();
@@ -143,6 +144,7 @@ SweepRun run_sweep(std::size_t publishers) {
   run.cached_query_p99_us = cached_us.percentile(99.0);
   run.fleet_query_p99_us = fleet_us.percentile(99.0);
   run.fresh_report_p99_us = fresh_us.percentile(99.0);
+  run.query_samples = cached_us.count();
   run.refreshes = awareness_hub.metrics().counter("hub.diag.refreshes");
   run.churn = awareness_hub.diagnosis().ranking_churn();
   awareness_hub.stop();
@@ -156,13 +158,18 @@ void report() {
   std::vector<SweepRun> runs;
   for (const std::size_t n : sweep) runs.push_back(run_sweep(n));
 
-  Table t({"publishers", "events/sec", "steps/sec", "spectrum frames", "cached q p99 us",
-           "fleet q p99 us", "fresh report p99 us", "refreshes", "churn"});
+  // A p99 with no sample behind it prints "-" (null in the JSON), not 0.0.
+  const auto p99_cell = [](const SweepRun& r, double v, int precision) {
+    return r.query_samples == 0 ? std::string("-") : fmt(v, precision);
+  };
+  Table t({"publishers", "events/sec", "steps/sec", "spectrum frames", "query samples",
+           "cached q p99 us", "fleet q p99 us", "fresh report p99 us", "refreshes", "churn"});
   for (const auto& r : runs) {
     t.row({fmt_int(static_cast<std::int64_t>(r.publishers)), fmt(r.events_per_sec, 0),
            fmt(r.steps_per_sec, 0), fmt_int(static_cast<std::int64_t>(r.spectrum_frames)),
-           fmt(r.cached_query_p99_us, 1), fmt(r.fleet_query_p99_us, 1),
-           fmt(r.fresh_report_p99_us, 1),
+           fmt_int(static_cast<std::int64_t>(r.query_samples)),
+           p99_cell(r, r.cached_query_p99_us, 1), p99_cell(r, r.fleet_query_p99_us, 1),
+           p99_cell(r, r.fresh_report_p99_us, 1),
            fmt_int(static_cast<std::int64_t>(r.refreshes)),
            fmt_int(static_cast<std::int64_t>(r.churn))});
   }
@@ -197,14 +204,18 @@ void report() {
   std::ofstream json("BENCH_fleetdiag.json");
   json << "{\n  \"experiment\": \"bench_diag_hub\",\n";
   json << "  \"sweep\": [\n";
+  const auto p99_json = [](const SweepRun& r, double v) {
+    return r.query_samples == 0 ? std::string("null") : fmt(v, 2);
+  };
   for (std::size_t i = 0; i < runs.size(); ++i) {
     json << "    {\"publishers\": " << runs[i].publishers
          << ", \"events_per_sec\": " << fmt(runs[i].events_per_sec, 0)
          << ", \"spectrum_steps_per_sec\": " << fmt(runs[i].steps_per_sec, 0)
          << ", \"spectrum_frames\": " << runs[i].spectrum_frames
-         << ", \"cached_query_p99_us\": " << fmt(runs[i].cached_query_p99_us, 2)
-         << ", \"fleet_query_p99_us\": " << fmt(runs[i].fleet_query_p99_us, 2)
-         << ", \"fresh_report_p99_us\": " << fmt(runs[i].fresh_report_p99_us, 2)
+         << ", \"query_samples\": " << runs[i].query_samples
+         << ", \"cached_query_p99_us\": " << p99_json(runs[i], runs[i].cached_query_p99_us)
+         << ", \"fleet_query_p99_us\": " << p99_json(runs[i], runs[i].fleet_query_p99_us)
+         << ", \"fresh_report_p99_us\": " << p99_json(runs[i], runs[i].fresh_report_p99_us)
          << ", \"refresh_every\": 8"
          << ", \"refreshes\": " << runs[i].refreshes << ", \"churn\": " << runs[i].churn
          << "}" << (i + 1 < runs.size() ? "," : "") << "\n";

@@ -27,9 +27,10 @@
 #      fleet shard threads share the scored path)
 #   8. fleetdiag: fleet-level online diagnosis under ASan (reporter
 #      chunking, online-vs-offline ranking equivalence over real
-#      sockets, slot lifecycle, fuzz-findings replay, and the pruned
-#      top-k scan against the full ranking) and TSan (concurrent ingest
-#      vs ranking queries); then bench_diag_hub
+#      sockets, slot lifecycle, fuzz-findings replay, the pruned
+#      top-k scan against the full ranking, the coverage recorder's
+#      range/mask hits and the SUO stand-in's step-stream digest) and
+#      TSan (concurrent ingest vs ranking queries); then bench_diag_hub
 #      leaves BENCH_fleetdiag.json in the repo root (spectrum ingest
 #      sweep + per-fault-kind diagnosis accuracy)
 #   9. recovery: the closed recovery loop under ASan (convergence gate,
@@ -74,12 +75,15 @@
 #      repo root (frames/sec + ingest latency vs connection count)
 #  15. bench_fuzz fuzzing experiment, leaving BENCH_fuzz.json in the
 #      repo root (scenarios/sec + corpus growth and coverage curves)
+#  16. perfbench: the benchmark's own Release build of the libraries
+#      and every workload at smoke size, traced and untraced
+#      (perfbench/test_perfbench.py; its build tree is .bench_build/)
 #
 # After the tier-1 stage and again after the last stage, the run fails
 # if `git status --porcelain` shows a path it did not show at start: a
 # leaked temp dir or an artifact missing from .gitignore.
 #
-# Each stage prints its wall time on completion. Stages 2-15 can be
+# Each stage prints its wall time on completion. Stages 2-16 can be
 # skipped for a quick tier-1-only run:
 #   scripts/check.sh --tier1-only
 # The fuzz stage's iteration budget is tunable: CHECK_FUZZ_ITERS=400
@@ -188,9 +192,12 @@ cmake --build build-tsan -j "$JOBS" --target hub_test
 
 stage "fleetdiag: online diagnosis under ASan and TSan -> BENCH_fleetdiag.json"
 cmake --build build-asan -j "$JOBS" --target fleetdiag_test diagnosis_test
-# The chunk-pruned top-k scan against the full ranking: chunk tails,
-# stale chunk bounds, load/merge/clear, ids past the span.
-./build-asan/tests/diagnosis_test --gtest_filter='Incremental.*'
+# The chunk-pruned top-k scan against the full ranking (chunk tails,
+# stale chunk bounds, load/merge/clear, ids past the span), the coverage
+# recorder's word-wide range and mask hits against per-block hits, and
+# the SUO stand-in's pinned step-stream digest.
+./build-asan/tests/diagnosis_test \
+  --gtest_filter='Incremental.*:Coverage.*:CoverageProperty.*:SuoStream.*'
 # Reporter chunking, the online-vs-offline ranking differential (every
 # prefix, 1/2/4 shards over real sockets), slot lifecycle (reconnect
 # persistence, retirement on permanent failure), the version-gated
@@ -314,6 +321,9 @@ cmake --build build -j "$JOBS" --target bench_fuzz
 test -s BENCH_fuzz.json
 echo "BENCH_fuzz.json written:"
 head -12 BENCH_fuzz.json
+
+stage "perfbench: every workload at smoke size, traced and untraced"
+python3 perfbench/test_perfbench.py
 
 check_tree_clean
 stage "all checks passed"

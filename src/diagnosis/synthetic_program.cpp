@@ -44,21 +44,37 @@ std::size_t SyntheticProgram::feature_of(std::size_t block) const {
   return f < config_.feature_count ? f : static_cast<std::size_t>(-1);
 }
 
+bool SyntheticProgram::restart_unit(std::size_t block) {
+  const std::size_t feature = feature_of(block);
+  return feature != SIZE_MAX && feature == feature_of(fault_block_) && restart_all();
+}
+
+bool SyntheticProgram::restart_all() {
+  const bool repairs = has_fault();
+  clear_fault();
+  return repairs;
+}
+
 bool SyntheticProgram::run_step(std::size_t feature,
                                 observation::BlockCoverageRecorder& coverage) {
   if (feature >= config_.feature_count) throw std::out_of_range("no such feature");
-  bool fault_executed = false;
-  auto touch = [&](std::size_t block) {
-    coverage.hit(block);
-    if (block == fault_block_) fault_executed = true;
-  };
 
   // Common infrastructure runs on every step (event loop, dispatching).
-  for (std::size_t b = 0; b < common_count_; ++b) touch(b);
+  coverage.hit_range(0, common_count_);
+  bool fault_executed = fault_block_ < common_count_;
 
-  // A varying slice of the shared utility pool.
-  for (std::size_t b = shared_begin(); b < shared_end(); ++b) {
-    if (rng_.bernoulli(config_.shared_cover)) touch(b);
+  // A varying slice of the shared utility pool: one Bernoulli draw per
+  // block, ascending, packed 64 to a word-aligned mask.
+  for (std::size_t first = shared_begin(); first < shared_end();) {
+    const std::size_t stop = std::min(shared_end(), (first | 63) + 1);
+    std::uint64_t bits = 0;
+    for (std::size_t b = first; b < stop; ++b) {
+      bits |= static_cast<std::uint64_t>(rng_.bernoulli(config_.shared_cover)) << (b - first);
+    }
+    coverage.hit_mask(first, bits);
+    const std::size_t offset = fault_block_ - first;
+    if (offset < stop - first) fault_executed |= ((bits >> offset) & 1) != 0;
+    first = stop;
   }
 
   // The active feature's handler: a contiguous prefix of the feature's
@@ -68,7 +84,8 @@ bool SyntheticProgram::run_step(std::size_t feature,
       rng_.uniform(config_.feature_cover_min, config_.feature_cover_max);
   const auto begin = feature_begin(feature);
   const auto count = static_cast<std::size_t>(static_cast<double>(per_feature_) * cover);
-  for (std::size_t b = begin; b < begin + count; ++b) touch(b);
+  coverage.hit_range(begin, begin + count);
+  fault_executed |= fault_block_ - begin < count;  // unsigned: below begin wraps high
 
   if (!fault_executed) return false;
   return config_.fault_manifestation >= 1.0 || rng_.bernoulli(config_.fault_manifestation);

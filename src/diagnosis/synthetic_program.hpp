@@ -55,6 +55,13 @@ class SyntheticProgram {
   /// Feature owning a block (or SIZE_MAX for common/shared blocks).
   std::size_t feature_of(std::size_t block) const;
 
+  /// Restart the feature that owns `block`: repairs the fault only when
+  /// it lives in that feature. Returns whether this call repaired it.
+  bool restart_unit(std::size_t block);
+  /// Restart everything: repairs the fault wherever it lives. Returns
+  /// whether this call repaired it.
+  bool restart_all();
+
   /// Execute one scenario step activating `feature`; records coverage
   /// into `coverage` (the step is NOT closed — caller calls end_step())
   /// and returns whether the step manifested an error.

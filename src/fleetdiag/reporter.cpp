@@ -16,18 +16,12 @@ void SpectrumReporter::hit(std::uint32_t block) {
   touched_.push_back(block);
 }
 
-namespace {
-
-/// Hits usually arrive in id order (SyntheticProgram walks its blocks
-/// ascending), so the check is the common cost and the sort the rare one.
-void sort_ids(std::vector<std::uint32_t>& ids) {
-  if (!std::is_sorted(ids.begin(), ids.end())) std::sort(ids.begin(), ids.end());
-}
-
-}  // namespace
-
 void SpectrumReporter::end_step(bool error) {
-  sort_ids(touched_);
+  // Hits usually arrive in id order, so the check is the common cost and
+  // the sort the rare one.
+  if (!std::is_sorted(touched_.begin(), touched_.end())) {
+    std::sort(touched_.begin(), touched_.end());
+  }
   for (const std::uint32_t b : touched_) current_[b] = false;
   std::vector<std::uint32_t> blocks;
   blocks.swap(touched_);
@@ -36,12 +30,18 @@ void SpectrumReporter::end_step(bool error) {
 
 void SpectrumReporter::end_step_from(const observation::BlockCoverageRecorder& coverage,
                                      bool error) {
+  const std::vector<std::uint32_t>& touched = coverage.current_touched();
   std::vector<std::uint32_t> blocks;
-  blocks.reserve(coverage.current_touched().size());
-  for (const std::size_t b : coverage.current_touched()) {
-    if (b < config_.block_count) blocks.push_back(static_cast<std::uint32_t>(b));
+  if (coverage.block_count() <= config_.block_count) {
+    blocks.assign(touched.begin(), touched.end());
+  } else {
+    blocks.reserve(touched.size());
+    for (const std::uint32_t b : touched) {
+      if (b < config_.block_count) blocks.push_back(b);
+    }
   }
-  sort_ids(blocks);
+  // Filtering keeps the order, so an ascending recorder needs no sort.
+  if (!coverage.touched_ascending()) std::sort(blocks.begin(), blocks.end());
   add_step(std::move(blocks), error);
 }
 

@@ -176,13 +176,8 @@ int run_hub_publisher(const PublisherConfig& config, PublisherStats* out) {
         // Restarting the unit repairs the fault only when the suspect
         // block actually lives in the faulty feature — recovery
         // precision is measurable against ground truth.
-        const std::size_t feature = program->feature_of(f.block);
-        const bool repairs = program->has_fault() && feature != SIZE_MAX &&
-                             program->feature_of(program->fault_block()) == feature;
-        if (repairs) {
-          program->clear_fault();
-          ++stats.recover_repairs;
-        }
+        const bool repairs = program->restart_unit(f.block);
+        if (repairs) ++stats.recover_repairs;
         outcome = {true, (repairs ? "repaired " : "restarted ") + f.unit};
         break;
       }
@@ -190,10 +185,7 @@ int run_hub_publisher(const PublisherConfig& config, PublisherStats* out) {
       case recovery::RecoveryAction::kFullRestart:
         // Brute force: restarting the dependency closure (or everything)
         // repairs regardless of where the fault lives.
-        if (program != nullptr && program->has_fault()) {
-          program->clear_fault();
-          ++stats.recover_repairs;
-        }
+        if (program != nullptr && program->restart_all()) ++stats.recover_repairs;
         tv.republish_outputs();
         outcome = {true, "restarted all"};
         break;

@@ -136,9 +136,11 @@ RecoveryScore RecoveryCampaign::run_scenario(const ScenarioScript& script) {
         [&] { return awareness_hub->diagnosis().health(slot).reports >= frames_shipped; });
   };
 
-  // SUO-side actuation, same semantics as run_hub_publisher(): resync
-  // never repairs, a targeted restart repairs only when the suspect
-  // block lives in the faulty feature, the brute-force rungs always do.
+  // SUO-side actuation through the program's repair rule, as in
+  // run_hub_publisher(): resync never repairs, a targeted restart
+  // repairs only when the suspect block lives in the faulty feature, the
+  // brute-force rungs always do. Precision is scored against the
+  // planted ground truth, not the program.
   const auto execute = [&](const ipc::Frame& f) {
     const ipc::Frame ack = link.recover_ack(f, f.time, [&] {
       ++score.commands;
@@ -155,26 +157,23 @@ RecoveryScore RecoveryCampaign::run_scenario(const ScenarioScript& script) {
         case recovery::RecoveryAction::kRestartUnit:
           ++score.restarts;
           if (score.restarts == 1) score.precise = on_target;
-          repairs = program.has_fault() && on_target;
+          repairs = program.restart_unit(f.block);
           outcome = {true, (repairs ? "repaired " : "restarted ") + f.unit};
           break;
         case recovery::RecoveryAction::kRestartDependents:
         case recovery::RecoveryAction::kFullRestart:
           ++score.restarts;
           if (score.restarts == 1) score.precise = on_target;
-          repairs = program.has_fault();
+          repairs = program.restart_all();
           outcome = {true, "restarted all"};
           break;
         default:
           outcome.detail = "unsupported action";
           break;
       }
-      if (repairs) {
-        program.clear_fault();
-        if (!score.repaired) {
-          score.repaired = true;
-          score.repaired_at = f.time;  // the command's virtual timestamp
-        }
+      if (repairs && !score.repaired) {
+        score.repaired = true;
+        score.repaired_at = f.time;  // the command's virtual timestamp
       }
       return outcome;
     });

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <stdexcept>
 
 #include "diagnosis/spectrum.hpp"
 #include "diagnosis/synthetic_program.hpp"
@@ -102,6 +104,65 @@ TEST(Coverage, ClearResets) {
   cov.clear();
   EXPECT_EQ(cov.step_count(), 0u);
   EXPECT_EQ(cov.raw_hits(), 0u);
+}
+
+TEST(Coverage, RefusesUniversesPastThirtyTwoBitIds) {
+  if (sizeof(std::size_t) <= 4) GTEST_SKIP() << "size_t cannot exceed UINT32_MAX";
+  EXPECT_THROW(obs::BlockCoverageRecorder(std::size_t{UINT32_MAX} + 1), std::invalid_argument);
+}
+
+TEST(CoverageProperty, RangeAndMaskMatchPerBlockHits) {
+  // hit_range / hit_mask against the per-block hit() loop they stand
+  // for: ranges and masks straddling word boundaries, crossing the
+  // universe end, empty or reversed, and overlapping earlier hits.
+  for (const std::size_t blocks : {1u, 63u, 64u, 65u, 200u, 1001u}) {
+    rt::Rng rng(blocks * 31 + 5);
+    obs::BlockCoverageRecorder ref(blocks);
+    obs::BlockCoverageRecorder fast(blocks);
+    const auto pick = [&](std::size_t hi) {
+      return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(hi)));
+    };
+    for (int op = 0; op < 3000; ++op) {
+      const int kind = static_cast<int>(rng.uniform_int(0, 9));
+      if (kind < 4) {
+        const std::size_t begin = pick(blocks + 70);
+        const std::size_t end = rng.bernoulli(0.1) ? pick(begin) : begin + pick(150);
+        for (std::size_t b = begin; b < end; ++b) ref.hit(b);
+        fast.hit_range(begin, end);
+      } else if (kind < 8) {
+        const std::size_t first = pick(blocks + 70);
+        std::uint64_t bits = rng.next_u64();
+        if (kind == 5) bits &= rng.next_u64() & rng.next_u64();  // sparse
+        if (kind == 6) bits = rng.bernoulli(0.5) ? ~std::uint64_t{0} : 0;
+        for (std::size_t i = 0; i < 64; ++i) {
+          if ((bits >> i) & 1) ref.hit(first + i);
+        }
+        fast.hit_mask(first, bits);
+      } else if (kind == 8) {
+        const std::size_t b = pick(blocks + 5);
+        ref.hit(b);
+        fast.hit(b);
+      } else if (rng.bernoulli(0.9)) {
+        ref.end_step();
+        fast.end_step();
+        const std::size_t s = ref.step_count() - 1;
+        ASSERT_EQ(fast.step_count(), ref.step_count());
+        ASSERT_EQ(fast.blocks_in_step(s), ref.blocks_in_step(s));
+        ASSERT_EQ(fast.matrix()[s], ref.matrix()[s]) << "blocks " << blocks << " op " << op;
+      } else {
+        ref.clear();
+        fast.clear();
+      }
+      ASSERT_EQ(fast.current_touched(), ref.current_touched())
+          << "blocks " << blocks << " op " << op;
+      ASSERT_EQ(fast.raw_hits(), ref.raw_hits());
+      const auto& touched = ref.current_touched();
+      ASSERT_EQ(ref.touched_ascending(), std::is_sorted(touched.begin(), touched.end()));
+      ASSERT_EQ(fast.touched_ascending(), ref.touched_ascending());
+    }
+    EXPECT_EQ(fast.matrix(), ref.matrix());
+    EXPECT_EQ(fast.blocks_touched(), ref.blocks_touched());
+  }
 }
 
 // --------------------------------------------------------------------- Ranker
@@ -670,4 +731,127 @@ TEST(Incremental, MergeEqualsConcatenatedStreams) {
     EXPECT_EQ(ra.ranking[i].block, rb.ranking[i].block);
     EXPECT_EQ(ra.ranking[i].score, rb.ranking[i].score);
   }
+}
+
+// ============================================== SUO stand-in step stream
+
+#include "fleetdiag/reporter.hpp"
+
+namespace {
+
+struct StreamDigest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::size_t steps = 0;
+  std::size_t errors = 0;
+  void fold(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// Drive one SyntheticProgram through `steps` steps and fold everything
+/// a consumer can observe: error flags, the open step's touched ids in
+/// order, raw_hits, and either the closed steps (blocks_in_step,
+/// matrix() rows, sampled executed() bits) or, through the reporter
+/// path, the flushed kSpectrum spectra. The fault moves across the
+/// common, shared and feature ranges mid-run, and every third step
+/// starts with hits already in the open step (one out of range).
+void fold_stream(StreamDigest& d, std::size_t blocks, std::size_t features, double manifestation,
+                 bool via_reporter) {
+  diag::SyntheticProgramConfig cfg;
+  cfg.total_blocks = blocks;
+  cfg.feature_count = features;
+  cfg.fault_manifestation = manifestation;
+  cfg.seed = 1000003ULL * blocks + 101ULL * features + (manifestation < 1.0 ? 7 : 0);
+  diag::SyntheticProgram prog(cfg);
+  prog.set_fault_in_feature(features / 2, 3);
+  obs::BlockCoverageRecorder cov(prog.block_count());
+  trader::fleetdiag::ReporterConfig rc;
+  rc.block_count = static_cast<std::uint32_t>(prog.block_count());
+  rc.flush_steps = 4;
+  trader::fleetdiag::SpectrumReporter reporter(rc);
+  std::uint32_t seq = 0;
+  const auto fold_frames = [&] {
+    for (const auto& frame : reporter.flush(seq, 0)) {
+      for (const auto& step : frame.spectra) {
+        d.fold(step.error ? 1 : 0);
+        d.fold(step.blocks.size());
+        for (const std::uint32_t b : step.blocks) d.fold(b);
+      }
+    }
+  };
+
+  const std::size_t per_feature = prog.feature_end(0) - prog.feature_begin(0);
+  const std::size_t steps = blocks >= 60000 ? 12 : 32;
+  for (std::size_t s = 0; s < steps; ++s) {
+    const std::size_t feature = (s * 5 + 1) % features;
+    if (s == steps / 4) {
+      const std::size_t pool = prog.shared_end() - prog.shared_begin();
+      prog.set_fault_block(prog.shared_begin() + (s * 37) % pool);
+    } else if (s == steps / 2) {
+      prog.set_fault_block(prog.common_end() - 1);
+    } else if (s == 3 * steps / 4) {
+      prog.set_fault_block(prog.feature_begin(feature) + per_feature * 4 / 5);
+    }
+    if (s % 3 == 1) {
+      cov.hit(s % prog.common_end());
+      cov.hit(prog.feature_begin((feature + 1) % features) + s % per_feature);
+      cov.hit(prog.block_count() + s);
+    }
+    const bool err = prog.run_step(feature, cov);
+    ++d.steps;
+    d.errors += err ? 1 : 0;
+    d.fold(err ? 1 : 0);
+    d.fold(cov.current_touched().size());
+    for (const std::size_t b : cov.current_touched()) d.fold(b);
+    d.fold(cov.raw_hits());
+    if (via_reporter) {
+      reporter.end_step_from(cov, err);
+      cov.clear();
+      d.fold(cov.raw_hits());
+      if (reporter.flush_due()) fold_frames();
+      continue;
+    }
+    cov.end_step();
+    d.fold(cov.blocks_in_step(s));
+    const auto& row = cov.matrix()[s];
+    d.fold(row.size());
+    for (std::size_t b = 0; b < row.size(); ++b) {
+      if (row[b]) d.fold(b);
+    }
+    for (const std::size_t b : {std::size_t{0}, prog.common_end() - 1, prog.shared_begin(),
+                                prog.shared_end() - 1, prog.shared_end(), prog.fault_block(),
+                                prog.block_count() - 1, (s * 7919) % prog.block_count()}) {
+      d.fold(cov.executed(s, b) ? 1 : 0);
+    }
+  }
+  if (via_reporter) {
+    fold_frames();
+    d.fold(reporter.steps_reported());
+  } else {
+    d.fold(cov.step_count());
+    d.fold(cov.blocks_touched());
+  }
+}
+
+}  // namespace
+
+TEST(SuoStream, GoldenDigestOverShapesAndPaths) {
+  // Pinned from the per-block hit() implementation: a faster step must
+  // produce exactly the same coverage, error flags and RNG stream.
+  StreamDigest d;
+  for (const std::size_t blocks : {60000u, 5000u, 1001u, 333u}) {
+    for (const std::size_t features : {1u, 3u, 4u, 7u, 24u}) {
+      for (const double manifestation : {0.5, 1.0}) {
+        for (const bool via_reporter : {false, true}) {
+          fold_stream(d, blocks, features, manifestation, via_reporter);
+        }
+      }
+    }
+  }
+  EXPECT_GT(d.errors, d.steps / 20);
+  EXPECT_LT(d.errors, d.steps / 2);
+  EXPECT_EQ(d.h, 0x422e0c076d3dedacULL) << std::hex << d.h;
 }
