@@ -5,22 +5,9 @@
 #include <tuple>
 #include <utility>
 
+#include "runtime/fnv.hpp"
+
 namespace trader::core {
-
-namespace {
-
-/// Stable aspect hash (FNV-1a): placement must not depend on the
-/// standard library's std::hash, which varies across platforms.
-std::uint64_t stable_hash(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------- Shard
 
@@ -94,7 +81,8 @@ ShardedFleet::~ShardedFleet() {
 }
 
 std::size_t ShardedFleet::shard_of(const std::string& aspect) const {
-  return stable_hash(aspect) % shards_.size();
+  // FNV-1a, not std::hash: placement must not vary across platforms.
+  return runtime::Fnv1a64().bytes(aspect).value() % shards_.size();
 }
 
 AwarenessMonitor& ShardedFleet::add_monitor(const std::string& aspect, MonitorBuilder builder) {

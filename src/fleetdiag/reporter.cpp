@@ -51,7 +51,8 @@ void SpectrumReporter::add_step(std::vector<std::uint32_t> sorted_blocks, bool e
   step.blocks = std::move(sorted_blocks);
   // A step too wide for even an empty frame can never ship; drop it
   // whole rather than emitting a frame encode_frame() would refuse.
-  if (step_wire_size(step) + 8 > config_.frame_budget) {
+  const std::size_t bytes = ipc::spectrum_step_bytes(step.blocks.size());
+  if (ipc::kSpectrumHeaderBytes + bytes > config_.frame_budget) {
     ++oversize_steps_;
     return;
   }
@@ -67,9 +68,9 @@ std::vector<ipc::Frame> SpectrumReporter::flush(std::uint32_t& seq, runtime::Sim
   frame.type = ipc::FrameType::kSpectrum;
   frame.block_count = config_.block_count;
   frame.time = now;
-  std::size_t used = 8;  // block_count + step_count header fields
+  std::size_t used = ipc::kSpectrumHeaderBytes;
   for (ipc::SpectrumStep& step : pending_) {
-    const std::size_t need = step_wire_size(step);
+    const std::size_t need = ipc::spectrum_step_bytes(step.blocks.size());
     if (!frame.spectra.empty() && used + need > config_.frame_budget) {
       frame.seq = ++seq;
       frames.push_back(std::move(frame));
@@ -77,7 +78,7 @@ std::vector<ipc::Frame> SpectrumReporter::flush(std::uint32_t& seq, runtime::Sim
       frame.type = ipc::FrameType::kSpectrum;
       frame.block_count = config_.block_count;
       frame.time = now;
-      used = 8;
+      used = ipc::kSpectrumHeaderBytes;
     }
     used += need;
     frame.spectra.push_back(std::move(step));

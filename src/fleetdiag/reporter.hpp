@@ -69,10 +69,6 @@ class SpectrumReporter {
   const ReporterConfig& config() const { return config_; }
 
  private:
-  std::size_t step_wire_size(const ipc::SpectrumStep& step) const {
-    return 1 + 4 + 4 * step.blocks.size();
-  }
-
   ReporterConfig config_;
   std::vector<bool> current_;              ///< Open-step membership bits.
   std::vector<std::uint32_t> touched_;     ///< Open-step ids, hit order.

@@ -1,6 +1,9 @@
 #include "ipc/wire.hpp"
 
+#include "journal/codec.hpp"
+
 #include <array>
+#include <bit>
 #include <cstring>
 
 #if defined(__x86_64__)
@@ -11,139 +14,13 @@ namespace trader::ipc {
 
 namespace {
 
-// ------------------------------------------------------------- primitives
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+using journal::load_le;
 
 /// Little-endian u32 into already-sized storage; returns the byte after.
 std::uint8_t* store_u32(std::uint8_t* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
   return p + 4;
 }
-
-std::uint32_t load_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void put_value(std::vector<std::uint8_t>& out, const runtime::Value& v) {
-  put_u8(out, static_cast<std::uint8_t>(v.index()));
-  switch (v.index()) {
-    case 0:
-      put_i64(out, std::get<std::int64_t>(v));
-      break;
-    case 1: {
-      std::uint64_t bits = 0;
-      const double d = std::get<double>(v);
-      std::memcpy(&bits, &d, sizeof(bits));
-      put_u64(out, bits);
-      break;
-    }
-    case 2:
-      put_str(out, std::get<std::string>(v));
-      break;
-    case 3:
-      put_u8(out, std::get<bool>(v) ? 1 : 0);
-      break;
-  }
-}
-
-/// Bounds-checked payload reader: every accessor trips `fail` instead
-/// of reading past the end, so a malformed length field can never walk
-/// the decoder off the buffer.
-struct Reader {
-  const std::uint8_t* p;
-  std::size_t n;
-  std::size_t pos = 0;
-  bool fail = false;
-
-  bool need(std::size_t k) {
-    if (fail || n - pos < k) {
-      fail = true;
-      return false;
-    }
-    return true;
-  }
-  std::uint8_t u8() {
-    if (!need(1)) return 0;
-    return p[pos++];
-  }
-  std::uint16_t u16() {
-    if (!need(2)) return 0;
-    std::uint16_t v = static_cast<std::uint16_t>(p[pos]) |
-                      static_cast<std::uint16_t>(p[pos + 1]) << 8;
-    pos += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    if (!need(4)) return 0;
-    const std::uint32_t v = load_u32(p + pos);
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[pos + i]) << (8 * i);
-    pos += 8;
-    return v;
-  }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  std::string str() {
-    const std::uint32_t len = u32();
-    if (!need(len)) return {};
-    std::string s(reinterpret_cast<const char*>(p + pos), len);
-    pos += len;
-    return s;
-  }
-  runtime::Value value() {
-    const std::uint8_t tag = u8();
-    switch (tag) {
-      case 0:
-        return i64();
-      case 1: {
-        const std::uint64_t bits = u64();
-        double d = 0.0;
-        std::memcpy(&d, &bits, sizeof(d));
-        return d;
-      }
-      case 2:
-        return str();
-      case 3: {
-        const std::uint8_t b = u8();
-        if (b > 1) fail = true;  // strict: a bool byte is 0 or 1
-        return b == 1;
-      }
-      default:
-        fail = true;
-        return std::int64_t{0};
-    }
-  }
-  bool done() const { return !fail && pos == n; }
-};
 
 // ---------------------------------------------------------------- checksum
 
@@ -164,12 +41,6 @@ constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32cTables = [] {
   }
   return t;
 }();
-
-/// Little-endian 32-bit load from any alignment.
-std::uint32_t load_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
-}
 
 #if defined(__x86_64__)
 /// Eight bytes per `crc32` instruction, then the tail byte by byte.
@@ -203,8 +74,8 @@ std::uint32_t crc32c_reference(const std::uint8_t* p, std::size_t n) {
   const auto& t = kCrc32cTables;
   std::uint32_t c = 0xFFFFFFFFu;
   for (; n >= 8; p += 8, n -= 8) {
-    const std::uint32_t lo = load_le32(p) ^ c;
-    const std::uint32_t hi = load_le32(p + 4);
+    const std::uint32_t lo = load_le<std::uint32_t>(p) ^ c;
+    const std::uint32_t hi = load_le<std::uint32_t>(p + 4);
     c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
         t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
@@ -219,27 +90,61 @@ std::uint32_t crc32c(const std::uint8_t* p, std::size_t n) {
 
 namespace {
 
-void put_event(std::vector<std::uint8_t>& out, const runtime::Event& ev) {
-  put_str(out, ev.topic);
-  put_str(out, ev.name);
-  put_u32(out, static_cast<std::uint32_t>(ev.fields.size()));
-  for (const auto& [key, value] : ev.fields) {
-    put_str(out, key);
-    put_value(out, value);
+void put_value(journal::Encoder& e, const runtime::Value& v) {
+  e.u8(static_cast<std::uint8_t>(v.index()));
+  switch (v.index()) {
+    case 0:
+      e.i64(std::get<std::int64_t>(v));
+      break;
+    case 1:
+      e.u64(std::bit_cast<std::uint64_t>(std::get<double>(v)));
+      break;
+    case 2:
+      e.str(std::get<std::string>(v));
+      break;
+    case 3:
+      e.boolean(std::get<bool>(v));
+      break;
   }
 }
 
-bool read_event(Reader& r, runtime::Event& ev) {
-  ev.topic = r.str();
-  ev.name = r.str();
-  const std::uint32_t count = r.u32();
-  if (r.fail || count > kMaxFramePayload) return false;
-  for (std::uint32_t i = 0; i < count && !r.fail; ++i) {
-    std::string key = r.str();
-    runtime::Value value = r.value();
-    if (!r.fail) ev.fields.emplace(std::move(key), std::move(value));
+runtime::Value read_value(journal::Decoder& d) {
+  switch (d.u8()) {
+    case 0:
+      return d.i64();
+    case 1:
+      return std::bit_cast<double>(d.u64());
+    case 2:
+      return d.str();
+    case 3:
+      return d.boolean();  // strict: a bool byte is 0 or 1
+    default:
+      d.fail();
+      return std::int64_t{0};
   }
-  return !r.fail;
+}
+
+void put_event(journal::Encoder& e, const runtime::Event& ev) {
+  e.str(ev.topic);
+  e.str(ev.name);
+  e.u32(static_cast<std::uint32_t>(ev.fields.size()));
+  for (const auto& [key, value] : ev.fields) {
+    e.str(key);
+    put_value(e, value);
+  }
+}
+
+bool read_event(journal::Decoder& d, runtime::Event& ev) {
+  ev.topic = d.str();
+  ev.name = d.str();
+  const std::uint32_t count = d.u32();
+  if (!d.ok() || count > kMaxFramePayload) return false;
+  for (std::uint32_t i = 0; i < count && d.ok(); ++i) {
+    std::string key = d.str();
+    runtime::Value value = read_value(d);
+    if (d.ok()) ev.fields.emplace(std::move(key), std::move(value));
+  }
+  return d.ok();
 }
 
 /// The reserved gap (5, 6) between kOutputEvent and kHeartbeat is not a
@@ -256,14 +161,11 @@ bool known_type(std::uint8_t t) {
 /// four actuatable rungs of the §5 ladder.
 constexpr std::uint8_t kMaxWireRecoveryAction = 3;
 
-void put_spectra(std::vector<std::uint8_t>& out, const Frame& f) {
-  // Sized once: u32 universe + u32 step count, then per step an error
-  // byte, a u32 id count and the ids.
-  std::size_t bytes = 8;
-  for (const SpectrumStep& step : f.spectra) bytes += 5 + 4 * step.blocks.size();
-  const std::size_t at = out.size();
-  out.resize(at + bytes);
-  std::uint8_t* p = out.data() + at;
+void put_spectra(journal::Encoder& e, const Frame& f) {
+  // Sized once, then written in place.
+  std::size_t bytes = kSpectrumHeaderBytes;
+  for (const SpectrumStep& step : f.spectra) bytes += spectrum_step_bytes(step.blocks.size());
+  std::uint8_t* p = e.extend(bytes);
   p = store_u32(p, f.block_count);
   p = store_u32(p, static_cast<std::uint32_t>(f.spectra.size()));
   for (const SpectrumStep& step : f.spectra) {
@@ -276,23 +178,27 @@ void put_spectra(std::vector<std::uint8_t>& out, const Frame& f) {
 /// Spectrum payloads are strict: the error byte is 0/1, ids are
 /// strictly ascending and inside the announced block universe — a
 /// corrupted spectrum must never feed a phantom block into a ranking.
-bool read_spectra(Reader& r, Frame& out) {
-  out.block_count = r.u32();
-  const std::uint32_t steps = r.u32();
-  if (r.fail || steps > kMaxFramePayload) return false;
+bool read_spectra(journal::Decoder& d, Frame& out) {
+  out.block_count = d.u32();
+  const std::uint32_t steps = d.u32();
+  // A step count the rest of the payload cannot hold is refused before
+  // anything is reserved for it.
+  if (!d.ok() || steps > d.remaining() / spectrum_step_bytes(0)) return false;
   out.spectra.reserve(steps);
-  for (std::uint32_t s = 0; s < steps && !r.fail; ++s) {
+  for (std::uint32_t s = 0; s < steps && d.ok(); ++s) {
     SpectrumStep step;
-    const std::uint8_t err = r.u8();
+    const std::uint8_t err = d.u8();
     if (err > 1) return false;
     step.error = err == 1;
-    const std::uint32_t executed = r.u32();
+    const std::uint32_t executed = d.u32();
     // One bounds check covers every id of the step.
-    if (r.fail || !r.need(std::size_t{executed} * 4)) return false;
+    const std::uint8_t* ids = d.raw(std::size_t{executed} * 4);
+    if (ids == nullptr) return false;
     step.blocks.resize(executed);
-    const std::uint8_t* ids = r.p + r.pos;
     std::uint32_t* blocks = step.blocks.data();
-    for (std::uint32_t i = 0; i < executed; ++i) blocks[i] = load_u32(ids + 4 * std::size_t{i});
+    for (std::uint32_t i = 0; i < executed; ++i) {
+      blocks[i] = load_le<std::uint32_t>(ids + 4 * std::size_t{i});
+    }
     // Copy first, then check in one branch-free pass (both loops
     // vectorize): ids strictly ascending, so all are inside the universe
     // when the last one is.
@@ -301,17 +207,16 @@ bool read_spectra(Reader& r, Frame& out) {
       disorder |= static_cast<std::uint32_t>(blocks[i] <= blocks[i - 1]);
     }
     if (disorder != 0 || (executed > 0 && blocks[executed - 1] >= out.block_count)) return false;
-    r.pos += std::size_t{executed} * 4;
     out.spectra.push_back(std::move(step));
   }
-  return !r.fail;
+  return d.ok();
 }
 
 /// Decode one payload; returns false on any structural violation
 /// (including trailing bytes — a valid frame consumes exactly its
 /// announced length).
 bool decode_payload(FrameType type, const std::uint8_t* p, std::size_t n, Frame& out) {
-  Reader r{p, n};
+  journal::Decoder r(p, n);
   switch (type) {
     case FrameType::kHello:
     case FrameType::kHelloAck:
@@ -348,9 +253,7 @@ bool decode_payload(FrameType type, const std::uint8_t* p, std::size_t n, Frame&
       out.action = r.u8();
       if (out.action > kMaxWireRecoveryAction) return false;
       out.token = r.u64();
-      const std::uint8_t ok = r.u8();
-      if (ok > 1) return false;
-      out.ok = ok == 1;
+      out.ok = r.boolean();
       out.unit = r.str();
       out.detail = r.str();
       break;
@@ -423,51 +326,52 @@ std::uint8_t negotiate_version(std::uint8_t local_min, std::uint8_t local_max,
 std::vector<std::uint8_t> encode_frame(const Frame& f) {
   // The payload is written straight after the header; its length and
   // checksum are patched in once it is complete.
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize);
-  put_u32(out, kMagic);
-  put_u8(out, f.version);
-  put_u8(out, static_cast<std::uint8_t>(f.type));
-  put_u16(out, 0);  // reserved
-  put_u32(out, f.seq);
-  put_i64(out, f.time);
-  put_u32(out, 0);  // payload length
-  put_u32(out, 0);  // payload checksum
+  journal::Encoder e;
+  e.reserve(kHeaderSize);
+  e.u32(kMagic);
+  e.u8(f.version);
+  e.u8(static_cast<std::uint8_t>(f.type));
+  e.u16(0);  // reserved
+  e.u32(f.seq);
+  e.i64(f.time);
+  e.u32(0);  // payload length
+  e.u32(0);  // payload checksum
   switch (f.type) {
     case FrameType::kHello:
     case FrameType::kHelloAck:
-      put_u8(out, f.min_version);
-      put_u8(out, f.max_version);
-      put_str(out, f.detail);
+      e.u8(f.min_version);
+      e.u8(f.max_version);
+      e.str(f.detail);
       break;
     case FrameType::kInputEvent:
     case FrameType::kOutputEvent:
-      put_event(out, f.event);
+      put_event(e, f.event);
       break;
     case FrameType::kHeartbeat:
     case FrameType::kHeartbeatAck:
-      put_u64(out, f.nonce);
+      e.u64(f.nonce);
       break;
     case FrameType::kShutdown:
-      put_str(out, f.detail);
+      e.str(f.detail);
       break;
     case FrameType::kSpectrum:
-      put_spectra(out, f);
+      put_spectra(e, f);
       break;
     case FrameType::kRecover:
-      put_u8(out, f.action);
-      put_u64(out, f.token);
-      put_u32(out, f.block);
-      put_str(out, f.unit);
+      e.u8(f.action);
+      e.u64(f.token);
+      e.u32(f.block);
+      e.str(f.unit);
       break;
     case FrameType::kRecoverAck:
-      put_u8(out, f.action);
-      put_u64(out, f.token);
-      put_u8(out, f.ok ? 1 : 0);
-      put_str(out, f.unit);
-      put_str(out, f.detail);
+      e.u8(f.action);
+      e.u64(f.token);
+      e.boolean(f.ok);
+      e.str(f.unit);
+      e.str(f.detail);
       break;
   }
+  std::vector<std::uint8_t> out = e.take();
   const std::size_t payload_len = out.size() - kHeaderSize;
   if (payload_len > kMaxFramePayload) return {};
   std::uint8_t* len_at = out.data() + kHeaderSize - 8;
@@ -495,7 +399,7 @@ DecodeStatus FrameDecoder::next(Frame& out) {
   if (avail < kHeaderSize) return DecodeStatus::kNeedMore;
   const std::uint8_t* h = buf_.data() + pos_;
 
-  Reader header{h, kHeaderSize};
+  journal::Decoder header(h, kHeaderSize);
   const std::uint32_t magic = header.u32();
   const std::uint8_t version = header.u8();
   const std::uint8_t type = header.u8();

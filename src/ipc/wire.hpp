@@ -19,9 +19,12 @@
 //   24     4    payload checksum (CRC32C over the payload bytes)
 //   28     ...  payload
 //
-// Strings are u32 length + bytes; runtime::Value is a 1-byte tag (the
-// variant index) + payload. Protocol v2 adds the kSpectrum frame
-// (batched SFL spectra toward the hub, see SpectrumStep below);
+// Fields use the project's one byte codec (journal/codec.hpp), which the
+// WAL and checkpoints share; each format seals its own bytes, frames
+// with CRC32C over the payload. Strings are u32 length + bytes;
+// runtime::Value is a 1-byte tag (the variant index) + payload.
+// Protocol v2 adds the kSpectrum frame (batched SFL spectra toward the
+// hub, see SpectrumStep below);
 // protocol v3 adds the kRecover / kRecoverAck pair (hub-commanded
 // recovery actuation on a remote SUO). Peers negotiate the version
 // through the kHello [min,max] range exchange and only send feature
@@ -99,6 +102,14 @@ struct SpectrumStep {
     return a.error == b.error && a.blocks == b.blocks;
   }
 };
+
+/// kSpectrum payload sizes, the one owner of the grammar above: the
+/// encoder sizes its write with them and the reporter budgets frames
+/// with them. The payload header is block_count + step_count.
+inline constexpr std::size_t kSpectrumHeaderBytes = 8;
+/// Bytes of one step carrying `ids` block ids (error byte + id count +
+/// the ids); spectrum_step_bytes(0) is the smallest step.
+constexpr std::size_t spectrum_step_bytes(std::size_t ids) { return 1 + 4 + 4 * ids; }
 
 /// kRecover payload grammar (strict, fail-closed):
 ///   u8  action         recovery::RecoveryAction ordinal; give-up (4)

@@ -9,7 +9,8 @@
 // own per-slot supervisor/watermark state each serialize themselves
 // into a named, versioned section of one container file.
 //
-// File format (same integrity discipline as the WAL and the wire):
+// File format (fields through the byte codec the WAL and the wire share,
+// journal/codec.hpp; the body sealed with FNV-1a 32 like a WAL record):
 //
 //   file name:  ckpt-<wal_seq, 20-digit decimal>.bin
 //   header:     u32 magic "TRCK" | u32 format | u32 checksum | u32 body_len

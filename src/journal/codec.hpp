@@ -1,18 +1,20 @@
-// Byte codec for durable hub artifacts (WAL records, checkpoints).
+// The project's one byte codec: the wire protocol (ipc/wire.cpp) and
+// the durable hub artifacts (WAL records, checkpoints) both write and
+// read their fields through Encoder and Decoder.
 //
 // Header-only on purpose: the low layers that serialize themselves
-// (diagnosis counters, recovery escalator, supervisor snapshots)
-// include this without linking trader_journal, which keeps the
-// dependency graph acyclic — trader_journal links trader_ipc, never
+// (the wire, diagnosis counters, recovery escalator, supervisor
+// snapshots) include this without linking trader_journal, which keeps
+// the dependency graph acyclic — trader_journal links trader_ipc, never
 // the other way around.
 //
-// The encoding mirrors the wire protocol's discipline (ipc/wire.hpp):
-// explicit little-endian integers, u32-length-prefixed strings and
-// byte blobs, and a fail-closed decoder — one malformed field poisons
-// the decoder and every subsequent read returns zero, so a torn or
-// corrupted record can never leak partial state into restored hubs.
-// Integrity is layered above by the WAL / checkpoint file formats,
-// which both seal their bodies with fnv1a32() below.
+// The format: explicit little-endian integers, u32-length-prefixed
+// strings and byte blobs, and a fail-closed decoder — one malformed
+// field poisons the decoder and every subsequent read returns zero, so
+// a torn or corrupted frame or record can never leak partial state.
+// Integrity is layered above, and each layer keeps its own checksum:
+// wire frames seal their payloads with CRC32C (ipc::crc32c), WAL
+// records and checkpoint bodies with fnv1a32() below.
 #pragma once
 
 #include <cstdint>
@@ -34,27 +36,25 @@ inline std::uint32_t fnv1a32(const std::uint8_t* data, std::size_t n) {
   return h;
 }
 
+/// Little-endian integer load from any alignment; the byte loop folds
+/// into one whole-word move.
+template <typename T>
+T load_le(const std::uint8_t* p) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v = static_cast<T>(v | static_cast<T>(p[i]) << (8 * i));
+  }
+  return v;
+}
+
 /// Append-only little-endian field writer.
 class Encoder {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
 
-  void u16(std::uint16_t v) {
-    buf_.push_back(static_cast<std::uint8_t>(v & 0xff));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-    }
-  }
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-    }
-  }
+  void u16(std::uint16_t v) { word(v); }
+  void u32(std::uint32_t v) { word(v); }
+  void u64(std::uint64_t v) { word(v); }
 
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -78,12 +78,29 @@ class Encoder {
     buf_.insert(buf_.end(), data, data + n);
   }
 
+  /// Appends `n` bytes for the caller to fill in place; returns where
+  /// they start (valid until the next write).
+  std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
+
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   const std::vector<std::uint8_t>& buffer() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
   void clear() { buf_.clear(); }
 
  private:
+  template <typename T>
+  void word(T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -101,26 +118,9 @@ class Decoder {
     return data_[pos_++];
   }
 
-  std::uint16_t u16() {
-    if (!need(2)) return 0;
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) v |= static_cast<std::uint16_t>(data_[pos_++]) << (8 * i);
-    return v;
-  }
-
-  std::uint32_t u32() {
-    if (!need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-    return v;
-  }
-
-  std::uint64_t u64() {
-    if (!need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-    return v;
-  }
+  std::uint16_t u16() { return word<std::uint16_t>(); }
+  std::uint32_t u32() { return word<std::uint32_t>(); }
+  std::uint64_t u64() { return word<std::uint64_t>(); }
 
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
@@ -161,6 +161,14 @@ class Decoder {
   void fail() { failed_ = true; }
 
  private:
+  template <typename T>
+  T word() {
+    if (!need(sizeof(T))) return 0;
+    const T v = load_le<T>(data_ + pos_);
+    pos_ += sizeof(T);
+    return v;
+  }
+
   bool need(std::size_t n) {
     if (failed_ || size_ - pos_ < n) {
       failed_ = true;

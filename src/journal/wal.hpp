@@ -7,9 +7,9 @@
 // *before* it is applied, so a restarted hub can re-fold the exact
 // input stream and arrive at bit-identical state (replay.hpp).
 //
-// On-disk format, in the wire protocol's discipline (ipc/wire.hpp —
-// explicit little-endian, checksummed, fail-closed parsing) but with
-// the journal's own checksum: FNV-1a 32 (journal/codec.hpp), kept so
+// On-disk format: fields through the byte codec the wire protocol also
+// uses (journal/codec.hpp — explicit little-endian, fail-closed
+// parsing), sealed with the journal's own checksum, FNV-1a 32, kept so
 // the on-disk format stays byte-for-byte stable. The wire frames that
 // kFrame records carry keep their own CRC32C, checked again at replay.
 //

@@ -1,5 +1,7 @@
 #include "runtime/metrics.hpp"
 
+#include "runtime/fnv.hpp"
+
 #include <algorithm>
 #include <cstdio>
 
@@ -87,18 +89,7 @@ std::vector<std::string> MetricsSnapshot::counter_lines(
 }
 
 std::string MetricsSnapshot::fingerprint(const std::vector<std::string>& prefixes) const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& line : counter_lines(prefixes)) {
-    for (unsigned char c : line) {
-      h ^= c;
-      h *= 0x100000001b3ULL;
-    }
-    h ^= static_cast<unsigned char>('\n');
-    h *= 0x100000001b3ULL;
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
-  return buf;
+  return lines_fingerprint(counter_lines(prefixes));
 }
 
 namespace {

@@ -1,5 +1,7 @@
 #include "testkit/fuzz.hpp"
 
+#include "runtime/fnv.hpp"
+
 #include <algorithm>
 #include <cstdio>
 #include <set>
@@ -35,11 +37,7 @@ runtime::SimTime snap_clamp(runtime::SimTime t, runtime::SimDuration grid, runti
 // ------------------------------------------------------------- fingerprints
 
 std::string shape_fingerprint(const GoldenTrace& trace) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](unsigned char c) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  };
+  runtime::Fnv1a64 h;
   // Two abstractions make this a *shape*: digit runs collapse to '#'
   // (times, counter values, aspect indices vanish) and consecutive
   // identical collapsed lines fold into one (a phase of N repeated
@@ -60,13 +58,10 @@ std::string shape_fingerprint(const GoldenTrace& trace) {
       collapsed += c;
     }
     if (collapsed == prev) continue;
-    for (const unsigned char c : collapsed) mix(c);
-    mix('\n');
+    h.bytes(collapsed).byte('\n');
     prev = std::move(collapsed);
   }
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
-  return buf;
+  return h.hex();
 }
 
 std::string coverage_key(const ScenarioScript& script, const ScenarioResult& result,

@@ -1,7 +1,8 @@
 #include "testkit/golden_trace.hpp"
 
+#include "runtime/fnv.hpp"
+
 #include <algorithm>
-#include <cstdio>
 
 namespace trader::testkit {
 
@@ -38,20 +39,7 @@ void GoldenTrace::tap(runtime::TraceLog& log) {
   });
 }
 
-std::string GoldenTrace::fingerprint() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& line : lines_) {
-    for (unsigned char c : line) {
-      h ^= c;
-      h *= 0x100000001b3ULL;
-    }
-    h ^= static_cast<unsigned char>('\n');
-    h *= 0x100000001b3ULL;
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
-  return buf;
-}
+std::string GoldenTrace::fingerprint() const { return runtime::lines_fingerprint(lines_); }
 
 TraceDiff GoldenTrace::diff(const GoldenTrace& a, const GoldenTrace& b) {
   TraceDiff d;

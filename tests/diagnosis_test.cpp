@@ -736,18 +736,16 @@ TEST(Incremental, MergeEqualsConcatenatedStreams) {
 // ============================================== SUO stand-in step stream
 
 #include "fleetdiag/reporter.hpp"
+#include "runtime/fnv.hpp"
 
 namespace {
 
 struct StreamDigest {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  trader::runtime::Fnv1a64 h;
   std::size_t steps = 0;
   std::size_t errors = 0;
   void fold(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffU;
-      h *= 0x100000001b3ULL;
-    }
+    for (int i = 0; i < 8; ++i) h.byte(static_cast<std::uint8_t>(v >> (8 * i)));
   }
 };
 
@@ -853,5 +851,5 @@ TEST(SuoStream, GoldenDigestOverShapesAndPaths) {
   }
   EXPECT_GT(d.errors, d.steps / 20);
   EXPECT_LT(d.errors, d.steps / 2);
-  EXPECT_EQ(d.h, 0x422e0c076d3dedacULL) << std::hex << d.h;
+  EXPECT_EQ(d.h.value(), 0x422e0c076d3dedacULL) << std::hex << d.h.value();
 }

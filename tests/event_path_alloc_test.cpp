@@ -13,7 +13,9 @@
 // scheduler, observers, model-output drain and comparator allocate
 // nothing once warm. A second case pins the scheduler alone: a
 // constant-delay stream beside periodic tasks allocates nothing once
-// warm.
+// warm. A third pins the wire decoder: a kSpectrum frame that announces
+// more steps than its payload can hold is malformed before the decoder
+// reserves anything for them.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,16 +28,26 @@
 
 #include "core/monitor_builder.hpp"
 #include "core/sharded_fleet.hpp"
+#include "frame_reseal.hpp"
+#include "ipc/wire.hpp"
 #include "runtime/rng.hpp"
 #include "runtime/scheduler.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::size_t> g_largest{0};  ///< Largest single request seen.
+
+void* counted_malloc(std::size_t n) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest.load(std::memory_order_relaxed);
+  while (n > largest && !g_largest.compare_exchange_weak(largest, n, std::memory_order_relaxed)) {
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
 
 void* counted_alloc(std::size_t n) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  if (void* p = counted_malloc(n)) return p;
   throw std::bad_alloc();
 }
 
@@ -43,14 +55,8 @@ void* counted_alloc(std::size_t n) {
 
 void* operator new(std::size_t n) { return counted_alloc(n); }
 void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return counted_malloc(n); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return counted_malloc(n); }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -59,6 +65,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace {
 
 namespace core = trader::core;
+namespace ipc = trader::ipc;
 namespace rt = trader::runtime;
 namespace sm = trader::statemachine;
 
@@ -214,6 +221,37 @@ TEST(SchedulerAllocations, ConstantDelayStreamBesidePeriodicTasksAllocatesNothin
   for (const rt::TaskHandle h : ticks) sched.cancel(h);
   sched.run_for(rt::msec(50));
   EXPECT_EQ(sched.pending(), 0u);
+}
+
+// A checksum-clean kSpectrum frame whose step count exceeds what its
+// payload can hold (every step takes at least an error byte and a u32
+// id count) decodes as kMalformed, and decoding it allocates nothing
+// larger than the payload: the count is refused before any reserve.
+TEST(WireDecodeAllocations, StepCountBeyondThePayloadIsRefusedBeforeReserving) {
+  ipc::Frame empty_step;
+  empty_step.type = ipc::FrameType::kSpectrum;
+  empty_step.block_count = 64;
+  empty_step.spectra.push_back({false, {}});
+  const std::vector<std::uint8_t> one_step = ipc::encode_frame(empty_step);
+  ASSERT_EQ(one_step.size(), ipc::kHeaderSize + 8 + 5);
+
+  // (payload bytes kept, announced step count): a bare 8-byte header
+  // announcing 65 535 steps, and one empty step announcing two.
+  for (const auto& [keep, steps] :
+       {std::pair<std::size_t, std::uint32_t>{8, 65535}, {13, 2}}) {
+    std::vector<std::uint8_t> bytes = one_step;
+    bytes.resize(ipc::kHeaderSize + keep);
+    for (int i = 0; i < 4; ++i) {
+      bytes[ipc::kHeaderSize + 4 + i] = static_cast<std::uint8_t>(steps >> (8 * i));
+    }
+    bytes = ipc::reseal(std::move(bytes));
+    ipc::FrameDecoder decoder;
+    decoder.feed(bytes.data(), bytes.size());
+    ipc::Frame out;
+    g_largest.store(0);
+    EXPECT_EQ(decoder.next(out), ipc::DecodeStatus::kMalformed) << steps << " steps";
+    EXPECT_LE(g_largest.load(), keep) << steps << " steps in a " << keep << "-byte payload";
+  }
 }
 
 }  // namespace

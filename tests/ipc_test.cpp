@@ -156,6 +156,48 @@ TEST(IpcWire, RoundTripsEveryFrameType) {
   }
 }
 
+TEST(IpcWire, EncodedBytesArePinned) {
+  // A round trip passes even when encoder and decoder change the bytes
+  // together; these digests pin the bytes themselves. One frame of every
+  // type (sample_frames(): a three-step spectrum, recover and its ack, a
+  // hello with a detail string), plus an event carrying all four Value
+  // kinds. A digest is "<size>:<CRC32C of the whole frame>".
+  std::vector<ipc::Frame> frames = sample_frames();
+  ipc::Frame every_kind;
+  every_kind.type = ipc::FrameType::kOutputEvent;
+  every_kind.seq = 21;
+  every_kind.time = -rt::msec(3);
+  every_kind.event.topic = "tv.output";
+  every_kind.event.name = "status";
+  every_kind.event.fields["count"] = std::int64_t{-1234567890123};
+  every_kind.event.fields["ratio"] = -0.15625;
+  every_kind.event.fields["label"] = std::string("teletext page 100");
+  every_kind.event.fields["on"] = true;
+  frames.push_back(every_kind);
+
+  const std::vector<std::string> pinned = {
+      "41:3897354949",   // hello
+      "42:2552440931",   // hello-ack
+      "74:1013411666",   // input-event
+      "109:2170582125",  // output-event
+      "36:2812539758",   // heartbeat
+      "36:1620698957",   // heartbeat-ack
+      "35:2565862096",   // shutdown
+      "79:3550095225",   // spectrum
+      "52:908860617",    // recover
+      "69:2997767896",   // recover-ack
+      "130:658642291",   // output-event with all four Value kinds
+  };
+  ASSERT_EQ(frames.size(), pinned.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto bytes = ipc::encode_frame(frames[i]);
+    const std::string digest =
+        std::to_string(bytes.size()) + ":" +
+        std::to_string(ipc::crc32c_reference(bytes.data(), bytes.size()));
+    EXPECT_EQ(digest, pinned[i]) << i << " " << ipc::to_string(frames[i].type);
+  }
+}
+
 TEST(IpcWire, PropertyRandomFramesSurviveChunkedFeeding) {
   // Seeded property test: a stream of random frames fed in random chunk
   // sizes decodes to exactly the input sequence, regardless of how the

@@ -245,6 +245,34 @@ TEST(Wal, AppendScanRoundTripPreservesEverything) {
   EXPECT_TRUE(seen[1].payload.empty());
 }
 
+TEST(Wal, RecordBytesArePinned) {
+  // The on-disk record format is fixed: a scan round trip would pass
+  // even if writer and reader changed the bytes together. One kFrame
+  // record carrying a wire frame and one kSlotDown record, pinned as
+  // "<size>:<CRC32C of the segment file>".
+  TempDir dir;
+  jn::WalWriter w;
+  ASSERT_TRUE(w.open(dir.path, 7, 1 << 20, jn::FsyncPolicy::kNone));
+  ipc::Frame hb;
+  hb.type = ipc::FrameType::kHeartbeat;
+  hb.seq = 5;
+  hb.time = rt::msec(12);
+  hb.nonce = 0x0123456789abcdefULL;
+  const std::vector<std::uint8_t> frame = ipc::encode_frame(hb);
+  ASSERT_EQ(w.append(jn::WalRecordType::kFrame, "slot-a", rt::msec(12), frame.data(),
+                     frame.size()),
+            7u);
+  const std::uint8_t flags = 3;
+  ASSERT_EQ(w.append(jn::WalRecordType::kSlotDown, "slot-a", -rt::msec(1), &flags, 1), 8u);
+  w.close();
+  const std::vector<std::string> segments = jn::wal_segments(dir.path);
+  ASSERT_EQ(segments.size(), 1u);
+  const std::vector<std::uint8_t> bytes = read_file(segments[0]);
+  EXPECT_EQ(std::to_string(bytes.size()) + ":" +
+                std::to_string(ipc::crc32c_reference(bytes.data(), bytes.size())),
+            "123:757499161");
+}
+
 TEST(Wal, RotatesBySizeAndScansAcrossSegments) {
   TempDir dir;
   // Tiny segments force a rotation every couple of records.
@@ -457,6 +485,28 @@ TEST(Checkpoint, WriteLoadRoundTripAndRetention) {
   EXPECT_EQ(seq, 30u);
   EXPECT_EQ(a.value, 111u);
   EXPECT_EQ(b.value, 222u);
+}
+
+TEST(Checkpoint, ContainerBytesArePinned) {
+  // The container format is fixed, like the WAL record's: two sections
+  // at coverage 42, pinned as "<size>:<CRC32C of the file>".
+  TempDir dir;
+  jn::CheckpointStore store(dir.path, 1);
+  CounterPart a("alpha", 0x1122334455667788ULL), b("beta", 9);
+  b.version = 3;
+  std::string error;
+  ASSERT_TRUE(store.write(42, {&a, &b}, &error)) << error;
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+    files.push_back(entry.path().string());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(std::filesystem::path(files[0]).filename().string(),
+            "ckpt-00000000000000000042.bin");
+  const std::vector<std::uint8_t> bytes = read_file(files[0]);
+  EXPECT_EQ(std::to_string(bytes.size()) + ":" +
+                std::to_string(ipc::crc32c_reference(bytes.data(), bytes.size())),
+            "77:3642133953");
 }
 
 TEST(Checkpoint, NoSnapshotIsFreshStartNotAnError) {
