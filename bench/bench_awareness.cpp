@@ -256,6 +256,8 @@ void BM_AwarenessEventPath(benchmark::State& state) {
 }
 BENCHMARK(BM_AwarenessEventPath);
 
+// The TV spec model's dispatch on the compiled engine (a one-slot
+// StateMachine).
 void BM_SpecModelDispatch(benchmark::State& state) {
   auto def = tv::build_tv_spec_model();
   sm::StateMachine m(def);

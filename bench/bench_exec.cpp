@@ -6,10 +6,10 @@
 // monitor state into structure-of-arrays batches buys both throughput
 // (>= 1M model steps/sec/core) and footprint (tens of bytes of dense
 // state per monitor instead of a full table set). This bench measures
-// both, for the reference interpreter and the engine monitors run:
-//   interpreted   per-monitor reference interpreter (StateMachine)
+// both for the one engine in src/:
 //   batched(N)    one BatchExecutor stepping N instances per sweep;
-//                 batched(1) is the standalone monitor path
+//                 batched(1) is the standalone monitor path and
+//                 StateMachine
 // Results land in BENCH_exec.json (with hardware_concurrency, so
 // steps/sec/core is reproducible accounting) for scripts/check.sh.
 #include "bench_common.hpp"
@@ -23,7 +23,6 @@
 
 #include "statemachine/batch.hpp"
 #include "statemachine/definition.hpp"
-#include "statemachine/machine.hpp"
 #include "statemachine/program.hpp"
 
 namespace sm = trader::statemachine;
@@ -69,24 +68,10 @@ struct KernelRun {
   std::string kernel;
   double steps_per_sec = 0.0;
   std::size_t bytes_per_monitor = 0;  ///< approx full per-instance cost
-  std::size_t dense_bytes = 0;        ///< hot-array bytes only (batched)
+  std::size_t dense_bytes = 0;        ///< hot-array bytes only
 };
 
 constexpr int kSteps = 4'000'000;  ///< dispatches per kernel measurement
-
-KernelRun run_interpreted(const sm::StateMachineDef& def) {
-  sm::StateMachine m(def);
-  m.start(0);
-  const sm::SmEvent ev = sm::SmEvent::named("tick");
-  const double start = now_ms();
-  for (int i = 0; i < kSteps; ++i) m.dispatch(ev, i);
-  const double wall = now_ms() - start;
-  KernelRun r;
-  r.kernel = "interpreted";
-  r.steps_per_sec = kSteps / (wall / 1000.0);
-  r.bytes_per_monitor = sizeof(sm::StateMachine);
-  return r;
-}
 
 KernelRun run_batched(const sm::ModelProgramPtr& program, int batch_size) {
   sm::BatchExecutor batch(program);
@@ -115,20 +100,18 @@ KernelRun run_batched(const sm::ModelProgramPtr& program, int batch_size) {
 void report() {
   banner("E18", "batched model execution: steps/sec/core and bytes/monitor");
 
-  const auto def = bench_model();
-  const auto program = sm::ModelProgram::compile(def);
+  const auto program = sm::ModelProgram::compile(bench_model());
   const unsigned hw = std::thread::hardware_concurrency();
 
   std::vector<KernelRun> runs;
-  runs.push_back(run_interpreted(def));
   for (const int n : {1, 64, 1024, 16384}) runs.push_back(run_batched(program, n));
 
-  Table t({"kernel", "steps/sec (1 core)", "vs interpreted", "bytes/monitor", "dense bytes"});
+  Table t({"kernel", "steps/sec (1 core)", "vs batched(1)", "bytes/monitor", "dense bytes"});
   const double base = runs.front().steps_per_sec;
   for (const auto& r : runs) {
     t.row({r.kernel, fmt(r.steps_per_sec, 0), fmt(r.steps_per_sec / base, 2) + "x",
            fmt_int(static_cast<std::int64_t>(r.bytes_per_monitor)),
-           r.dense_bytes != 0 ? fmt_int(static_cast<std::int64_t>(r.dense_bytes)) : "-"});
+           fmt_int(static_cast<std::int64_t>(r.dense_bytes))});
   }
   t.print();
   std::printf("every kernel is single-threaded here: steps/sec IS steps/sec/core\n"
@@ -155,18 +138,6 @@ void report() {
 }
 
 // ------------------------------------------------------- microbenchmarks
-
-void BM_InterpretedDispatch(benchmark::State& state) {
-  const auto def = bench_model();
-  sm::StateMachine m(def);
-  m.start(0);
-  const sm::SmEvent ev = sm::SmEvent::named("tick");
-  rt::SimTime now = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m.dispatch(ev, ++now));
-  }
-}
-BENCHMARK(BM_InterpretedDispatch);
 
 void BM_BatchedDispatch(benchmark::State& state) {
   const auto program = sm::ModelProgram::compile(bench_model());

@@ -148,6 +148,8 @@ void BM_PrinterTick(benchmark::State& state) {
 }
 BENCHMARK(BM_PrinterTick);
 
+// The printer spec model's dispatch on the compiled engine (a one-slot
+// StateMachine).
 void BM_PrinterSpecDispatch(benchmark::State& state) {
   auto def = pr::build_printer_spec_model();
   sm::StateMachine m(def);

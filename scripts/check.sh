@@ -47,11 +47,11 @@
 #      bench_journal leaving BENCH_journal.json in the repo root
 #      (append throughput per fsync policy + recovery time vs WAL
 #      length + checkpoint cost)
-#  11. exec: executor-v2 equivalence — the interpreter-vs-program
-#      property suite (random machines and the TV/printer/media-player
-#      spec models against the reference interpreter) plus arena
-#      growth/reuse under ASan, and the shared-program multi-thread test
-#      under TSan; the report() of bench_exec, bench_awareness,
+#  11. exec: the executor property suite — the engine against the
+#      reference interpreter's frozen step digests (random machines and
+#      the TV/printer/media-player spec models) plus arena growth/reuse
+#      under ASan, and the shared-program multi-thread test under TSan;
+#      the report() of bench_exec, bench_awareness,
 #      bench_scale, bench_printer, bench_mediaplayer, bench_detection,
 #      bench_ipc, bench_hub, bench_diag_hub, bench_diagnosis (the
 #      offline SflRanker::rank() across all five coefficients),
@@ -123,6 +123,23 @@ check_tree_clean() {
   fi
 }
 
+# Run a gtest binary with a --gtest_filter and fail when the filter
+# selects no test. The installed gtest (1.11) has no
+# --gtest_fail_if_no_test_selected: a filter that matches nothing (a
+# renamed test) prints "Running 0 tests" and exits 0.
+gtest_selected() {
+  local log
+  log="$(mktemp)"
+  # Output streams through tee; pipefail makes a failing test fail here.
+  "$@" | tee "$log" || { rm -f "$log"; return 1; }
+  if grep -q '^\[==========\] Running 0 tests' "$log"; then
+    rm -f "$log"
+    echo "FAIL: the filter selected no test: $*" >&2
+    return 1
+  fi
+  rm -f "$log"
+}
+
 stage "tier-1: configure + build + ctest"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
@@ -142,12 +159,13 @@ cmake --build build-asan -j "$JOBS"
 stage "TSan: sharded fleet soak"
 cmake -B build-tsan -S . -DTRADER_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target system_soak_test sharded_fleet_test
-./build-tsan/tests/sharded_fleet_test --gtest_filter='ShardedFleet.*:Lifecycle.*:Mailbox.*:FleetRouting.*'
-./build-tsan/tests/system_soak_test --gtest_filter='SystemSoak.ShardedFleetSoak*'
+gtest_selected ./build-tsan/tests/sharded_fleet_test \
+  --gtest_filter='ShardedFleet.*:Lifecycle.*:Mailbox.*:FleetRouting.*'
+gtest_selected ./build-tsan/tests/system_soak_test --gtest_filter='SystemSoak.ShardedFleetSoak*'
 
 stage "campaign: seeded fault-injection campaign under ASan"
 cmake --build build-asan -j "$JOBS" --target testkit_test campaign_demo
-./build-asan/tests/testkit_test --gtest_filter='Campaign.*:Executor.*'
+gtest_selected ./build-asan/tests/testkit_test --gtest_filter='Campaign.*:Executor.*'
 ./build-asan/examples/campaign_demo > CAMPAIGN_report.txt
 grep -q 'traces identical' CAMPAIGN_report.txt
 echo "campaign headline:"
@@ -175,7 +193,7 @@ cmake --build build-asan -j "$JOBS" --target ipc_test
 # type numbers), the framed transport and the supervisor state machine.
 # The kill -9 of a real SUO process and the campaign's wire
 # differential run in the hub stage.
-./build-asan/tests/ipc_test --gtest_filter='IpcWire.*:IpcTransport.*:IpcSupervisor.*'
+gtest_selected ./build-asan/tests/ipc_test --gtest_filter='IpcWire.*:IpcTransport.*:IpcSupervisor.*'
 
 stage "hub: epoll loop + multi-SUO campaign under ASan and TSan"
 cmake --build build-asan -j "$JOBS" --target hub_test
@@ -187,7 +205,7 @@ cmake --build build-asan -j "$JOBS" --target hub_test
 # Under TSan the loop thread coexists with fleet shard threads and the
 # publisher test thread — the scored hub campaign must stay race-free.
 cmake --build build-tsan -j "$JOBS" --target hub_test
-./build-tsan/tests/hub_test \
+gtest_selected ./build-tsan/tests/hub_test \
   --gtest_filter='HubCampaign.*:HubTest.PublisherStreamsToHorizonAndSaysGoodbye'
 
 stage "fleetdiag: online diagnosis under ASan and TSan -> BENCH_fleetdiag.json"
@@ -196,7 +214,7 @@ cmake --build build-asan -j "$JOBS" --target fleetdiag_test diagnosis_test
 # stale chunk bounds, load/merge/clear, ids past the span), the coverage
 # recorder's word-wide range and mask hits against per-block hits, and
 # the SUO stand-in's pinned step-stream digest.
-./build-asan/tests/diagnosis_test \
+gtest_selected ./build-asan/tests/diagnosis_test \
   --gtest_filter='Incremental.*:Coverage.*:CoverageProperty.*:SuoStream.*'
 # Reporter chunking, the online-vs-offline ranking differential (every
 # prefix, 1/2/4 shards over real sockets), slot lifecycle (reconnect
@@ -207,7 +225,7 @@ cmake --build build-asan -j "$JOBS" --target fleetdiag_test diagnosis_test
 # threads) on one shared aggregator must be race-free, the chunk bounds
 # top_k() renews under the aggregator's lock included.
 cmake --build build-tsan -j "$JOBS" --target fleetdiag_test
-./build-tsan/tests/fleetdiag_test --gtest_filter='FleetDiagConcurrency.*'
+gtest_selected ./build-tsan/tests/fleetdiag_test --gtest_filter='FleetDiagConcurrency.*'
 cmake --build build -j "$JOBS" --target bench_diag_hub
 ./build/bench/bench_diag_hub --benchmark_filter='BM_AggregatorIngest' \
   --benchmark_min_time=0.05
@@ -226,7 +244,7 @@ cmake --build build-asan -j "$JOBS" --target recovery_loop_test
 # Hub loop ingest vs orchestrator ticks vs SUO acks vs operator stats
 # queries on one orchestrator must be race-free.
 cmake --build build-tsan -j "$JOBS" --target recovery_loop_test
-./build-tsan/tests/recovery_loop_test --gtest_filter='RecoveryConcurrency.*'
+gtest_selected ./build-tsan/tests/recovery_loop_test --gtest_filter='RecoveryConcurrency.*'
 cmake --build build -j "$JOBS" --target bench_recovery_hub
 ./build/bench/bench_recovery_hub --benchmark_filter='BM_OrchestratorTickQuietFleet' \
   --benchmark_min_time=0.05
@@ -256,14 +274,15 @@ head -12 BENCH_journal.json
 
 stage "exec: executor-v2 equivalence under ASan + TSan -> BENCH_exec.json"
 cmake --build build-asan -j "$JOBS" --target exec_test
-# Interpreter-vs-program step-for-step equivalence on random machines
-# and the spec models, plus the arena slot-recycling churn loop with
+# The engine against the reference interpreter's frozen step digests on
+# random machines and the spec models (one-slot and shared-slot twins
+# still compared live), plus the arena slot-recycling churn loop with
 # leak checking on.
 ./build-asan/tests/exec_test
 # One immutable ModelProgram shared by four threads of batches — the
 # ShardedFleet sharing pattern must be race-free.
 cmake --build build-tsan -j "$JOBS" --target exec_test
-./build-tsan/tests/exec_test \
+gtest_selected ./build-tsan/tests/exec_test \
   --gtest_filter='BatchExecutor.SharedProgramAcrossThreadsIsRaceFree'
 # The report() of every bench under ASan (the empty filter skips the
 # microbenchmarks). They run inside build-asan so their BENCH_*.json

@@ -14,9 +14,11 @@
 //                                 valid across add_instance growth)
 //
 // Slots are recycled through a free list so monitor churn (recovery
-// restarts, SUO reconnects) does not grow the arena. Dispatch semantics
-// are those of the reference interpreter (machine.hpp); exec_test holds
-// every slot to it step for step.
+// restarts, SUO reconnects) does not grow the arena. This is the one
+// implementation of dispatch, exit and entry in src/; StateMachine
+// (machine.hpp) is a batch with one slot. exec_test and
+// statemachine_test hold it to the verdicts a reference interpreter
+// left on seeded streams, frozen as digests.
 //
 // Thread-safety: a BatchExecutor is single-threaded (one per shard);
 // the ModelProgram it shares with other shards is immutable, so guards
@@ -38,6 +40,9 @@ class BatchExecutor {
   using InstanceId = std::int32_t;
 
   explicit BatchExecutor(ModelProgramPtr program);
+  // emit_ captures `this`: a copy would send its outputs to the source.
+  BatchExecutor(const BatchExecutor&) = delete;
+  BatchExecutor& operator=(const BatchExecutor&) = delete;
 
   const ModelProgram& program() const { return *program_; }
 

@@ -4,7 +4,7 @@
 #include <set>
 
 #include "runtime/rng.hpp"
-#include "statemachine/batch.hpp"
+#include "statemachine/machine.hpp"
 
 namespace trader::statemachine {
 
@@ -23,46 +23,38 @@ ExplorationReport RandomWalkExplorer::explore(const StateMachineDef& def) const 
   const auto program = ModelProgram::compile(def);
   runtime::Rng rng(config_.seed);
 
-  // The active configuration is the leaf and its ancestors: the dotted
-  // prefixes of the leaf's path.
   std::set<StateId> visited;
-  auto mark_active = [&](const BatchExecutor& exec, BatchExecutor::InstanceId m) {
-    const std::string leaf = exec.active_leaf(m);
-    if (leaf.empty()) return;
-    std::size_t end = 0;
-    do {
-      end = leaf.find('.', end + 1);
-      const std::string path = leaf.substr(0, end);
+  auto mark_active = [&](const StateMachine& m) {
+    for (const std::string& path : m.active_path()) {
       const StateId id = def.find_state(path);
       if (id != kNoState) {
         visited.insert(id);
         ++report.visit_counts[path];
       }
-    } while (end != std::string::npos);
+    }
   };
 
   for (int run = 0; run < config_.runs; ++run) {
-    BatchExecutor exec(program);
-    const auto m = exec.add_instance();
+    StateMachine m(program);
     runtime::SimTime now = 0;
-    exec.start(m, now);
-    mark_active(exec, m);
+    m.start(now);
+    mark_active(m);
     for (int step = 0; step < config_.steps_per_run; ++step) {
       if (alphabet.empty() || rng.uniform() < config_.time_step_bias) {
         now += rng.uniform_int(1, config_.max_time_step);
-        exec.advance_time(m, now);
+        m.advance_time(now);
       } else {
         const auto& name = alphabet[static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(alphabet.size() - 1)))];
-        exec.dispatch(m, SmEvent::named(name), now);
+        m.dispatch(SmEvent::named(name), now);
       }
-      mark_active(exec, m);
-      if (exec.livelock_detected(m)) {
+      mark_active(m);
+      if (m.livelock_detected()) {
         report.livelock_seen = true;
         break;
       }
     }
-    report.transitions_fired += exec.transitions_fired(m);
+    report.transitions_fired += m.transitions_fired();
   }
 
   report.states_visited = visited.size();

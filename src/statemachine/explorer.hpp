@@ -3,9 +3,10 @@
 // §4.2: models of realistic TVs are easy to get wrong, and the project
 // investigates "formal model-checking and test scripts to improve model
 // quality". The static checker (checker.hpp) over-approximates; the
-// explorer complements it dynamically: drive the compiled ModelProgram
-// (the engine monitors run) with random events and time steps from its
-// own alphabet and measure which states are actually visited, flagging
+// explorer complements it dynamically: drive a StateMachine over the
+// compiled ModelProgram (the engine monitors run, compiled once per
+// exploration) with random events and time steps from its own alphabet
+// and measure which states are actually visited, flagging
 // livelocks and never-entered states that guards keep unreachable in
 // practice.
 #pragma once

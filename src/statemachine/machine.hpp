@@ -1,18 +1,18 @@
-// Reference interpreter for timed hierarchical state machines. Nothing
-// else in src/ uses it: monitors and the §4.2 validation tools
-// (TestScript, RandomWalkExplorer) run the compiled ModelProgram
-// (program.hpp). It stays as the reference oracle that exec_test holds
-// the compiled program to, the baseline the benches compare against,
-// and perfbench's ledger replay.
+// One executable state machine: a BatchExecutor with one slot.
+//
+// The compiled ModelProgram on a BatchExecutor (program.hpp, batch.hpp)
+// is the one engine in src/. StateMachine is the handle for code that
+// steps a single machine — the §4.2 validation tools (TestScript,
+// RandomWalkExplorer), tests, benches and perfbench's ledger replay —
+// so the dispatch, exit and entry rules exist once.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "statemachine/definition.hpp"
+#include "statemachine/batch.hpp"
 
 namespace trader::statemachine {
 
@@ -21,76 +21,67 @@ namespace trader::statemachine {
 /// UML-style semantics: external events are dispatched to the innermost
 /// active state first; firing a transition exits up to the transition
 /// scope boundary, runs the action, and enters the target (drilling down
-/// through initial children). After every microstep,
-/// completion transitions run until quiescence (bounded to catch
-/// modeling livelocks, which §4.2 reports are easy to introduce).
+/// through initial children). After every microstep, completion
+/// transitions run until quiescence (bounded to catch modeling
+/// livelocks, which §4.2 reports are easy to introduce).
 class StateMachine {
  public:
-  explicit StateMachine(const StateMachineDef& def);
+  /// Compile `def` for this machine alone.
+  explicit StateMachine(const StateMachineDef& def) : StateMachine(ModelProgram::compile(def)) {}
+  /// Run an already compiled program (shared with other machines).
+  explicit StateMachine(ModelProgramPtr program)
+      : exec_(std::move(program)), id_(exec_.add_instance()) {}
 
   /// Enter the initial configuration at time `now`.
-  void start(runtime::SimTime now);
-
+  void start(runtime::SimTime now) { exec_.start(id_, now); }
   /// Dispatch an external event. Returns true when any transition fired.
-  bool dispatch(const SmEvent& ev, runtime::SimTime now);
-
+  bool dispatch(const SmEvent& ev, runtime::SimTime now) { return exec_.dispatch(id_, ev, now); }
   /// Fire all timed transitions due at or before `now`, in due order.
   /// Returns the number of timed transitions fired.
-  int advance_time(runtime::SimTime now);
-
+  int advance_time(runtime::SimTime now) { return exec_.advance_time(id_, now); }
   /// Earliest pending timed-transition deadline, or -1 when none.
-  runtime::SimTime next_deadline() const;
+  runtime::SimTime next_deadline() const { return exec_.next_deadline(id_); }
 
   // --- State inspection ----------------------------------------------
-  bool started() const { return !active_.empty(); }
+  bool started() const { return exec_.started(id_); }
   /// True when `name` (bare or dotted path) is in the active configuration.
-  bool in(const std::string& name) const;
+  bool in(const std::string& name) const { return exec_.in(id_, name); }
   /// Active leaf state's dotted path ("" before start()).
-  std::string active_leaf() const;
-  /// Active configuration from top-level state to leaf (dotted paths).
-  std::vector<std::string> active_path() const;
+  std::string active_leaf() const { return exec_.active_leaf(id_); }
+  /// Active configuration from top-level state to leaf: the dotted
+  /// prefixes of the leaf's path.
+  std::vector<std::string> active_path() const {
+    std::vector<std::string> out;
+    const std::string leaf = active_leaf();
+    if (leaf.empty()) return out;
+    for (std::size_t end = leaf.find('.');; end = leaf.find('.', end + 1)) {
+      out.push_back(leaf.substr(0, end));
+      if (end == std::string::npos) return out;
+    }
+  }
 
-  Context& vars() { return vars_; }
-  const Context& vars() const { return vars_; }
+  Context& vars() { return exec_.vars(id_); }
+  const Context& vars() const { return exec_.vars(id_); }
 
   /// Outputs emitted since the last drain (FIFO).
-  std::vector<ModelOutput> drain_outputs();
+  std::vector<ModelOutput> drain_outputs() { return exec_.drain_outputs(id_); }
 
   /// True when a run-to-completion step exceeded the microstep bound
   /// (modeling livelock); sticky until reset().
-  bool livelock_detected() const { return livelock_; }
+  bool livelock_detected() const { return exec_.livelock_detected(id_); }
 
   /// Reset to the never-started state (vars cleared).
-  void reset();
+  void reset() {
+    exec_.release(id_);
+    id_ = exec_.add_instance();
+  }
 
   /// Total transitions fired (for overhead accounting, E11).
-  std::uint64_t transitions_fired() const { return fired_; }
+  std::uint64_t transitions_fired() const { return exec_.transitions_fired(id_); }
 
  private:
-  static constexpr int kMaxMicrosteps = 64;
-
-  // Innermost-first search for an enabled transition on `ev`.
-  const TransitionDef* select_transition(const SmEvent& ev) const;
-  // Enabled completion transition, innermost-first.
-  const TransitionDef* select_completion() const;
-  // Fire a transition; `now` is the semantic instant of the step.
-  void fire(const TransitionDef& t, const SmEvent& ev, runtime::SimTime now);
-  void run_completions(runtime::SimTime now);
-
-  void enter_from(StateId boundary, StateId target, const SmEvent& ev, runtime::SimTime now);
-  void exit_to(StateId boundary, const SmEvent& ev, runtime::SimTime now);
-  void run_action(const Action& a, const SmEvent& ev, runtime::SimTime now);
-
-  bool is_active(StateId s) const;
-  runtime::SimTime entry_time(StateId s) const;
-
-  const StateMachineDef& def_;
-  Context vars_;
-  std::vector<StateId> active_;  // root..leaf
-  std::map<StateId, runtime::SimTime> entered_at_;
-  std::vector<ModelOutput> outputs_;
-  bool livelock_ = false;
-  std::uint64_t fired_ = 0;
+  BatchExecutor exec_;
+  BatchExecutor::InstanceId id_;
 };
 
 }  // namespace trader::statemachine

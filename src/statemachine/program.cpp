@@ -46,9 +46,9 @@ std::shared_ptr<const ModelProgram> ModelProgram::compile(StateMachineDef def) {
     p->leaves_.push_back(row);
   }
 
-  // Pass 2: per-leaf tables. Candidate order is the interpreter's
-  // priority order — innermost source first, then definition order among
-  // transitions sharing a source.
+  // Pass 2: per-leaf tables. Candidate order is the UML priority order
+  // — innermost source first, then definition order among transitions
+  // sharing a source.
   const std::size_t event_count = events.size();
   for (auto& row : p->leaves_) {
     std::vector<const TransitionDef*> candidates;
@@ -107,8 +107,8 @@ ModelProgram::Trans ModelProgram::compile_transition(const Leaf& row,
   }
   if (t.internal) return ct;  // no exits/entries, stays on the same leaf
 
-  // Boundary as in the interpreter: LCA, bumped one level up for self /
-  // ancestor-descendant transitions.
+  // Boundary: the LCA, bumped one level up for self /
+  // ancestor-descendant transitions (external semantics).
   StateId lca = t.source;
   while (lca != kNoState && !(def_.is_ancestor(lca, t.source) && def_.is_ancestor(lca, t.target))) {
     lca = def_.state(lca).parent;

@@ -15,10 +15,11 @@
 //                    Stored as dense structure-of-arrays (batch.hpp) so
 //                    thousands of instances step in one tight loop.
 //
-// Compilation accepts every definition and preserves the reference
-// interpreter's dispatch semantics exactly: innermost source first,
-// definition order among peers, earliest-due-first timed firing,
-// bounded completion chains.
+// Compilation accepts every definition and fixes the dispatch semantics:
+// innermost source first, definition order among peers,
+// earliest-due-first timed firing, bounded completion chains. The
+// engine's verdicts on seeded streams are pinned to those of the
+// reference interpreter it replaced (tests/step_digest.hpp).
 #pragma once
 
 #include <cstdint>

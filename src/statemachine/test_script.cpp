@@ -2,17 +2,16 @@
 
 #include <sstream>
 
-#include "statemachine/batch.hpp"
+#include "statemachine/machine.hpp"
 
 namespace trader::statemachine {
 
 ScriptResult TestScript::run(const StateMachineDef& def, runtime::SimTime start_time) const {
   ScriptResult result;
-  BatchExecutor exec(ModelProgram::compile(def));
-  const auto m = exec.add_instance();
+  StateMachine m(def);
   runtime::SimTime now = start_time;
-  exec.start(m, now);
-  std::vector<ModelOutput> pending = exec.drain_outputs(m);
+  m.start(now);
+  std::vector<ModelOutput> pending = m.drain_outputs();
 
   auto fail = [&](std::size_t idx, const std::string& msg) {
     result.failures.push_back(ScriptFailure{idx, msg});
@@ -21,24 +20,23 @@ ScriptResult TestScript::run(const StateMachineDef& def, runtime::SimTime start_
   for (std::size_t i = 0; i < steps_.size(); ++i) {
     const auto& step = steps_[i];
     if (const auto* inj = std::get_if<Inject>(&step)) {
-      exec.dispatch(m, inj->event, now);
-      for (auto& o : exec.drain_outputs(m)) pending.push_back(std::move(o));
+      m.dispatch(inj->event, now);
+      for (auto& o : m.drain_outputs()) pending.push_back(std::move(o));
     } else if (const auto* adv = std::get_if<Advance>(&step)) {
       now += adv->by;
-      exec.advance_time(m, now);
-      for (auto& o : exec.drain_outputs(m)) pending.push_back(std::move(o));
+      m.advance_time(now);
+      for (auto& o : m.drain_outputs()) pending.push_back(std::move(o));
     } else if (const auto* es = std::get_if<ExpectState>(&step)) {
-      if (!exec.in(m, es->state)) {
-        fail(i, "expected state '" + es->state + "' active, leaf is '" + exec.active_leaf(m) +
-                    "'");
+      if (!m.in(es->state)) {
+        fail(i, "expected state '" + es->state + "' active, leaf is '" + m.active_leaf() + "'");
       }
     } else if (const auto* ens = std::get_if<ExpectNotState>(&step)) {
-      if (exec.in(m, ens->state)) {
+      if (m.in(ens->state)) {
         fail(i, "expected state '" + ens->state + "' inactive, leaf is '" +
-                    exec.active_leaf(m) + "'");
+                    m.active_leaf() + "'");
       }
     } else if (const auto* ev = std::get_if<ExpectVar>(&step)) {
-      const auto& vars = exec.vars(m).all();
+      const auto& vars = m.vars().all();
       const auto it = vars.find(ev->key);
       if (it == vars.end()) {
         fail(i, "variable '" + ev->key + "' not set");

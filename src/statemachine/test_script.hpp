@@ -2,9 +2,9 @@
 //
 // §4.2 mentions "test scripts to improve model quality". A TestScript is
 // a linear scenario — inject events, let virtual time pass, assert on
-// states / variables / emitted outputs — run against the compiled
-// ModelProgram, the engine every monitor runs. Model validation suites
-// in tests/ are built from these.
+// states / variables / emitted outputs — run on a StateMachine, a
+// one-slot batch of the compiled ModelProgram every monitor runs. Model
+// validation suites in tests/ are built from these.
 #pragma once
 
 #include <string>

@@ -446,13 +446,12 @@ ScenarioResult ScenarioExecutor::run(const ScenarioScript& script) {
   // system advances, so no divergence is manufactured — and the
   // comparators quiesce through the link gate: a real socket teardown
   // on the hub backend, the virtual link in process (same gate, same
-  // trace, so outage scenarios replay differentially). A
-  // script-level outage overrides the executor-level window. Each
-  // transition is traced exactly once (the no-error-flood policy).
-  const runtime::SimTime suo_down =
-      script.suo_down() >= 0 ? script.suo_down() : config_.suo_down_at;
-  const runtime::SimTime suo_up = script.suo_down() >= 0 ? script.suo_up() : config_.suo_up_at;
-  const bool has_outage = suo_down >= 0 && suo_up > suo_down;
+  // trace, so outage scenarios replay differentially). The window is
+  // the script's (ScenarioScript::outage). Each transition is traced
+  // exactly once (the no-error-flood policy).
+  const runtime::SimTime suo_down = script.suo_down();
+  const runtime::SimTime suo_up = script.suo_up();
+  const bool has_outage = script.has_outage();
   bool link_down = false;
   auto update_link = [&](runtime::SimTime t) {
     if (!has_outage) return;

@@ -83,15 +83,6 @@ struct ExecutorConfig {
   /// timestamps and each one is pumped through the socket
   /// synchronously.
   IpcMode ipc = IpcMode::kOff;
-  /// Kill-and-restart window: the SUO link drops at suo_down_at and a
-  /// restarted SUO is reconnected at suo_up_at (virtual time; both -1 =
-  /// no outage). Commands inside the window reach nobody; comparators
-  /// are quiesced through the link gate; the outage is traced once.
-  /// Honored on both backends — the in-process fleet gates a virtual
-  /// link so outage scenarios fingerprint identically across IpcModes.
-  /// A ScenarioScript::outage window overrides this executor-level one.
-  runtime::SimTime suo_down_at = -1;
-  runtime::SimTime suo_up_at = -1;
 };
 
 /// One-line config echo shared by campaign JSON reports and bench

@@ -63,8 +63,8 @@ class ScenarioScript {
   /// Kill-and-restart window carried by the scenario itself: the SUO is
   /// unreachable in [down, up). Honored by ScenarioExecutor on every
   /// backend (virtual link on the in-process fleets, real link drop on
-  /// the IPC/hub ones) and overrides the executor-level window.
-  /// down < 0 clears the window.
+  /// the IPC/hub ones); the one way to plan an outage. down < 0 clears
+  /// the window.
   ScenarioScript& outage(runtime::SimTime down, runtime::SimTime up);
 
   const std::string& name() const { return name_; }

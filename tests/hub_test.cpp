@@ -657,11 +657,10 @@ TEST(HubCampaign, KillAndRestartThroughHubQuiescesAndCompletes) {
   tk::ScenarioScript script;
   script.name("hub-kill-restart").aspects(2).horizon(rt::msec(500));
   script.every(rt::msec(20), rt::msec(20), rt::msec(480));
+  script.outage(rt::msec(120), rt::msec(240));
 
   tk::ExecutorConfig config;
   config.ipc = tk::IpcMode::kHub;
-  config.suo_down_at = rt::msec(120);
-  config.suo_up_at = rt::msec(240);
 
   tk::ScenarioExecutor executor(config);
   const auto result = executor.run(script);
