@@ -12,13 +12,11 @@
 //       reported to show convergence;
 //   (c) accuracy — the DiagnosisCampaign table: rank of the *known*
 //       seeded fault block per fault kind, for a uniform scenario draw
-//       and for the minimized fuzz findings the repo ships
-//       (FUZZ_corpus.json), i.e. exactly the scenarios where detection
-//       once failed.
+//       and for the minimized findings of the default fuzz campaign
+//       (FuzzConfig{}, run in process and replayed as values), i.e.
+//       exactly the scenarios where detection once failed.
 // Everything lands in BENCH_fleetdiag.json.
 #include "bench_common.hpp"
-
-#include <sys/stat.h>
 
 #include <chrono>
 #include <cstdint>
@@ -35,6 +33,7 @@
 #include "runtime/rng.hpp"
 #include "runtime/stats.hpp"
 #include "testkit/diag_campaign.hpp"
+#include "testkit/fuzz.hpp"
 
 namespace rt = trader::runtime;
 namespace fd = trader::fleetdiag;
@@ -50,18 +49,36 @@ namespace {
 
 std::string slot_name(std::size_t k) { return "tv" + std::to_string(k); }
 
-std::string corpus_path() {
-  std::string dir(__FILE__);
-  const auto slash = dir.find_last_of('/');
-  dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-  for (const std::string& candidate :
-       {dir + "/../FUZZ_corpus.json", std::string("FUZZ_corpus.json"),
-        std::string("../FUZZ_corpus.json")}) {
-    struct stat st{};
-    if (::stat(candidate.c_str(), &st) == 0 && st.st_size > 0) return candidate;
+/// Wall time of the three operator queries, one sample per call.
+struct QueryTimes {
+  rt::PercentileAccumulator cached;  ///< top_suspects (bounded, cached).
+  rt::PercentileAccumulator fleet;   ///< fleet_top_suspects (merged when asked).
+  rt::PercentileAccumulator fresh;   ///< full fresh ranking.
+
+  void sample(const fd::FleetAggregator& diag, const std::string& slot) {
+    const auto q0 = std::chrono::steady_clock::now();
+    (void)diag.top_suspects(slot);
+    const auto q1 = std::chrono::steady_clock::now();
+    (void)diag.fleet_top_suspects();
+    const auto q2 = std::chrono::steady_clock::now();
+    (void)diag.report(slot);
+    const auto q3 = std::chrono::steady_clock::now();
+    cached.add(std::chrono::duration<double, std::micro>(q1 - q0).count());
+    fleet.add(std::chrono::duration<double, std::micro>(q2 - q1).count());
+    fresh.add(std::chrono::duration<double, std::micro>(q3 - q2).count());
   }
-  return "";
+};
+
+struct Quantiles {
+  double p50 = 0.0;
+  double p99 = 0.0;
+};
+
+Quantiles quantiles(rt::PercentileAccumulator& acc) {
+  return {acc.percentile(50.0), acc.percentile(99.0)};
 }
+
+constexpr std::size_t kQuietQueries = 1000;
 
 struct SweepRun {
   std::size_t publishers = 0;
@@ -72,6 +89,11 @@ struct SweepRun {
   double fleet_query_p99_us = 0.0;   ///< fleet_top_suspects (merged when asked).
   double fresh_report_p99_us = 0.0;  ///< full fresh ranking.
   std::size_t query_samples = 0;     ///< Polls the p99 cells rest on.
+  // The same queries timed on their own over the final aggregator
+  // state, kQuietQueries calls each (us).
+  Quantiles quiet_cached;
+  Quantiles quiet_fleet;
+  Quantiles quiet_fresh;
   std::uint64_t refreshes = 0;
   std::uint64_t churn = 0;
 };
@@ -108,26 +130,14 @@ SweepRun run_sweep(std::size_t publishers) {
   // every poll the way an operator dashboard would — against the hot
   // mutex, mid-ingest. The 8- and 32-publisher runs end in a handful of
   // polls, so a sparser cadence would leave their cells without a sample.
-  rt::PercentileAccumulator cached_us;
-  rt::PercentileAccumulator fleet_us;
-  rt::PercentileAccumulator fresh_us;
+  QueryTimes live;
   const auto t_start = std::chrono::steady_clock::now();
   std::uint64_t polls = 0;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
   while (awareness_hub.connection_count() > 0 || awareness_hub.diagnosis().slot_count() == 0) {
     if (awareness_hub.poll(10) < 0) break;
     if (std::chrono::steady_clock::now() > deadline) break;
-    const std::string slot = slot_name(++polls % publishers);
-    const auto q0 = std::chrono::steady_clock::now();
-    (void)awareness_hub.diagnosis().top_suspects(slot);
-    const auto q1 = std::chrono::steady_clock::now();
-    (void)awareness_hub.diagnosis().fleet_top_suspects();
-    const auto q2 = std::chrono::steady_clock::now();
-    (void)awareness_hub.diagnosis().report(slot);
-    const auto q3 = std::chrono::steady_clock::now();
-    cached_us.add(std::chrono::duration<double, std::micro>(q1 - q0).count());
-    fleet_us.add(std::chrono::duration<double, std::micro>(q2 - q1).count());
-    fresh_us.add(std::chrono::duration<double, std::micro>(q3 - q2).count());
+    live.sample(awareness_hub.diagnosis(), slot_name(++polls % publishers));
   }
   const auto t_end = std::chrono::steady_clock::now();
   for (auto& t : suos) t.join();
@@ -141,12 +151,23 @@ SweepRun run_sweep(std::size_t publishers) {
   run.steps_per_sec =
       static_cast<double>(awareness_hub.diagnosis().steps_ingested()) / wall_s;
   run.spectrum_frames = awareness_hub.metrics().counter("hub.spectra_frames");
-  run.cached_query_p99_us = cached_us.percentile(99.0);
-  run.fleet_query_p99_us = fleet_us.percentile(99.0);
-  run.fresh_report_p99_us = fresh_us.percentile(99.0);
-  run.query_samples = cached_us.count();
+  run.cached_query_p99_us = live.cached.percentile(99.0);
+  run.fleet_query_p99_us = live.fleet.percentile(99.0);
+  run.fresh_report_p99_us = live.fresh.percentile(99.0);
+  run.query_samples = live.cached.count();
   run.refreshes = awareness_hub.metrics().counter("hub.diag.refreshes");
   run.churn = awareness_hub.diagnosis().ranking_churn();
+
+  // The live samples are a handful per run (each poll drains a whole
+  // backlog), so their p99 is the run's maximum. Time each query again
+  // in a loop of its own over the state ingest left, slots rotating.
+  QueryTimes quiet;
+  for (std::size_t i = 0; i < kQuietQueries; ++i) {
+    quiet.sample(awareness_hub.diagnosis(), slot_name(i % publishers));
+  }
+  run.quiet_cached = quantiles(quiet.cached);
+  run.quiet_fleet = quantiles(quiet.fleet);
+  run.quiet_fresh = quantiles(quiet.fresh);
   awareness_hub.stop();
   return run;
 }
@@ -174,13 +195,24 @@ void report() {
            fmt_int(static_cast<std::int64_t>(r.churn))});
   }
   t.print();
+
+  std::printf("the same queries timed on their own over the final state, %zu calls each:\n",
+              kQuietQueries);
+  Table q({"publishers", "cached q p50 us", "cached q p99 us", "fleet q p50 us",
+           "fleet q p99 us", "fresh report p50 us", "fresh report p99 us"});
+  for (const auto& r : runs) {
+    q.row({fmt_int(static_cast<std::int64_t>(r.publishers)), fmt(r.quiet_cached.p50, 1),
+           fmt(r.quiet_cached.p99, 1), fmt(r.quiet_fleet.p50, 1), fmt(r.quiet_fleet.p99, 1),
+           fmt(r.quiet_fresh.p50, 1), fmt(r.quiet_fresh.p99, 1)});
+  }
+  q.print();
   std::printf("spectrum ingest rides the event loop: O(touched) folds keep the\n"
               "hub's diagnosis current at wire rate, cached top-k queries stay\n"
               "microseconds, the fleet view pays a merge of the slots when asked\n"
               "and fresh full rankings pay the per-block scan.\n\n");
 
-  // Diagnosis accuracy: uniform scenario draw + the shipped fuzz
-  // findings, scored against injector ground truth per fault kind.
+  // Diagnosis accuracy: uniform scenario draw + the default fuzz
+  // campaign's findings, scored against injector ground truth per kind.
   tk::DiagCampaignConfig campaign_cfg;
   campaign_cfg.scenarios = 48;
   campaign_cfg.draw.aspects = 4;
@@ -190,16 +222,10 @@ void report() {
   std::printf("uniform draw: %zu scenarios, %zu scored, top-%zu rate %.2f\n",
               drawn.scenarios, drawn.scored, campaign_cfg.top_k, drawn.top_k_rate());
 
-  tk::DiagCampaignReport findings;
-  const std::string corpus = corpus_path();
-  if (!corpus.empty()) {
-    findings = campaign.run(tk::load_findings(corpus));
-    std::printf("fuzz findings: %zu scenarios, %zu scored, top-%zu rate %.2f\n",
-                findings.scenarios, findings.scored, campaign_cfg.top_k,
-                findings.top_k_rate());
-  } else {
-    std::printf("fuzz findings: FUZZ_corpus.json not found, skipping\n");
-  }
+  const auto findings =
+      campaign.run(tk::FuzzCampaignRunner(tk::FuzzConfig{}).run().labeled_findings());
+  std::printf("fuzz findings: %zu scenarios, %zu scored, top-%zu rate %.2f\n",
+              findings.scenarios, findings.scored, campaign_cfg.top_k, findings.top_k_rate());
 
   std::ofstream json("BENCH_fleetdiag.json");
   json << "{\n  \"experiment\": \"bench_diag_hub\",\n";
@@ -216,14 +242,20 @@ void report() {
          << ", \"cached_query_p99_us\": " << p99_json(runs[i], runs[i].cached_query_p99_us)
          << ", \"fleet_query_p99_us\": " << p99_json(runs[i], runs[i].fleet_query_p99_us)
          << ", \"fresh_report_p99_us\": " << p99_json(runs[i], runs[i].fresh_report_p99_us)
+         << ", \"quiet_queries\": " << kQuietQueries
+         << ", \"quiet_cached_p50_us\": " << fmt(runs[i].quiet_cached.p50, 2)
+         << ", \"quiet_cached_p99_us\": " << fmt(runs[i].quiet_cached.p99, 2)
+         << ", \"quiet_fleet_p50_us\": " << fmt(runs[i].quiet_fleet.p50, 2)
+         << ", \"quiet_fleet_p99_us\": " << fmt(runs[i].quiet_fleet.p99, 2)
+         << ", \"quiet_fresh_p50_us\": " << fmt(runs[i].quiet_fresh.p50, 2)
+         << ", \"quiet_fresh_p99_us\": " << fmt(runs[i].quiet_fresh.p99, 2)
          << ", \"refresh_every\": 8"
          << ", \"refreshes\": " << runs[i].refreshes << ", \"churn\": " << runs[i].churn
          << "}" << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   json << "  ],\n";
   json << "  \"campaign\": " << drawn.to_json() << ",\n";
-  json << "  \"findings\": " << (corpus.empty() ? std::string("null") : findings.to_json())
-       << "\n}\n";
+  json << "  \"findings\": " << findings.to_json() << "\n}\n";
   std::printf("wrote BENCH_fleetdiag.json (ingest sweep + per-kind accuracy table)\n");
 }
 

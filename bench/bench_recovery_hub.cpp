@@ -15,11 +15,10 @@
 //       supervision-only baseline (identical scenario stream, repairs
 //       disabled): downtime per fault kind, repair rate, and
 //       recovery precision against injector ground truth — for a
-//       uniform draw and for the shipped FUZZ_corpus.json findings.
+//       uniform draw and for the minimized findings of the default fuzz
+//       campaign (FuzzConfig{}, run in process and replayed as values).
 // Everything lands in BENCH_recovery.json.
 #include "bench_common.hpp"
-
-#include <sys/stat.h>
 
 #include <chrono>
 #include <cstdint>
@@ -35,7 +34,7 @@
 #include "hub/recovery.hpp"
 #include "ipc/wire.hpp"
 #include "runtime/stats.hpp"
-#include "testkit/diag_campaign.hpp"
+#include "testkit/fuzz.hpp"
 #include "testkit/recovery_campaign.hpp"
 
 namespace rt = trader::runtime;
@@ -52,19 +51,6 @@ using trader::bench::fmt_int;
 namespace {
 
 std::string slot_name(std::size_t k) { return "tv" + std::to_string(k); }
-
-std::string corpus_path() {
-  std::string dir(__FILE__);
-  const auto slash = dir.find_last_of('/');
-  dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-  for (const std::string& candidate :
-       {dir + "/../FUZZ_corpus.json", std::string("FUZZ_corpus.json"),
-        std::string("../FUZZ_corpus.json")}) {
-    struct stat st{};
-    if (::stat(candidate.c_str(), &st) == 0 && st.st_size > 0) return candidate;
-  }
-  return "";
-}
 
 // ------------------------------------------------ (a) live actuation
 
@@ -318,21 +304,15 @@ void report() {
 
   // The fuzzer's minimized findings — detection's hardest scenarios —
   // padded with observation time for the loop to converge in.
-  tk::RecoveryCampaignReport findings;
-  const std::string corpus = corpus_path();
-  if (!corpus.empty()) {
-    std::vector<tk::LabeledScenario> extended = tk::load_findings(corpus);
-    for (tk::LabeledScenario& entry : extended) {
-      entry.script =
-          tk::extend_for_recovery(entry.script, rt::msec(2000), campaign_cfg.draw.cadence);
-    }
-    findings = closed.run(extended);
-    std::printf("fuzz findings: %zu scenarios, %zu scored, %zu repaired, precision %.2f\n",
-                findings.scenarios, findings.scored, findings.repaired,
-                findings.precision());
-  } else {
-    std::printf("fuzz findings: FUZZ_corpus.json not found, skipping\n");
+  std::vector<tk::LabeledScenario> extended =
+      tk::FuzzCampaignRunner(tk::FuzzConfig{}).run().labeled_findings();
+  for (tk::LabeledScenario& entry : extended) {
+    entry.script =
+        tk::extend_for_recovery(entry.script, rt::msec(2000), campaign_cfg.draw.cadence);
   }
+  const tk::RecoveryCampaignReport findings = closed.run(extended);
+  std::printf("fuzz findings: %zu scenarios, %zu scored, %zu repaired, precision %.2f\n",
+              findings.scenarios, findings.scored, findings.repaired, findings.precision());
 
   std::ofstream json("BENCH_recovery.json");
   json << "{\n  \"experiment\": \"bench_recovery_hub\",\n";
@@ -358,8 +338,7 @@ void report() {
        << ", \"tick_p99_us\": " << fmt(storm.tick_p99_us, 2) << "},\n";
   json << "  \"campaign\": {\"closed\": " << with.to_json()
        << ",\n    \"baseline\": " << without.to_json() << "},\n";
-  json << "  \"findings\": " << (corpus.empty() ? std::string("null") : findings.to_json())
-       << "\n}\n";
+  json << "  \"findings\": " << findings.to_json() << "\n}\n";
   std::printf("wrote BENCH_recovery.json (live actuation + storm guard + MTTR)\n");
 }
 

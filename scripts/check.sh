@@ -11,9 +11,10 @@
 #   5. fuzz: the coverage-guided scenario fuzzer under ASan — mutation
 #      determinism, the miss-preserving minimizer, the cross-backend
 #      corpus differential, and a seed-pinned smoke campaign (bounded
-#      iteration budget) that must replay byte-identically and leaves
-#      FUZZ_corpus.json (corpus + coverage map + minimized findings) in
-#      the repo root
+#      iteration budget) that must replay byte-identically; it runs
+#      inside build-asan, where it leaves FUZZ_corpus.json (corpus +
+#      coverage map + minimized findings, an output record nothing reads
+#      back) and FUZZ_report.txt
 #   6. ipc: the wire codec property tests (round-trip, truncation,
 #      bit-flip, reserved type numbers), the transport and the
 #      supervision state machine under ASan with leak checking on
@@ -88,7 +89,8 @@
 #   scripts/check.sh --tier1-only
 # The fuzz stage's iteration budget is tunable: CHECK_FUZZ_ITERS=400
 # buys a deeper corpus sweep. The default 200 is FuzzConfig{}'s and
-# fuzz_demo's own, the campaign tests/fuzz_findings.hpp replays.
+# fuzz_demo's own, the campaign whose findings tests/fuzz_findings.hpp,
+# bench_diag_hub and bench_recovery_hub run in process and replay.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -180,12 +182,13 @@ cmake --build build-asan -j "$JOBS" --target fuzz_test fuzz_demo
 # Seed-pinned smoke campaign with a bounded iteration budget (override
 # with CHECK_FUZZ_ITERS for a deeper sweep): the demo runs the same
 # campaign twice and exits nonzero unless the reruns are
-# byte-identical; it leaves the corpus + findings JSON in the repo root.
-./build-asan/examples/fuzz_demo 2026 "${CHECK_FUZZ_ITERS:-200}" > FUZZ_report.txt
-grep -q 'byte-identical: yes' FUZZ_report.txt
-test -s FUZZ_corpus.json
+# byte-identical. It runs inside build-asan, so the corpus + findings
+# JSON and the report stay out of the repo root.
+(cd build-asan && ./examples/fuzz_demo 2026 "${CHECK_FUZZ_ITERS:-200}" > FUZZ_report.txt)
+grep -q 'byte-identical: yes' build-asan/FUZZ_report.txt
+test -s build-asan/FUZZ_corpus.json
 echo "fuzz headline:"
-grep -E 'corpus:|detection floor' FUZZ_report.txt
+grep -E 'corpus:|detection floor' build-asan/FUZZ_report.txt
 
 stage "ipc: codec properties + transport + supervisor under ASan"
 cmake --build build-asan -j "$JOBS" --target ipc_test

@@ -13,6 +13,9 @@ namespace trader::hub {
 
 namespace {
 
+/// Pending-connection queue of the listener.
+constexpr int kListenBacklog = 64;
+
 /// Bucket edges for frames-per-drain batches (power of two grid).
 std::vector<double> batch_bounds() { return {1, 2, 4, 8, 16, 32, 64, 128, 256}; }
 
@@ -91,7 +94,7 @@ bool AwarenessHub::start() {
   if (journal_ != nullptr && !journal_->active() && !recover_from_journal()) {
     return false;  // fail closed: a damaged journal must not serve guessed state
   }
-  listen_fd_ = ipc::listen_unix(config_.path, config_.listen_backlog);
+  listen_fd_ = ipc::listen_unix(config_.path, kListenBacklog);
   if (listen_fd_ < 0) return false;
   ipc::set_nonblocking(listen_fd_, true);
   loop_.add_fd(listen_fd_, EPOLLIN, [this](std::uint32_t ev) { on_accept_ready(ev); });

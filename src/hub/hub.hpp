@@ -56,7 +56,6 @@ struct HubConfig {
   /// Listener path; '@' prefix = Linux abstract namespace. Empty picks
   /// a unique abstract name ("@trader-hub-<pid>-<n>").
   std::string path;
-  int listen_backlog = 64;
 
   /// Fleet geometry (see ShardedFleetConfig).
   std::size_t shards = 1;

@@ -1,10 +1,7 @@
 #include "testkit/diag_campaign.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "diagnosis/component_ranker.hpp"
@@ -14,242 +11,6 @@
 namespace trader::testkit {
 
 namespace {
-
-// ------------------------------------------------------- minimal JSON
-// Just enough of a recursive-descent parser for the FUZZ_corpus.json
-// grammar (objects, arrays, strings without escapes beyond \" and \\,
-// numbers, true/false/null). Not a general-purpose JSON library.
-
-struct JsonValue {
-  enum Kind : std::uint8_t { kNull, kBool, kNumber, kString, kObject, kArray };
-  Kind kind = kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<std::pair<std::string, JsonValue>> object;
-  std::vector<JsonValue> array;
-
-  const JsonValue* find(const std::string& key) const {
-    if (kind != kObject) return nullptr;
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool parse(JsonValue& out) {
-    ok_ = true;
-    pos_ = 0;
-    out = value();
-    skip_ws();
-    return ok_ && pos_ == text_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool literal(const char* word) {
-    const std::size_t n = std::string(word).size();
-    if (text_.compare(pos_, n, word) == 0) {
-      pos_ += n;
-      return true;
-    }
-    ok_ = false;
-    return false;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    JsonValue v;
-    if (!ok_ || pos_ >= text_.size()) {
-      ok_ = false;
-      return v;
-    }
-    const char c = text_[pos_];
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      v.kind = JsonValue::kString;
-      v.str = string();
-      return v;
-    }
-    if (c == 't') {
-      if (literal("true")) {
-        v.kind = JsonValue::kBool;
-        v.boolean = true;
-      }
-      return v;
-    }
-    if (c == 'f') {
-      if (literal("false")) v.kind = JsonValue::kBool;
-      return v;
-    }
-    if (c == 'n') {
-      literal("null");
-      return v;
-    }
-    return number();
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.kind = JsonValue::kObject;
-    consume('{');
-    if (consume('}')) return v;
-    do {
-      skip_ws();
-      std::string key = string();
-      if (!ok_ || !consume(':')) {
-        ok_ = false;
-        return v;
-      }
-      v.object.emplace_back(std::move(key), value());
-    } while (ok_ && consume(','));
-    if (!consume('}')) ok_ = false;
-    return v;
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.kind = JsonValue::kArray;
-    consume('[');
-    if (consume(']')) return v;
-    do {
-      v.array.push_back(value());
-    } while (ok_ && consume(','));
-    if (!consume(']')) ok_ = false;
-    return v;
-  }
-
-  std::string string() {
-    std::string out;
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      ok_ = false;
-      return out;
-    }
-    ++pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) c = text_[pos_++];
-      out += c;
-    }
-    if (pos_ >= text_.size()) {
-      ok_ = false;
-      return out;
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  JsonValue number() {
-    JsonValue v;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 || text_[pos_] == '-' ||
-            text_[pos_] == '+' || text_[pos_] == '.' || text_[pos_] == 'e' ||
-            text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      ok_ = false;
-      return v;
-    }
-    v.kind = JsonValue::kNumber;
-    v.number = std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-bool kind_from_string(const std::string& name, faults::FaultKind& out) {
-  static constexpr faults::FaultKind kAll[] = {
-      faults::FaultKind::kMessageLoss,    faults::FaultKind::kMessageCorruption,
-      faults::FaultKind::kStuckComponent, faults::FaultKind::kModeDesync,
-      faults::FaultKind::kTaskOverrun,    faults::FaultKind::kDeadlock,
-      faults::FaultKind::kBadSignal,      faults::FaultKind::kCodingDeviation,
-      faults::FaultKind::kCrash,          faults::FaultKind::kMemoryCorruption,
-      faults::FaultKind::kResourceEater,
-  };
-  for (const faults::FaultKind k : kAll) {
-    if (name == faults::to_string(k)) {
-      out = k;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Rebuild a ScenarioScript from one parsed "script" object. Returns
-/// false for structurally incomplete entries.
-bool script_from_value(const JsonValue& v, ScenarioScript& out) {
-  const JsonValue* name = v.find("name");
-  const JsonValue* aspects = v.find("aspects");
-  const JsonValue* horizon = v.find("horizon_us");
-  const JsonValue* commands = v.find("commands");
-  const JsonValue* faults = v.find("faults");
-  if (name == nullptr || aspects == nullptr || horizon == nullptr || commands == nullptr ||
-      faults == nullptr || commands->kind != JsonValue::kArray ||
-      faults->kind != JsonValue::kArray) {
-    return false;
-  }
-  out = ScenarioScript{};
-  out.name(name->str)
-      .aspects(static_cast<std::size_t>(aspects->number))
-      .horizon(static_cast<runtime::SimTime>(horizon->number));
-  const JsonValue* outage = v.find("outage_us");
-  if (outage != nullptr && outage->kind == JsonValue::kArray && outage->array.size() == 2) {
-    out.outage(static_cast<runtime::SimTime>(outage->array[0].number),
-               static_cast<runtime::SimTime>(outage->array[1].number));
-  }
-  std::vector<ScriptCommand> cmds;
-  for (const JsonValue& c : commands->array) {
-    if (c.kind != JsonValue::kArray || c.array.size() != 2) return false;
-    cmds.push_back({static_cast<runtime::SimTime>(c.array[0].number),
-                    static_cast<std::size_t>(c.array[1].number)});
-  }
-  out.commands(std::move(cmds));
-  std::vector<faults::FaultSpec> plan;
-  for (const JsonValue& f : faults->array) {
-    const JsonValue* kind = f.find("kind");
-    const JsonValue* target = f.find("target");
-    const JsonValue* at = f.find("at_us");
-    const JsonValue* duration = f.find("duration_us");
-    const JsonValue* intensity = f.find("intensity");
-    if (kind == nullptr || target == nullptr || at == nullptr || duration == nullptr) {
-      return false;
-    }
-    faults::FaultSpec spec;
-    if (!kind_from_string(kind->str, spec.kind)) return false;
-    spec.target = target->str;
-    spec.activate_at = static_cast<runtime::SimTime>(at->number);
-    spec.duration = static_cast<runtime::SimDuration>(duration->number);
-    spec.intensity = intensity != nullptr ? intensity->number : 1.0;
-    plan.push_back(std::move(spec));
-  }
-  out.faults(std::move(plan));
-  return true;
-}
 
 diagnosis::SyntheticProgramConfig per_script(diagnosis::SyntheticProgramConfig config,
                                              const ScenarioScript& script) {
@@ -287,35 +48,6 @@ std::vector<LabeledScenario> draw_labeled(std::uint64_t seed, std::size_t count,
   labeled.reserve(count);
   for (std::size_t i = 0; i < count; ++i) labeled.push_back({draw_scenario(rng, i, draw), "", ""});
   return labeled;
-}
-
-std::vector<LabeledScenario> findings_from_json(const std::string& json_text) {
-  std::vector<LabeledScenario> out;
-  JsonValue root;
-  if (!JsonParser(json_text).parse(root)) return out;
-  const JsonValue* findings = root.find("findings");
-  if (findings == nullptr || findings->kind != JsonValue::kArray) return out;
-  for (const JsonValue& f : findings->array) {
-    const JsonValue* script = f.find("script");
-    if (script == nullptr) continue;
-    LabeledScenario labeled;
-    if (!script_from_value(*script, labeled.script)) continue;
-    const JsonValue* original = f.find("original");
-    const JsonValue* cov_key = f.find("cov_key");
-    if (original != nullptr) labeled.original = original->str;
-    if (cov_key != nullptr) labeled.cov_key = cov_key->str;
-    out.push_back(std::move(labeled));
-  }
-  return out;
-}
-
-std::vector<LabeledScenario> load_findings(const std::string& path) {
-  if (path.empty()) return {};
-  std::ifstream in(path);
-  if (!in) return {};
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return findings_from_json(buf.str());
 }
 
 DiagnosisCampaign::DiagnosisCampaign(DiagCampaignConfig config) : config_(std::move(config)) {

@@ -14,11 +14,13 @@
 // kind — the diagnosis-accuracy table BENCH_fleetdiag.json ships.
 //
 // Scenarios come from two sources: the uniform draw_scenario() stream
-// (the E16 generator) and the minimized missed-detection findings the
-// coverage-guided fuzzer ships in FUZZ_corpus.json. Replaying findings
+// (the E16 generator) and the minimized missed-detection findings of
+// the coverage-guided fuzzer, replayed in process as values
+// (FuzzReport::labeled_findings(); the FUZZ_corpus.json that fuzz_demo
+// writes is an output record nothing reads back). Replaying findings
 // here closes a loop: scenarios where *detection* failed are exactly
-// where a ranked suspect list earns its keep, so each shipped finding
-// becomes a labeled diagnosis benchmark.
+// where a ranked suspect list earns its keep, so each finding becomes
+// a labeled diagnosis benchmark.
 #pragma once
 
 #include <cstdint>
@@ -31,22 +33,6 @@
 #include "testkit/scenario.hpp"
 
 namespace trader::testkit {
-
-/// A replayable scenario with its provenance label (fuzz finding or
-/// uniform draw).
-struct LabeledScenario {
-  ScenarioScript script;
-  std::string original;  ///< Corpus name a finding was minimized from.
-  std::string cov_key;   ///< Coverage cell of the original miss.
-};
-
-/// Parse the "findings" array of a FUZZ_corpus.json document into
-/// replayable labeled scripts. Unknown fault kinds and malformed
-/// entries are skipped; a document without findings parses to empty.
-std::vector<LabeledScenario> findings_from_json(const std::string& json_text);
-
-/// findings_from_json() over a file ("" or unreadable path => empty).
-std::vector<LabeledScenario> load_findings(const std::string& path);
 
 /// `count` uniform draw_scenario() scripts from `seed`: the scenario
 /// stream run() scores in the diagnosis and recovery campaigns.
@@ -155,8 +141,8 @@ class DiagnosisCampaign {
   /// Score `config.scenarios` uniform draws (the E16 generator stream).
   DiagCampaignReport run();
 
-  /// Score an explicit labeled set (e.g. load_findings() of the shipped
-  /// fuzz corpus).
+  /// Score an explicit labeled set (e.g. the fuzz findings of
+  /// FuzzReport::labeled_findings()).
   DiagCampaignReport run(const std::vector<LabeledScenario>& labeled);
 
   const DiagCampaignConfig& config() const { return config_; }

@@ -518,6 +518,13 @@ FuzzReport FuzzCampaignRunner::run() {
 
 // --------------------------------------------------------------- FuzzReport
 
+std::vector<LabeledScenario> FuzzReport::labeled_findings() const {
+  std::vector<LabeledScenario> out;
+  out.reserve(findings.size());
+  for (const Finding& f : findings) out.push_back({f.script, f.original, f.cov_key});
+  return out;
+}
+
 std::string FuzzReport::to_json() const {
   std::string out = "{\n";
   out += "  \"fuzz\": {\n";

@@ -27,7 +27,9 @@
 // Scenarios that manifest a fault and still score kMissed are the
 // valuable ones: each is greedily minimized (drop faults, drop command
 // chunks, drop the outage, shrink the horizon — keeping the miss) and
-// shipped in the findings corpus as replayable JSON.
+// kept as a Finding, which the diagnosis and recovery campaigns replay
+// in process (FuzzReport::labeled_findings()); to_json() records the
+// findings as replayable JSON.
 //
 // Everything is seeded and byte-reproducible: same FuzzConfig => same
 // corpus, same coverage map, same findings, same to_json() bytes.
@@ -178,8 +180,13 @@ struct FuzzReport {
                                             static_cast<double>(detectable_manifested);
   }
 
+  /// The findings as replayable labeled scenarios, in order (script,
+  /// original, cov_key): what the diagnosis and recovery campaigns run.
+  std::vector<LabeledScenario> labeled_findings() const;
+
   /// Canonical JSON document (config echo, totals, coverage map, growth
-  /// curve, corpus metadata, findings with full replayable scripts).
+  /// curve, corpus metadata, findings with full replayable scripts) —
+  /// an output record; nothing in the project parses it back.
   std::string to_json() const;
 };
 

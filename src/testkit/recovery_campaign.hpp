@@ -24,8 +24,9 @@
 // action sequence, ladder rungs, repair times, report JSON — is
 // byte-reproducible per seed and identical at any shard count.
 // Scenarios come from uniform draws and from the fuzzer's minimized
-// FUZZ_corpus.json findings (the scenarios detection found hardest are
-// exactly where targeted recovery earns its keep).
+// findings, replayed in process from FuzzReport::labeled_findings()
+// (the scenarios detection found hardest are exactly where targeted
+// recovery earns its keep).
 #pragma once
 
 #include <cstdint>
@@ -157,8 +158,8 @@ class RecoveryCampaign {
   /// Score `config.scenarios` uniform draws.
   RecoveryCampaignReport run();
 
-  /// Score an explicit labeled set (e.g. load_findings() of the
-  /// shipped fuzz corpus).
+  /// Score an explicit labeled set (e.g. FuzzReport::labeled_findings()
+  /// padded by extend_for_recovery()).
   RecoveryCampaignReport run(const std::vector<LabeledScenario>& labeled);
 
   const RecoveryCampaignConfig& config() const { return config_; }

@@ -88,6 +88,14 @@ class ScenarioScript {
   runtime::SimTime suo_up_ = -1;
 };
 
+/// A replayable scenario with its provenance label (fuzz finding or
+/// uniform draw).
+struct LabeledScenario {
+  ScenarioScript script;
+  std::string original;  ///< Corpus name a finding was minimized from.
+  std::string cov_key;   ///< Coverage cell of the original miss.
+};
+
 /// Parameters for drawing random scenarios (CampaignRunner's generator).
 struct ScenarioDraw {
   std::size_t aspects = 4;

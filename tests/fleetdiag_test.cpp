@@ -762,7 +762,7 @@ TEST(FleetDiagCampaign, ShippedFuzzFindingsLocalizeTrueTargetInTopK) {
   // finding of the check.sh fuzz campaign becomes a labeled diagnosis
   // scenario; whenever its fault manifests spectrally, the true target
   // must land in the top-k suspects.
-  const auto findings = tk::findings_from_json(tk::fuzz_corpus_json());
+  const auto& findings = tk::fuzz_findings();
   ASSERT_FALSE(findings.empty()) << "corpus must contain replayable findings";
   for (const auto& f : findings) {
     EXPECT_FALSE(f.script.fault_plan().empty()) << f.script.name();
@@ -782,26 +782,23 @@ TEST(FleetDiagCampaign, ShippedFuzzFindingsLocalizeTrueTargetInTopK) {
   }
 }
 
-TEST(FleetDiagCampaign, FindingsParserRoundTripsScripts) {
-  const std::string& corpus = tk::fuzz_corpus_json();
-  const auto findings = tk::findings_from_json(corpus);
-  ASSERT_FALSE(findings.empty());
-  // Re-serializing a parsed script must reproduce the canonical JSON it
-  // was parsed from (modulo being embedded in the findings wrapper).
-  for (const auto& f : findings) {
-    std::string json = tk::script_to_json(f.script);
-    // The corpus pretty-prints; strip whitespace from both before
-    // comparing containment.
-    const auto strip = [](std::string s) {
-      std::string out;
-      bool in_string = false;
-      for (const char c : s) {
-        if (c == '"') in_string = !in_string;
-        if (in_string || (c != ' ' && c != '\n' && c != '\t' && c != '\r')) out += c;
-      }
-      return out;
-    };
-    EXPECT_NE(strip(corpus).find(strip(json)), std::string::npos)
-        << f.script.name() << " did not round-trip";
+TEST(FleetDiagCampaign, FuzzReportFindingsMapToLabeledScenarios) {
+  const tk::FuzzReport& report = tk::default_fuzz_report();
+  const auto labeled = report.labeled_findings();
+  ASSERT_FALSE(labeled.empty());
+  ASSERT_EQ(labeled.size(), report.findings.size());
+  for (std::size_t i = 0; i < labeled.size(); ++i) {
+    const tk::Finding& f = report.findings[i];
+    EXPECT_EQ(tk::script_to_json(labeled[i].script), tk::script_to_json(f.script)) << i;
+    EXPECT_EQ(labeled[i].original, f.original) << i;
+    EXPECT_EQ(labeled[i].cov_key, f.cov_key) << i;
   }
+
+  // Replaying the values is deterministic: two campaigns over the same
+  // findings write the same report.
+  tk::DiagCampaignConfig config;
+  config.program.total_blocks = 1500;
+  config.top_k = 10;
+  EXPECT_EQ(tk::DiagnosisCampaign(config).run(labeled).to_json(),
+            tk::DiagnosisCampaign(config).run(labeled).to_json());
 }

@@ -598,7 +598,7 @@ TEST(RecoveryLoop, CampaignReportIsShardInvariant) {
 }
 
 TEST(RecoveryLoop, FuzzFindingsAreRepairedWithPrecision) {
-  const auto findings = tk::findings_from_json(tk::fuzz_corpus_json());
+  const auto& findings = tk::fuzz_findings();
   ASSERT_GE(findings.size(), 6u);
 
   // Minimized findings carry ~one command — just enough to trip
